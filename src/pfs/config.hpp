@@ -66,7 +66,8 @@ struct PfsConfig {
   // mount time ("0"/"off" forces it off, anything else forces it on).
 
   /// Master switch for the straggler-aware scheduler (deadlines, queue
-  /// reorder/steal, list-I/O coalescing of multi-chunk requests).
+  /// reorder/steal, list-I/O coalescing of multi-chunk requests, and
+  /// replica-balanced placement of replicated reads).
   bool straggler_sched = false;
 
   /// Hedged (speculative) reads: when a chunk outlives its quantile
@@ -99,8 +100,10 @@ struct PfsConfig {
   /// history instead of dragging it forever.
   Seconds sched_window = 250e-3;
 
-  /// A server is "slow" (steal candidate) when its rolling p50 exceeds
-  /// steal_factor x the healthy median p50.
+  /// A server is "slow" when its seconds-per-byte service estimate exceeds
+  /// steal_factor x the median across servers. While any server is slow,
+  /// replicated reads are placed per stripe unit on whichever copy should
+  /// finish first, and queued reads may be stolen off the slow server.
   double steal_factor = 2.0;
 
   // Built-in straggler *emulation* for benches/tests — the functional twin

@@ -19,6 +19,7 @@ namespace pstap::pfs {
 IoEngine::IoEngine(const PfsConfig& config)
     : bandwidth_(config.server_bandwidth),
       latency_(config.server_latency),
+      steal_factor_(config.steal_factor),
       quarantine_threshold_(config.quarantine_threshold),
       breaker_probe_interval_(config.breaker_probe_interval),
       straggler_servers_(config.straggler_servers),
@@ -95,6 +96,7 @@ void IoEngine::enqueue(std::size_t server, Job job, bool front) {
   std::size_t depth = 0;
   {
     std::lock_guard lock(q.mu);
+    q.queued_bytes.fetch_add(job.total_len(), std::memory_order_relaxed);
     if (front) {
       q.jobs.push_front(std::move(job));
     } else {
@@ -112,6 +114,54 @@ void IoEngine::enqueue(std::size_t server, Job job, bool front) {
         static_cast<double>(depth));
   }
   q.cv.notify_one();
+}
+
+namespace {
+/// Lower median of a sample (destructive); 0 when empty. The lower one, so
+/// with two servers the faster sets the reference.
+double lower_median(std::vector<double>& v) {
+  if (v.empty()) return 0.0;
+  const auto mid = v.begin() + static_cast<std::ptrdiff_t>((v.size() - 1) / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  return *mid;
+}
+}  // namespace
+
+void IoEngine::note_rate(Queue& q, double seconds, std::size_t bytes) {
+  const double n = static_cast<double>(bytes);
+  const double sample = seconds / n;
+  if (q.last_sample > 0) {  // confirmed by the previous job (see sec_per_byte)
+    q.decayed_seconds = 0.5 * q.decayed_seconds + std::min(sample, q.last_sample) * n;
+    q.decayed_bytes = 0.5 * q.decayed_bytes + n;
+    q.sec_per_byte.store(q.decayed_seconds / q.decayed_bytes,
+                         std::memory_order_relaxed);
+  }
+  q.last_sample = sample;
+}
+
+std::vector<double> IoEngine::sec_per_byte() const {
+  std::vector<double> rates, warm;
+  rates.reserve(queues_.size());
+  for (const auto& q : queues_) {
+    rates.push_back(q->sec_per_byte.load(std::memory_order_relaxed));
+    if (rates.back() > 0) warm.push_back(rates.back());
+  }
+  const double median = lower_median(warm);
+  for (double& r : rates) {
+    if (r == 0) r = median;
+  }
+  return rates;
+}
+
+std::vector<bool> IoEngine::slow_servers() const {
+  std::vector<double> rates = sec_per_byte();
+  std::vector<double> sorted = rates;
+  const double median = lower_median(sorted);
+  std::vector<bool> slow(rates.size(), false);
+  for (std::size_t s = 0; s < rates.size(); ++s) {
+    slow[s] = median > 0 && rates[s] > steal_factor_ * median;
+  }
+  return slow;
 }
 
 bool IoEngine::quarantined(std::size_t server) const {
@@ -134,8 +184,8 @@ bool IoEngine::quarantined(std::size_t server) const {
 // Transfer the job's pieces between disk and memory. Hedge-capable reads
 // land in `hedge_scratch` (one flat buffer, pieces packed in order) so the
 // caller's buffer is only written by the twin that wins the claim.
-void IoEngine::service_job(std::size_t server, Job& job,
-                           std::vector<std::byte>& hedge_scratch) {
+void IoEngine::service_job(std::size_t server, Job& job, std::byte* hedge_scratch,
+                           Scratch& unit_scratch) {
   // Fault injection: armed delays sleep here (inside the service thread, so
   // they occupy this stripe directory exactly like a slow disk); armed
   // errors throw and are captured as the job's error; a partial-read
@@ -179,7 +229,7 @@ void IoEngine::service_job(std::size_t server, Job& job,
     // dead — stop transferring. The completion path discards the result.
     if (job.chunk && job.chunk->claimed.load(std::memory_order_acquire)) return;
 
-    std::byte* dest = job.chunk ? hedge_scratch.data() + scratch_off : piece.buf;
+    std::byte* dest = job.chunk ? hedge_scratch + scratch_off : piece.buf;
     scratch_off += piece.len;
     const std::size_t piece_len = std::min(piece.len, budget);
     budget -= piece_len;
@@ -195,15 +245,17 @@ void IoEngine::service_job(std::size_t server, Job& job,
       // Verified read: serve the unit's whole checksummed prefix into a
       // scratch buffer, check it end-to-end against the CRC recorded at
       // write time, then hand only the requested sub-range over — a
-      // corrupted payload never lands in the consumer's buffer.
-      std::vector<std::byte> scratch(entry->valid_len);
-      transfer(scratch.data(), piece.unit_seg_offset, scratch.size(),
-               /*is_write=*/false);
+      // corrupted payload never lands in the consumer's buffer. A
+      // hedge-capable job's dest is itself scratch, so a piece spanning the
+      // whole prefix is served and checked in place.
+      const bool in_place = job.chunk && in_unit == 0 && piece.len == entry->valid_len;
+      std::byte* unit = in_place ? dest : unit_scratch.get(entry->valid_len);
+      transfer(unit, piece.unit_seg_offset, entry->valid_len, /*is_write=*/false);
       if (corrupt_pending && piece.len > 0) {
-        scratch[in_unit + piece.len / 2] ^= std::byte{0xFF};
+        unit[in_unit + piece.len / 2] ^= std::byte{0xFF};
         corrupt_pending = false;
       }
-      if (crc32c(scratch.data(), scratch.size()) != entry->crc) {
+      if (crc32c(unit, entry->valid_len) != entry->crc) {
         corrupt_chunks_.fetch_add(1, std::memory_order_relaxed);
         if (obs::trace_enabled()) {
           obs::TraceRecorder::global().instant(
@@ -215,7 +267,7 @@ void IoEngine::service_job(std::size_t server, Job& job,
                             std::to_string(piece.unit_index) + " served by " +
                             read_sites_[server]);
       }
-      std::copy_n(scratch.data() + in_unit, piece.len, dest);
+      if (!in_place) std::copy_n(unit + in_unit, piece.len, dest);
     } else {
       transfer(dest, piece.offset, piece_len, job.is_write);
       if (!job.is_write && corrupt_pending && piece.len > 0) {
@@ -253,6 +305,8 @@ void IoEngine::service_job(std::size_t server, Job& job,
 
 void IoEngine::service_loop(std::size_t server) {
   Queue& q = *queues_[server];
+  Scratch hedge_scratch;
+  Scratch unit_scratch;
   for (;;) {
     Job job;
     {
@@ -261,6 +315,7 @@ void IoEngine::service_loop(std::size_t server) {
       if (q.jobs.empty()) return;  // stop requested and drained
       job = std::move(q.jobs.front());
       q.jobs.pop_front();
+      q.queued_bytes.fetch_sub(job.total_len(), std::memory_order_relaxed);
     }
 
     // A hedged twin already claimed this chunk: discard unserviced — no
@@ -282,10 +337,9 @@ void IoEngine::service_loop(std::size_t server) {
     const Seconds started = monotonic_now();
     const std::size_t total = job.total_len();
     std::exception_ptr error;
-    std::vector<std::byte> hedge_scratch;
-    if (job.chunk) hedge_scratch.resize(total);
+    std::byte* const scratch = job.chunk ? hedge_scratch.get(total) : nullptr;
     try {
-      service_job(server, job, hedge_scratch);
+      service_job(server, job, scratch, unit_scratch);
     } catch (...) {
       error = std::current_exception();
     }
@@ -314,6 +368,7 @@ void IoEngine::service_loop(std::size_t server) {
     const std::int64_t served_ns = obs::trace_now_ns() - started_ns;
     service_time_.record(static_cast<double>(served_ns) * 1e-9);
     server_service_time_[server]->record(static_cast<double>(served_ns) * 1e-9);
+    if (!error && total > 0) note_rate(q, static_cast<double>(served_ns) * 1e-9, total);
     if (obs::trace_enabled()) {
       obs::TraceRecorder::global().complete(
           "io", job.is_write ? "serve.write" : "serve.read",
@@ -338,7 +393,7 @@ void IoEngine::service_loop(std::size_t server) {
       if (job.chunk->claim()) {
         std::size_t off = 0;
         for (const Piece& piece : job.pieces) {
-          std::copy_n(hedge_scratch.data() + off, piece.len, piece.buf);
+          std::copy_n(scratch + off, piece.len, piece.buf);
           off += piece.len;
         }
         bytes_serviced_.fetch_add(total, std::memory_order_relaxed);

@@ -127,9 +127,24 @@ struct ChunkState {
 
 /// Handle to an in-flight asynchronous read (the paper's iread handle;
 /// wait() plays the role of ireadoff/iowait).
+///
+/// Queued jobs hold raw pointers into the owner's buffer, so the handle owns
+/// the transfer's lifetime: destroying (or move-assigning over) a request
+/// that is still pending drains it first, swallowing its errors. Declare
+/// the handle after the buffer it reads into, so it is destroyed first.
 class IoRequest {
  public:
   IoRequest() = default;
+  IoRequest(IoRequest&&) noexcept = default;
+  IoRequest& operator=(IoRequest&& other) noexcept {
+    if (this != &other) {
+      drain();
+      state_ = std::move(other.state_);
+      failed_chunks_ = other.failed_chunks_;
+    }
+    return *this;
+  }
+  ~IoRequest() { drain(); }
 
   /// Block until every chunk is serviced, then release the request state;
   /// rethrows the first chunk error. Idempotent: calling it again — or on
@@ -172,6 +187,17 @@ class IoRequest {
   friend class IoEngine;
   friend class StripedFile;  // attaches jobs to the shared state
   explicit IoRequest(std::shared_ptr<detail::RequestState> s) : state_(std::move(s)) {}
+
+  /// Wait out every chunk and release the state without rethrowing.
+  void drain() noexcept {
+    if (!state_) return;
+    {
+      std::unique_lock lock(state_->mu);
+      state_->cv.wait(lock, [&] { return state_->pending == 0; });
+    }
+    state_.reset();
+  }
+
   std::shared_ptr<detail::RequestState> state_;
   std::size_t failed_chunks_ = 0;
 };
@@ -210,9 +236,10 @@ class IoEngine {
   /// One job serviced by one stripe-directory thread. With the straggler
   /// scheduler OFF a job is one stripe-unit chunk (`pieces` holds exactly
   /// one entry). With it ON, a logical request is coalesced into one
-  /// list-I/O job per server: `pieces` carries every noncontiguous range
-  /// that server owns, serviced in one dequeue (the per-job fixed latency
-  /// is paid once — the Ching et al. list-I/O effect).
+  /// list-I/O job per (server, segment fd): `pieces` carries every
+  /// noncontiguous range that server serves from that segment, serviced in
+  /// one dequeue (the per-job fixed latency is paid once — the Ching et al.
+  /// list-I/O effect).
   struct Job {
     int fd = -1;
     bool is_write = false;
@@ -293,9 +320,13 @@ class IoEngine {
   std::uint64_t hedge_cancels() const {
     return hedge_cancels_.load(std::memory_order_relaxed);
   }
-  /// Queued jobs moved from a slow server's queue to its replica server.
+  /// Read pieces moved off a slow primary onto its replica, at submit
+  /// (replica-balanced placement) or from the queue (stealing).
   std::uint64_t chunks_stolen() const {
     return chunks_stolen_.load(std::memory_order_relaxed);
+  }
+  void record_chunks_stolen(std::uint64_t pieces) {
+    chunks_stolen_.fetch_add(pieces, std::memory_order_relaxed);
   }
   /// Jobs observed in flight past their quantile deadline.
   std::uint64_t deadline_expired() const {
@@ -329,6 +360,27 @@ class IoEngine {
   const obs::Histogram& submit_latency() const noexcept { return submit_latency_; }
   void record_submit_latency(double seconds) { submit_latency_.record(seconds); }
 
+  // ------------------------------------------------- service-rate model --
+  /// Per-server seconds-per-byte estimate: completed jobs' service time
+  /// (modeled throttle sleep included) per byte, averaged with byte
+  /// weights that halve at every completion. Each job's rate is first
+  /// confirmed by the previous job's — the lesser of the two counts — so
+  /// one stalled job never marks a server slow. Writes feed it too, so it
+  /// is warm before the first read. A cold server (fewer than two completed
+  /// jobs) reports the median of the warm ones; 0 while all are cold.
+  std::vector<double> sec_per_byte() const;
+
+  /// Bytes waiting in `server`'s queue (added at enqueue, removed at
+  /// dequeue or steal; the job in service is no longer counted).
+  std::uint64_t queued_bytes(std::size_t server) const {
+    return queues_[server]->queued_bytes.load(std::memory_order_relaxed);
+  }
+
+  /// Slowness verdict per server: its seconds-per-byte estimate exceeds
+  /// `config.steal_factor` x the median across warm servers. The one
+  /// signal behind replica-balanced read placement and queue stealing.
+  std::vector<bool> slow_servers() const;
+
  private:
   friend class StragglerScheduler;  // reorders/steals inside queue locks
 
@@ -337,6 +389,30 @@ class IoEngine {
     std::condition_variable cv;
     std::deque<Job> jobs;
     bool stop = false;
+    std::atomic<std::uint64_t> queued_bytes{0};
+    std::atomic<double> sec_per_byte{0.0};
+    // Decayed service totals behind sec_per_byte and the previous job's
+    // seconds per byte; service thread only.
+    double decayed_seconds = 0.0;
+    double decayed_bytes = 0.0;
+    double last_sample = 0.0;
+  };
+
+  /// Grow-only, uninitialized byte buffer owned by one service thread, so
+  /// the read hot path neither allocates nor zero-fills per piece or job.
+  class Scratch {
+   public:
+    std::byte* get(std::size_t n) {
+      if (n > capacity_) {
+        data_ = std::make_unique_for_overwrite<std::byte[]>(n);
+        capacity_ = n;
+      }
+      return data_.get();
+    }
+
+   private:
+    std::unique_ptr<std::byte[]> data_;
+    std::size_t capacity_ = 0;
   };
 
   /// Per-server circuit breaker: consecutive chunk failures trip it open;
@@ -355,12 +431,14 @@ class IoEngine {
   void enqueue(std::size_t server, Job job, bool front);
 
   void service_loop(std::size_t server);
-  void service_job(std::size_t server, Job& job,
-                   std::vector<std::byte>& hedge_scratch);
+  void service_job(std::size_t server, Job& job, std::byte* hedge_scratch,
+                   Scratch& unit_scratch);
   void note_outcome(std::size_t server, bool failed);
+  void note_rate(Queue& q, double seconds, std::size_t bytes);
 
   double bandwidth_;
   double latency_;
+  double steal_factor_;
   std::size_t quarantine_threshold_;
   Seconds breaker_probe_interval_;
   std::size_t straggler_servers_;

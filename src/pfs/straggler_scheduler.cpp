@@ -19,10 +19,7 @@ double median(std::vector<double>& v) {
 }  // namespace
 
 StragglerScheduler::StragglerScheduler(IoEngine& engine, const PfsConfig& config)
-    : engine_(engine),
-      cfg_(config),
-      windows_(engine.servers()),
-      slow_(engine.servers(), false) {
+    : engine_(engine), cfg_(config), windows_(engine.servers()) {
   last_rebaseline_ = monotonic_now();
   thread_ = std::thread([this] { run(); });
 }
@@ -82,8 +79,7 @@ double StragglerScheduler::window_quantile(const Window& w, double p) const {
 void StragglerScheduler::refresh_quantiles(Seconds now) {
   const std::size_t n = engine_.servers();
   const bool rebase = now - last_rebaseline_ >= cfg_.sched_window;
-  std::vector<double> p50s, pqs;
-  p50s.reserve(n);
+  std::vector<double> pqs;
   pqs.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {
     Window& w = windows_[s];
@@ -99,13 +95,9 @@ void StragglerScheduler::refresh_quantiles(Seconds now) {
     // Quantiles are sticky: a freshly re-baselined (thin) window keeps the
     // previous estimate instead of flapping back to "cold".
     if (total >= cfg_.deadline_min_samples) {
-      w.p50 = window_quantile(w, 0.50);
       w.pq = window_quantile(w, cfg_.deadline_quantile);
     }
-    if (w.pq > 0) {
-      p50s.push_back(w.p50);
-      pqs.push_back(w.pq);
-    }
+    if (w.pq > 0) pqs.push_back(w.pq);
   }
   if (rebase) last_rebaseline_ = now;
 
@@ -114,15 +106,8 @@ void StragglerScheduler::refresh_quantiles(Seconds now) {
   // up with its own slow history (it is exactly the server we must not
   // let set the bar).
   const double healthy_pq = median(pqs);
-  const double healthy_p50 = median(p50s);
   budget_.store(std::max(cfg_.deadline_floor, cfg_.hedge_multiplier * healthy_pq),
                 std::memory_order_relaxed);
-  healthy_p50_.store(healthy_p50, std::memory_order_relaxed);
-  for (std::size_t s = 0; s < n; ++s) {
-    slow_[s] = engine_.quarantined(s) ||
-               (windows_[s].pq > 0 && healthy_p50 > 0 &&
-                windows_[s].p50 > cfg_.steal_factor * healthy_p50);
-  }
 }
 
 void StragglerScheduler::hedge_scan(Seconds now) {
@@ -167,23 +152,40 @@ void StragglerScheduler::hedge_scan(Seconds now) {
 
 void StragglerScheduler::steal_scan() {
   const std::size_t n = engine_.servers();
+  const std::vector<bool> slow = engine_.slow_servers();
+  const std::vector<double> rate = engine_.sec_per_byte();
+  std::vector<double> incoming(n, 0.0);  // bytes this scan moved onto a server
   for (std::size_t s = 0; s < n; ++s) {
-    if (!slow_[s]) continue;
+    const bool failing = engine_.quarantined(s);
+    if (!failing && !slow[s]) continue;
     std::vector<IoEngine::Job> moved;
     {
       IoEngine::Queue& q = *engine_.queues_[s];
       std::lock_guard lock(q.mu);
+      double ahead = 0;  // queued bytes this server serves before `j`
       for (auto it = q.jobs.begin(); it != q.jobs.end();) {
         IoEngine::Job& j = *it;
+        const std::size_t r = j.replica_server;
+        const double bytes = static_cast<double>(j.total_len());
+        // Off a merely slow server, a job moves only when its replica is
+        // expected to finish it at least the hedge floor sooner — the
+        // estimate and the gate placement uses.
         const bool eligible =
-            !j.is_write && !j.is_hedge && j.replica_fd >= 0 &&
-            j.replica_server < slow_.size() && !slow_[j.replica_server] &&
-            !engine_.quarantined(j.replica_server) &&
-            !(j.chunk && j.chunk->claimed.load(std::memory_order_acquire));
+            !j.is_write && !j.is_hedge && j.replica_fd >= 0 && r < n && !slow[r] &&
+            !engine_.quarantined(r) &&
+            !(j.chunk && j.chunk->claimed.load(std::memory_order_acquire)) &&
+            (failing ||
+             (ahead + bytes) * rate[s] -
+                     (static_cast<double>(engine_.queued_bytes(r)) + incoming[r] + bytes) *
+                         rate[r] >=
+                 cfg_.deadline_floor);
         if (eligible) {
+          incoming[r] += bytes;
+          q.queued_bytes.fetch_sub(j.total_len(), std::memory_order_relaxed);
           moved.push_back(std::move(j));
           it = q.jobs.erase(it);
         } else {
+          ahead += bytes;
           ++it;
         }
       }
@@ -193,7 +195,7 @@ void StragglerScheduler::steal_scan() {
       std::swap(j.fd, j.replica_fd);
       const std::size_t target = j.replica_server;
       j.replica_server = s;
-      engine_.chunks_stolen_.fetch_add(1, std::memory_order_relaxed);
+      engine_.chunks_stolen_.fetch_add(j.pieces.size(), std::memory_order_relaxed);
       if (j.chunk) {
         // Keep the hedge template in sync so a later hedge goes back to
         // the copy we just walked away from, not to the queue we chose.

@@ -16,9 +16,10 @@
 //     the FRONT of the replica server's queue; first completion wins the
 //     chunk claim, the loser is discarded without touching user memory,
 //     metrics, or the checksum catalog (see detail::ChunkState);
-//   * queue stealing — jobs still QUEUED on a slow server (rolling p50 >
-//     steal_factor x healthy p50, or quarantined) are moved to the
-//     replica server's queue, fd swapped to the replica copy;
+//   * queue stealing — jobs still QUEUED on a quarantined server, or on a
+//     slow one (IoEngine::slow_servers: seconds-per-byte > steal_factor x
+//     the median) whose replica is expected to finish them sooner, are
+//     moved to the replica server's queue, fd swapped to the replica copy;
 //   * EDF reorder — queues are kept sorted by deadline, so stolen jobs
 //     (carrying old deadlines) drain ahead of the fast server's fresh
 //     work.
@@ -69,7 +70,6 @@ class StragglerScheduler {
     std::array<std::uint64_t, obs::Histogram::kBuckets> baseline{};
     std::array<std::uint64_t, obs::Histogram::kBuckets> delta{};
     std::uint64_t samples = 0;
-    double p50 = 0.0;
     double pq = 0.0;  ///< config.deadline_quantile
   };
 
@@ -85,9 +85,7 @@ class StragglerScheduler {
 
   std::vector<Window> windows_;
   Seconds last_rebaseline_ = 0;
-  std::atomic<double> budget_{0.0};       ///< hedge/deadline budget, seconds
-  std::atomic<double> healthy_p50_{0.0};  ///< steal threshold base
-  std::vector<bool> slow_;                ///< per-server steal verdict
+  std::atomic<double> budget_{0.0};  ///< hedge/deadline budget, seconds
 
   std::mutex tracked_mu_;
   std::vector<Tracked> tracked_;

@@ -17,6 +17,25 @@ namespace pstap::pfs {
 
 class StripedFileSystem;
 
+/// A piece of one stripe unit to be read: its primary directory and length.
+struct ReadUnit {
+  std::size_t dir = 0;
+  std::size_t bytes = 0;
+};
+
+/// Replica-balanced read placement (DESIGN.md §12). For each unit, in
+/// order, pick the copy expected to finish first: the primary on `dir` or
+/// the replica on (dir + 1) % F, with F = sec_per_byte.size(). A copy's
+/// finish estimate on server s is (load[s] + bytes) x sec_per_byte[s];
+/// ties go to the primary. An unavailable (quarantined) server is never
+/// chosen while the other copy is available. `load` enters as each
+/// server's queued bytes and gains every unit planned onto it. Returns the
+/// chosen server per unit.
+std::vector<std::size_t> plan_read_units(std::span<const ReadUnit> units,
+                                         std::span<const double> sec_per_byte,
+                                         const std::vector<bool>& available,
+                                         std::vector<double>& load);
+
 /// Open handle to a striped file. Obtained from StripedFileSystem::open()
 /// or ::create() — the analogue of the paper's global open (gopen).
 ///
@@ -91,16 +110,47 @@ class StripedFile {
   /// gather segment included — so a strided slab becomes one request per
   /// server instead of one per chunk; otherwise one single-piece job per
   /// chunk (the paper's baseline shape).
+  ///
+  /// `balance` arms replica-balanced placement for a read batch (some
+  /// server is slow, scheduler on, file replicated): pieces wait in
+  /// `unplaced`, `units` holding their primary directories, until dispatch
+  /// places them all at once.
   struct Batch {
     std::vector<IoEngine::Job> jobs;
     std::map<std::pair<std::size_t, int>, std::size_t> slot;  // (server,fd)
     bool coalesce = false;
+    bool balance = false;
+    std::vector<ReadUnit> units;
+    std::vector<IoEngine::Piece> unplaced;
   };
 
+  /// Where one piece goes: the queue, the segment it is served from, the
+  /// other copy a hedge or steal may fall back to (-1: none), and the
+  /// checksum catalog to verify or record against (nullptr: none).
+  struct Route {
+    std::size_t server = 0;
+    int fd = -1;
+    int replica_fd = -1;
+    std::size_t replica_server = 0;
+    ChecksumCatalog* checksums = nullptr;
+  };
+
+  /// An empty batch shaped by the file system's configuration and, for
+  /// reads, by the engine's current slowness verdict.
+  Batch make_batch(bool is_write);
+
   /// Split [offset, offset+len) into per-stripe-unit pieces and append
-  /// them to the batch (replica redirect and write mirroring included).
+  /// them to the batch (failover, write mirroring, or held for placement).
   void append_jobs(Batch& batch, std::uint64_t offset, std::byte* buf,
                    std::size_t len, bool is_write);
+  void append_piece(Batch& batch, const Route& route, const IoEngine::Piece& piece,
+                    bool is_write) const;
+  /// Route for reading a unit whose primary directory is `dir` from
+  /// `server` (the primary, or the replica one directory over).
+  Route read_route(std::size_t dir, std::size_t server, bool primary_down);
+
+  /// Replica-balanced placement of the batch's held read pieces.
+  void place_reads(Batch& batch);
 
   /// Create the request, attach state (and hedge chunk states), submit.
   IoRequest dispatch(Batch&& batch);

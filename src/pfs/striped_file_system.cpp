@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
@@ -288,37 +289,52 @@ StripedFile::~StripedFile() {
 
 std::uint64_t StripedFile::size() const { return fs_->catalog_size(name_); }
 
+void StripedFile::append_piece(Batch& batch, const Route& route,
+                               const IoEngine::Piece& piece, bool is_write) const {
+  // Find (or, in coalescing mode, create once) the batch job for the
+  // route's (server, fd) pair and append the piece to it. In per-chunk mode
+  // every piece gets its own job — the paper's baseline request shape.
+  if (batch.coalesce) {
+    const auto [it, fresh] = batch.slot.try_emplace(
+        std::make_pair(route.server, route.fd), batch.jobs.size());
+    if (!fresh) {
+      batch.jobs[it->second].pieces.push_back(piece);
+      return;
+    }
+  }
+  IoEngine::Job job;
+  job.fd = route.fd;
+  job.is_write = is_write;
+  job.pieces.push_back(piece);
+  job.checksums = route.checksums;
+  job.file_id = file_id_;
+  job.server = route.server;
+  job.replica_fd = route.replica_fd;
+  job.replica_server = route.replica_server;
+  batch.jobs.push_back(std::move(job));
+}
+
+StripedFile::Route StripedFile::read_route(std::size_t dir, std::size_t server,
+                                           bool primary_down) {
+  // The checksum catalog applies to either copy — both carry identical
+  // unit contents.
+  const std::size_t replica_dir = (dir + 1) % segment_fds_.size();
+  ChecksumCatalog* checksums = &fs_->checksums_;
+  if (server == dir) {
+    return {dir, segment_fds_[dir], replicated() ? replica_fds_[dir] : -1,
+            replica_dir, checksums};
+  }
+  // Failover (the primary's breaker is open): no hedge target — the other
+  // copy is exactly the quarantined server.
+  if (primary_down) return {replica_dir, replica_fds_[dir], -1, 0, checksums};
+  // Placed on the replica: the primary stays the hedge/steal target.
+  return {replica_dir, replica_fds_[dir], segment_fds_[dir], dir, checksums};
+}
+
 void StripedFile::append_jobs(Batch& batch, std::uint64_t offset, std::byte* buf,
                               std::size_t len, bool is_write) {
   const std::size_t unit = fs_->config().stripe_unit;
   const std::size_t factor = fs_->config().stripe_factor;
-
-  // Find (or, in coalescing mode, create once) the batch job for a
-  // (server, fd) pair and append the piece to it. In per-chunk mode every
-  // piece gets its own job — the paper's baseline request shape.
-  const auto append = [&](std::size_t server, int fd, const IoEngine::Piece& piece,
-                          ChecksumCatalog* checksums, int replica_fd,
-                          std::size_t replica_server) {
-    if (batch.coalesce) {
-      const auto [it, fresh] = batch.slot.try_emplace(
-          std::make_pair(server, fd), batch.jobs.size());
-      if (!fresh) {
-        batch.jobs[it->second].pieces.push_back(piece);
-        return;
-      }
-    }
-    IoEngine::Job job;
-    job.fd = fd;
-    job.is_write = is_write;
-    job.pieces.push_back(piece);
-    job.checksums = checksums;
-    job.file_id = file_id_;
-    job.server = server;
-    job.replica_fd = replica_fd;
-    job.replica_server = replica_server;
-    batch.jobs.push_back(std::move(job));
-  };
-
   for (std::uint64_t pos = offset; pos < offset + len;) {
     const std::uint64_t unit_index = pos / unit;
     const std::uint64_t in_unit = pos % unit;
@@ -331,29 +347,103 @@ void StripedFile::append_jobs(Batch& batch, std::uint64_t offset, std::byte* buf
     piece.len = static_cast<std::size_t>(take);
     piece.unit_index = unit_index;
     piece.unit_seg_offset = (unit_index / factor) * unit;
-
-    if (!is_write && replicated() && fs_->engine().quarantined(dir)) {
-      // Failover read: the primary directory's breaker is open, so serve
-      // this unit from its replica. The checksum catalog still applies —
-      // both copies carry identical unit contents. No hedge target: the
-      // other copy is exactly the quarantined server.
-      append(replica_dir, replica_fds_[dir], piece, &fs_->checksums_,
-             /*replica_fd=*/-1, /*replica_server=*/0);
-    } else {
-      const int replica_fd = (!is_write && replicated()) ? replica_fds_[dir] : -1;
-      append(dir, segment_fds_[dir], piece, &fs_->checksums_, replica_fd,
-             replica_dir);
-      if (is_write && replicated()) {
-        // The primary write records the CRC; the mirror only lands bytes.
-        append(replica_dir, replica_fds_[dir], piece, /*checksums=*/nullptr,
-               /*replica_fd=*/-1, /*replica_server=*/0);
-      }
-    }
     pos += take;
+
+    if (batch.balance) {
+      batch.units.push_back({dir, piece.len});
+      batch.unplaced.push_back(piece);
+    } else if (is_write) {
+      append_piece(batch, {dir, segment_fds_[dir], -1, replica_dir, &fs_->checksums_},
+                   piece, is_write);
+      if (replicated()) {
+        // The primary write records the CRC; the mirror only lands bytes.
+        append_piece(batch, {replica_dir, replica_fds_[dir], -1, 0, nullptr}, piece,
+                     is_write);
+      }
+    } else {
+      const bool down = replicated() && fs_->engine().quarantined(dir);
+      append_piece(batch, read_route(dir, down ? replica_dir : dir, down), piece,
+                   is_write);
+    }
   }
 }
 
+std::vector<std::size_t> plan_read_units(std::span<const ReadUnit> units,
+                                         std::span<const double> sec_per_byte,
+                                         const std::vector<bool>& available,
+                                         std::vector<double>& load) {
+  const std::size_t factor = sec_per_byte.size();
+  std::vector<std::size_t> servers;
+  servers.reserve(units.size());
+  for (const ReadUnit& u : units) {
+    const std::size_t primary = u.dir;
+    const std::size_t replica = (u.dir + 1) % factor;
+    const double bytes = static_cast<double>(u.bytes);
+    const bool use_replica =
+        !available[primary] ||
+        (available[replica] && (load[replica] + bytes) * sec_per_byte[replica] <
+                                   (load[primary] + bytes) * sec_per_byte[primary]);
+    const std::size_t server = use_replica ? replica : primary;
+    load[server] += bytes;
+    servers.push_back(server);
+  }
+  return servers;
+}
+
+StripedFile::Batch StripedFile::make_batch(bool is_write) {
+  Batch batch;
+  batch.coalesce = fs_->config().straggler_sched;
+  if (batch.coalesce && !is_write && replicated()) {
+    const std::vector<bool> slow = fs_->engine().slow_servers();
+    batch.balance = std::find(slow.begin(), slow.end(), true) != slow.end();
+  }
+  return batch;
+}
+
+void StripedFile::place_reads(Batch& batch) {
+  IoEngine& engine = fs_->engine();
+  const std::size_t n = engine.servers();
+  const std::vector<double> rate = engine.sec_per_byte();
+  std::vector<double> queued(n);
+  std::vector<bool> available(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    queued[s] = static_cast<double>(engine.queued_bytes(s));
+    available[s] = !engine.quarantined(s);
+  }
+  std::vector<double> balanced = queued;
+  const std::vector<std::size_t> servers =
+      plan_read_units(batch.units, rate, available, balanced);
+  std::vector<double> primary = queued;  // every piece on its primary
+  for (const ReadUnit& u : batch.units) {
+    primary[available[u.dir] ? u.dir : (u.dir + 1) % n] += static_cast<double>(u.bytes);
+  }
+  // Expected finish of the request: its last server to drain.
+  const auto finish = [&](const std::vector<double>& load) {
+    double latest = 0;
+    for (std::size_t s = 0; s < n; ++s) {
+      if (load[s] > queued[s]) latest = std::max(latest, load[s] * rate[s]);
+    }
+    return latest;
+  };
+  // Reshape only for a gain of at least the hedge floor, so timing noise
+  // on a healthy mount never splits a request's jobs.
+  const bool balance =
+      finish(primary) - finish(balanced) >= fs_->config().deadline_floor;
+
+  std::uint64_t diverted = 0;
+  for (std::size_t i = 0; i < batch.units.size(); ++i) {
+    const std::size_t dir = batch.units[i].dir;
+    const bool down = !available[dir];
+    const std::size_t server = balance ? servers[i] : (down ? (dir + 1) % n : dir);
+    if (server != dir && !down) ++diverted;
+    append_piece(batch, read_route(dir, server, down), batch.unplaced[i],
+                 /*is_write=*/false);
+  }
+  engine.record_chunks_stolen(diverted);
+}
+
 IoRequest StripedFile::dispatch(Batch&& batch) {
+  if (batch.balance) place_reads(batch);
   if (batch.jobs.empty()) return IoRequest{};
   // Pending completions = jobs (with coalescing, one per touched server),
   // not chunks: a list job completes its request slot once.
@@ -378,8 +468,7 @@ IoRequest StripedFile::submit(std::uint64_t offset, std::byte* buf, std::size_t 
   // up front (a metadata/open-path failure), before any chunk is queued.
   const std::int64_t started_ns = obs::trace_now_ns();
   fault::inject((is_write ? "pfs.file.write." : "pfs.file.read.") + name_);
-  Batch batch;
-  batch.coalesce = fs_->config().straggler_sched;
+  Batch batch = make_batch(is_write);
   append_jobs(batch, offset, buf, len, is_write);
   IoRequest req = dispatch(std::move(batch));
   const std::int64_t dur_ns = obs::trace_now_ns() - started_ns;
@@ -398,8 +487,7 @@ IoRequest StripedFile::iread_gather(std::span<const IoSegment> segments) {
   const std::uint64_t file_size = size();
   // One batch across ALL segments: with coalescing on, a rank's whole
   // strided slab collapses into at most one list-I/O job per server.
-  Batch batch;
-  batch.coalesce = fs_->config().straggler_sched;
+  Batch batch = make_batch(/*is_write=*/false);
   for (const IoSegment& seg : segments) {
     PSTAP_REQUIRE(seg.offset + seg.buf.size() <= file_size,
                   "gather segment past end of file " + name_);

@@ -64,7 +64,7 @@ struct PipelineMetrics {
     std::uint64_t hedges_launched = 0;   ///< speculative backup reads issued
     std::uint64_t hedge_wins = 0;        ///< backups that beat the original
     std::uint64_t hedge_cancels = 0;     ///< losing twins discarded
-    std::uint64_t chunks_stolen = 0;     ///< queued jobs moved off slow servers
+    std::uint64_t chunks_stolen = 0;     ///< read pieces moved off slow primaries
     std::uint64_t deadline_expired = 0;  ///< in-flight jobs past their deadline
     std::uint64_t breaker_reopened = 0;  ///< quarantined servers re-admitted
   };

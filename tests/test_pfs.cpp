@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "common/wall_clock.hpp"
 #include "pfs/striped_file_system.hpp"
@@ -373,6 +374,27 @@ TEST(Pfs, DefaultConstructedIoRequestIsDone) {
   EXPECT_TRUE(req.wait_for(0.0));
   EXPECT_NO_THROW(req.wait());
   EXPECT_EQ(req.failed_chunks(), 0u);
+}
+
+// Dropping a pending request, or assigning over one, drains it before the
+// handle lets go, so the buffer it reads into may be freed right after.
+TEST(Pfs, DroppedIoRequestDrainsBeforeItsBufferIsFreed) {
+  TempDir tmp;
+  StripedFileSystem pfs(tmp.path(), small_cfg(4, 64));
+  const auto data = pattern_bytes(1024, 17);
+  pfs.write_file("f", data);
+  StripedFile f = pfs.open("f");
+  auto plan = std::make_shared<fault::FaultPlan>(19);
+  plan->arm_delay("pfs.server.read", 1.0, 5e-3, 10e-3);
+  fault::FaultScope scope(plan);
+  const std::uint64_t before = pfs.bytes_serviced();
+  {
+    std::vector<std::byte> first(512), second(512);
+    IoRequest req = f.iread(0, first);
+    req = f.iread(512, second);  // drains the first request
+    EXPECT_GE(pfs.bytes_serviced() - before, 512u);
+  }  // drains the second
+  EXPECT_EQ(pfs.bytes_serviced() - before, 1024u);
 }
 
 TEST(Pfs, WaitWithTimeoutZeroMeansUnbounded) {

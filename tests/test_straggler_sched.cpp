@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -178,9 +179,15 @@ TEST(StragglerSched, HedgedReadsRecoverFromStragglerAndCountOnce) {
   cfg.server_latency = 200e-6;
   cfg.straggler_servers = 1;
   cfg.straggler_slowdown = 20.0;
-  StripedFileSystem pfs(tmp.path(), cfg);
   const auto data = pattern_bytes(1024 * 64, 104);
-  pfs.write_file("f", data);
+  {
+    // Written through a separate mount, so this mount's rate model starts
+    // cold: the straggler's first reads are hedged before replica-balanced
+    // placement learns to route around it.
+    StripedFileSystem writer(tmp.path(), cfg);
+    writer.write_file("f", data);
+  }
+  StripedFileSystem pfs(tmp.path(), cfg);
 
   StripedFile f = pfs.open("f");
   const std::uint64_t bytes_before = pfs.engine().bytes_serviced();
@@ -321,6 +328,105 @@ TEST(StragglerSched, QuarantinedServerReadsStayCorrect) {
     ASSERT_EQ(buf, data);
   }
   EXPECT_GT(pfs.engine().quarantined_servers(), 0u);
+}
+
+// ------------------------------------------- replica-balanced placement --
+
+/// 256 one-byte stripe units over 4 directories: a server's share B is 64
+/// bytes, and at one second per byte makespans read directly in B/r.
+std::vector<ReadUnit> cpi_units() {
+  std::vector<ReadUnit> units;
+  for (std::size_t u = 0; u < 256; ++u) units.push_back({u % 4, 1});
+  return units;
+}
+
+double makespan(const std::vector<double>& load, const std::vector<double>& rate) {
+  double latest = 0;
+  for (std::size_t s = 0; s < load.size(); ++s) latest = std::max(latest, load[s] * rate[s]);
+  return latest;
+}
+
+// sd000 4x slow: all-primary takes 4 B/r. Spreading its units down the
+// replica chain must come within 2 % of the optimum 4 / 3.25 B/r.
+TEST(StragglerSched, PlanReadUnitsSpreadsSlowServerShare) {
+  const auto units = cpi_units();
+  const std::vector<double> rate = {4, 1, 1, 1};
+  std::vector<double> load(4, 0.0);
+  const auto servers = plan_read_units(units, rate, std::vector<bool>(4, true), load);
+  ASSERT_EQ(servers.size(), units.size());
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    const std::size_t d = units[i].dir;
+    EXPECT_TRUE(servers[i] == d || servers[i] == (d + 1) % 4) << "unit " << i;
+  }
+  EXPECT_LE(makespan(load, rate) / 64.0, 1.25);
+}
+
+TEST(StragglerSched, PlanReadUnitsKeepsEqualRatesOnPrimaries) {
+  const auto units = cpi_units();
+  std::vector<double> load(4, 0.0);
+  const auto servers = plan_read_units(units, std::vector<double>(4, 1.0),
+                                       std::vector<bool>(4, true), load);
+  for (std::size_t i = 0; i < units.size(); ++i) EXPECT_EQ(servers[i], units[i].dir);
+}
+
+// A quarantined server is never chosen, however fast it looks: sd000's
+// units all fail over, and sd003's stay home although sd000 would finish
+// them first.
+TEST(StragglerSched, PlanReadUnitsNeverChoosesQuarantinedServer) {
+  const auto units = cpi_units();
+  const std::vector<double> rate = {0.25, 1, 1, 4};
+  std::vector<double> load(4, 0.0);
+  const auto servers = plan_read_units(units, rate, {false, true, true, true}, load);
+  for (std::size_t i = 0; i < units.size(); ++i) EXPECT_NE(servers[i], 0u) << "unit " << i;
+}
+
+// A throttled 4-server mount with sd000 4x slow: a whole-file read is
+// spread over the replica servers at submit time, bytes stay exact, each
+// logical byte is serviced once, and the diversions count as stolen. Then
+// a read of directory 0's units alone, so sd001 serves nothing but
+// diverted pieces, with a corruption armed on sd001: the catch proves the
+// diverted pieces are CRC-verified.
+TEST(StragglerSched, BalancedPlacementSpreadsStragglerReads) {
+  TempDir tmp;
+  constexpr std::size_t kUnit = 4096;
+  auto cfg = sched_cfg(4, kUnit);
+  cfg.server_bandwidth = 32.0 * MiB;
+  cfg.straggler_servers = 1;
+  cfg.straggler_slowdown = 4.0;
+  StripedFileSystem pfs(tmp.path(), cfg);
+  const auto data = pattern_bytes(kUnit * 64, 111);  // 16 units per directory
+  pfs.write_file("f", data);  // two jobs per server warm the rate model
+  ASSERT_TRUE(pfs.engine().slow_servers()[0]);
+
+  StripedFile f = pfs.open("f");
+  const std::uint64_t bytes_before = pfs.engine().bytes_serviced();
+  std::vector<std::byte> buf(data.size());
+  f.read(0, buf);
+  EXPECT_EQ(buf, data);
+  EXPECT_EQ(pfs.engine().bytes_serviced() - bytes_before, data.size());
+  EXPECT_GT(pfs.engine().chunks_stolen(), 0u);
+  EXPECT_EQ(pfs.engine().corrupt_chunks(), 0u);
+
+  auto plan = std::make_shared<fault::FaultPlan>(89);
+  plan->arm_corruption("pfs.server.read.sd001", 1.0, /*max_hits=*/1);
+  fault::FaultScope scope(plan);
+  std::vector<std::byte> dir0(16 * kUnit);
+  std::vector<StripedFile::IoSegment> segs;
+  for (std::size_t i = 0; i < 16; ++i) {
+    segs.push_back({static_cast<std::uint64_t>(i) * 4 * kUnit,
+                    std::span<std::byte>(dir0).subspan(i * kUnit, kUnit)});
+  }
+  RetryPolicy policy;
+  policy.max_attempts = 4;
+  policy.initial_backoff = 1e-4;
+  with_retry(policy, "directory-0 gather", [&] { f.iread_gather(segs).wait(); });
+  for (std::size_t i = 0; i < 16; ++i) {
+    EXPECT_TRUE(std::equal(dir0.begin() + i * kUnit, dir0.begin() + (i + 1) * kUnit,
+                           data.begin() + i * 4 * kUnit))
+        << "unit " << i * 4;
+  }
+  EXPECT_EQ(plan->injected_corruptions(), 1u);
+  EXPECT_EQ(pfs.engine().corrupt_chunks(), 1u) << "a diverted piece must be CRC-verified";
 }
 
 // ------------------------------------------------- breaker half-open --

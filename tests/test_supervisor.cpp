@@ -259,7 +259,10 @@ TEST_F(SupervisorPipelineTest, IoTaskFailoverPromotesDopplerReads) {
 
 // As above, but the I/O rank dies at its send phase: it has read CPI 1
 // from disk and sent none of it. The Doppler rank's probe-after-failed
-// protocol must conclude nothing is coming and self-read CPI 1 too.
+// protocol must conclude nothing is coming and self-read CPI 1 too. Every
+// server read is delayed, so CPI 2's prefetch (issued just before the send)
+// is still in flight when the dying rank's slab reader is destroyed: its
+// requests must drain before the buffers they read into are freed.
 TEST_F(SupervisorPipelineTest, IoTaskDeathAfterReadBeforeSendFailsOverCleanly) {
   const auto p = stap::RadarParams::test_small();
   const auto spec =
@@ -271,6 +274,7 @@ TEST_F(SupervisorPipelineTest, IoTaskDeathAfterReadBeforeSendFailsOverCleanly) {
   auto opt = supervised("gsend");
   opt.fault_plan = std::make_shared<fault::FaultPlan>(53);
   opt.fault_plan->arm_crash("pipeline.rank.0.send", /*at_index=*/1);
+  opt.fault_plan->arm_delay("pfs.server.read", 1.0, 20e-3, 30e-3);
   pipeline::ThreadRunner runner(spec, opt);
   const auto result = runner.run();
 
