@@ -15,13 +15,26 @@
 #define PSTAP_SIMD_X86 0
 #endif
 
+// Pins fp-contract off for one function: wherever the target has FMA, GCC
+// would otherwise fuse mul+add pairs and break a bit-exactness contract.
+#if defined(__GNUC__) && !defined(__clang__)
+#define PSTAP_NO_CONTRACT __attribute__((optimize("fp-contract=off")))
+#else
+#define PSTAP_NO_CONTRACT
+#endif
+
 namespace pstap::simd {
 
 // ------------------------------------------------------------- scalar ----
 // Reference semantics. Every vector backend mirrors these expression trees
 // exactly (modulo FMA contraction and reduction order where documented).
+// The complex row kernels are FMA-free and never inlined: the AVX2 backend
+// hands rows narrower than one ymm register to them, and must get the
+// scalar bits back rather than a copy re-compiled (and fused) for its
+// avx2,fma target.
 namespace scalar_impl {
 
+PSTAP_NO_CONTRACT
 void butterfly(float* ar, float* ai, float* br, float* bi, float wr, float wi,
                std::size_t n) {
   for (std::size_t l = 0; l < n; ++l) {
@@ -34,6 +47,7 @@ void butterfly(float* ar, float* ai, float* br, float* bi, float wr, float wi,
   }
 }
 
+PSTAP_NO_CONTRACT
 void cscale(float* re, float* im, float wr, float wi, std::size_t n) {
   for (std::size_t l = 0; l < n; ++l) {
     const float tr = re[l] * wr - im[l] * wi;
@@ -42,6 +56,7 @@ void cscale(float* re, float* im, float wr, float wi, std::size_t n) {
   }
 }
 
+__attribute__((noinline)) PSTAP_NO_CONTRACT
 void butterfly_rows(float* ar, float* ai, float* br, float* bi, const float* w,
                     std::size_t rows, std::size_t lanes) {
   for (std::size_t j = 0; j < rows; ++j) {
@@ -50,6 +65,7 @@ void butterfly_rows(float* ar, float* ai, float* br, float* bi, const float* w,
   }
 }
 
+__attribute__((noinline)) PSTAP_NO_CONTRACT
 void butterfly2_rows(float* re, float* im, const float* w1, const float* w2,
                      std::size_t h, std::size_t lanes) {
   for (std::size_t j = 0; j < h; ++j) {
@@ -68,6 +84,7 @@ void butterfly2_rows(float* re, float* im, const float* w1, const float* w2,
   }
 }
 
+__attribute__((noinline)) PSTAP_NO_CONTRACT
 void cscale_rows(float* re, float* im, const float* w, std::size_t rows,
                  std::size_t lanes) {
   for (std::size_t j = 0; j < rows; ++j) {
@@ -75,6 +92,7 @@ void cscale_rows(float* re, float* im, const float* w, std::size_t rows,
   }
 }
 
+PSTAP_NO_CONTRACT
 void cscale_to(float* yr, float* yi, const float* xr, const float* xi, float wr,
                float wi, std::size_t n) {
   for (std::size_t l = 0; l < n; ++l) {
@@ -83,20 +101,12 @@ void cscale_to(float* yr, float* yi, const float* xr, const float* xi, float wr,
   }
 }
 
+__attribute__((noinline)) PSTAP_NO_CONTRACT
 void cscale_rows_to(float* yr, float* yi, const float* xr, const float* xi,
                     const float* w, std::size_t rows, std::size_t lanes) {
   for (std::size_t j = 0; j < rows; ++j) {
     cscale_to(yr + j * lanes, yi + j * lanes, xr + j * lanes, xi + j * lanes,
               w[2 * j], w[2 * j + 1], lanes);
-  }
-}
-
-void cmul_interleaved(float* a, const float* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const float ar = a[2 * i], ai = a[2 * i + 1];
-    const float br = b[2 * i], bi = b[2 * i + 1];
-    a[2 * i] = ar * br - ai * bi;
-    a[2 * i + 1] = ar * bi + ai * br;
   }
 }
 
@@ -119,20 +129,10 @@ void interleave(float* dst, const float* re, const float* im, std::size_t n) {
   }
 }
 
-void cmac_conj(float* y, const float* x, float wr, float wi, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const float xr = x[2 * i], xi = x[2 * i + 1];
-    y[2 * i] += wr * xr + wi * xi;
-    y[2 * i + 1] += wr * xi - wi * xr;
-  }
-}
-
 // fp-contract is pinned off: at -O3 GCC would otherwise fuse re*re + im*im
 // into an FMA here, silently breaking the bit-exactness contract between
 // this reference and the vector backends (which use separate mul and add).
-#if defined(__GNUC__) && !defined(__clang__)
-__attribute__((optimize("fp-contract=off")))
-#endif
+PSTAP_NO_CONTRACT
 void norm_interleaved(double* power, const float* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const float re = x[2 * i], im = x[2 * i + 1];
@@ -140,26 +140,13 @@ void norm_interleaved(double* power, const float* x, std::size_t n) {
   }
 }
 
-void cdot(const float* x, const float* y, std::size_t n, float* out_re,
-          float* out_im) {
-  float acc_r = 0.0f, acc_i = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float xr = x[2 * i], xi = x[2 * i + 1];
-    const float yr = y[2 * i], yi = y[2 * i + 1];
-    acc_r += xr * yr + xi * yi;
-    acc_i += xr * yi - xi * yr;
-  }
-  *out_re = acc_r;
-  *out_im = acc_i;
-}
-
 void cgemm_planar(float* c, std::size_t ldc, const float* ar, const float* ai,
                   std::size_t m, std::size_t k, const float* b, std::size_t ldb,
                   std::size_t n) {
   // i-outer / p-middle / l-inner: with conj applied at pack time this is the
-  // exact fl-sequence of the historical per-(beam, dof) cmac_conj beamform
-  // loop (a - (-b) == a + b in IEEE arithmetic, so the packed-negation trees
-  // match the conjugating trees bit-for-bit).
+  // exact fl-sequence of the historical per-(beam, dof) conjugate-MAC
+  // beamform loop (a - (-b) == a + b in IEEE arithmetic, so the
+  // packed-negation trees match the conjugating trees bit-for-bit).
   for (std::size_t i = 0; i < m; ++i) {
     float* crow = c + 2 * i * ldc;
     for (std::size_t p = 0; p < k; ++p) {
@@ -172,28 +159,6 @@ void cgemm_planar(float* c, std::size_t ldc, const float* ar, const float* ai,
         crow[2 * l + 1] += wr * xi + wi * xr;
       }
     }
-  }
-}
-
-void cdotu(const float* x, const float* y, std::size_t n, float* out_re,
-           float* out_im) {
-  float acc_r = 0.0f, acc_i = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float xr = x[2 * i], xi = x[2 * i + 1];
-    const float yr = y[2 * i], yi = y[2 * i + 1];
-    acc_r += xr * yr - xi * yi;
-    acc_i += xr * yi + xi * yr;
-  }
-  *out_re = acc_r;
-  *out_im = acc_i;
-}
-
-void cmac_conj_arr(float* y, const float* a, float xr, float xi,
-                   std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const float ar = a[2 * i], ai = a[2 * i + 1];
-    y[2 * i] += ar * xr + ai * xi;
-    y[2 * i + 1] += ar * xi - ai * xr;
   }
 }
 
@@ -224,9 +189,7 @@ void zherk_cf_lower(double* r, std::size_t ldr, const float* s, std::size_t lds,
 // fp-contract pinned off for the zmac pair: these are the FMA-free
 // bit-exact-across-backends kernels feeding the QR weight solve, and a
 // contracted mul+add in any one backend would break the contract.
-#if defined(__GNUC__) && !defined(__clang__)
-__attribute__((optimize("fp-contract=off")))
-#endif
+PSTAP_NO_CONTRACT
 void zmac(double* y, const double* x, double cr, double ci, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const double xr = x[2 * i], xi = x[2 * i + 1];
@@ -235,9 +198,7 @@ void zmac(double* y, const double* x, double cr, double ci, std::size_t n) {
   }
 }
 
-#if defined(__GNUC__) && !defined(__clang__)
-__attribute__((optimize("fp-contract=off")))
-#endif
+PSTAP_NO_CONTRACT
 void zmac_conj(double* y, const double* x, double cr, double ci,
                std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -248,29 +209,23 @@ void zmac_conj(double* y, const double* x, double cr, double ci,
 }
 
 constexpr Ops kOps = {
-    .butterfly = butterfly,
     .butterfly_rows = butterfly_rows,
     .butterfly2_rows = butterfly2_rows,
-    .cscale = cscale,
-    .cscale_to = cscale_to,
     .cscale_rows = cscale_rows,
     .cscale_rows_to = cscale_rows_to,
-    .cmul_interleaved = cmul_interleaved,
     .scale = scale,
     .deinterleave_scale = deinterleave_scale,
     .interleave = interleave,
-    .cmac_conj = cmac_conj,
     .norm_interleaved = norm_interleaved,
-    .cdot = cdot,
     .cgemm_planar = cgemm_planar,
-    .cdotu = cdotu,
-    .cmac_conj_arr = cmac_conj_arr,
     .zherk_cf_lower = zherk_cf_lower,
     .zmac = zmac,
     .zmac_conj = zmac_conj,
 };
 
 }  // namespace scalar_impl
+
+#undef PSTAP_NO_CONTRACT
 
 #if PSTAP_SIMD_X86
 
@@ -366,23 +321,6 @@ void cscale_rows_to(float* yr, float* yi, const float* xr, const float* xi,
   }
 }
 
-void cmul_interleaved(float* a, const float* b, std::size_t n) {
-  // Per pair [ar, ai] * [br, bi]: t1 = a * [br, br]; t2 = swap(a) * [bi, bi];
-  // result = t1 + [-t2_even, +t2_odd].
-  const __m128 negmask = _mm_castsi128_ps(_mm_set_epi32(0, 0x80000000, 0, 0x80000000));
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128 va = _mm_loadu_ps(a + 2 * i);
-    const __m128 vb = _mm_loadu_ps(b + 2 * i);
-    const __m128 bre = _mm_shuffle_ps(vb, vb, _MM_SHUFFLE(2, 2, 0, 0));
-    const __m128 bim = _mm_shuffle_ps(vb, vb, _MM_SHUFFLE(3, 3, 1, 1));
-    const __m128 asw = _mm_shuffle_ps(va, va, _MM_SHUFFLE(2, 3, 0, 1));
-    const __m128 t2 = _mm_xor_ps(_mm_mul_ps(asw, bim), negmask);
-    _mm_storeu_ps(a + 2 * i, _mm_add_ps(_mm_mul_ps(va, bre), t2));
-  }
-  if (i < n) scalar_impl::cmul_interleaved(a + 2 * i, b + 2 * i, n - i);
-}
-
 void scale(float* x, float s, std::size_t n) {
   const __m128 vs = _mm_set1_ps(s);
   std::size_t i = 0;
@@ -418,21 +356,6 @@ void interleave(float* dst, const float* re, const float* im, std::size_t n) {
   if (i < n) scalar_impl::interleave(dst + 2 * i, re + i, im + i, n - i);
 }
 
-void cmac_conj(float* y, const float* x, float wr, float wi, std::size_t n) {
-  // y += wr * x + swap(x) * [wi, -wi, ...]
-  const __m128 vwr = _mm_set1_ps(wr);
-  const __m128 vwp = _mm_set_ps(-wi, wi, -wi, wi);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128 vx = _mm_loadu_ps(x + 2 * i);
-    const __m128 vy = _mm_loadu_ps(y + 2 * i);
-    const __m128 xsw = _mm_shuffle_ps(vx, vx, _MM_SHUFFLE(2, 3, 0, 1));
-    const __m128 t = _mm_add_ps(_mm_mul_ps(vwr, vx), _mm_mul_ps(vwp, xsw));
-    _mm_storeu_ps(y + 2 * i, _mm_add_ps(vy, t));
-  }
-  if (i < n) scalar_impl::cmac_conj(y + 2 * i, x + 2 * i, wr, wi, n - i);
-}
-
 void norm_interleaved(double* power, const float* x, std::size_t n) {
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) {
@@ -446,40 +369,11 @@ void norm_interleaved(double* power, const float* x, std::size_t n) {
   if (i < n) scalar_impl::norm_interleaved(power + i, x + 2 * i, n - i);
 }
 
-void cdot(const float* x, const float* y, std::size_t n, float* out_re,
-          float* out_im) {
-  // acc (interleaved) += [xr*yr + xi*yi, xr*yi - xi*yr]
-  const __m128 negmask = _mm_castsi128_ps(_mm_set_epi32(0x80000000, 0, 0x80000000, 0));
-  __m128 acc = _mm_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128 vx = _mm_loadu_ps(x + 2 * i);
-    const __m128 vy = _mm_loadu_ps(y + 2 * i);
-    const __m128 xre = _mm_shuffle_ps(vx, vx, _MM_SHUFFLE(2, 2, 0, 0));
-    const __m128 xim = _mm_shuffle_ps(vx, vx, _MM_SHUFFLE(3, 3, 1, 1));
-    const __m128 ysw = _mm_shuffle_ps(vy, vy, _MM_SHUFFLE(2, 3, 0, 1));
-    const __m128 t2 = _mm_xor_ps(_mm_mul_ps(xim, ysw), negmask);
-    acc = _mm_add_ps(acc, _mm_add_ps(_mm_mul_ps(xre, vy), t2));
-  }
-  alignas(16) float lanes[4];
-  _mm_store_ps(lanes, acc);
-  float acc_r = lanes[0] + lanes[2];
-  float acc_i = lanes[1] + lanes[3];
-  for (; i < n; ++i) {
-    const float xr = x[2 * i], xi = x[2 * i + 1];
-    const float yr = y[2 * i], yi = y[2 * i + 1];
-    acc_r += xr * yr + xi * yi;
-    acc_i += xr * yi - xi * yr;
-  }
-  *out_re = acc_r;
-  *out_im = acc_i;
-}
-
 void cgemm_planar(float* c, std::size_t ldc, const float* ar, const float* ai,
                   std::size_t m, std::size_t k, const float* b, std::size_t ldb,
                   std::size_t n) {
-  // y += wr * x + swap(x) * [-wi, +wi, ...] — the plain (non-conjugating)
-  // counterpart of cmac_conj; conj is the caller's pack-time negation.
+  // y += wr * x + swap(x) * [-wi, +wi, ...]: a plain (non-conjugating)
+  // complex MAC; conj is the caller's pack-time negation.
   for (std::size_t i = 0; i < m; ++i) {
     float* crow = c + 2 * i * ldc;
     for (std::size_t p = 0; p < k; ++p) {
@@ -502,55 +396,6 @@ void cgemm_planar(float* c, std::size_t ldc, const float* ar, const float* ai,
         crow[2 * l + 1] += wr * xi + wi * xr;
       }
     }
-  }
-}
-
-void cdotu(const float* x, const float* y, std::size_t n, float* out_re,
-           float* out_im) {
-  // acc (interleaved) += [xr*yr - xi*yi, xr*yi + xi*yr]
-  const __m128 negmask = _mm_castsi128_ps(_mm_set_epi32(0, 0x80000000, 0, 0x80000000));
-  __m128 acc = _mm_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128 vx = _mm_loadu_ps(x + 2 * i);
-    const __m128 vy = _mm_loadu_ps(y + 2 * i);
-    const __m128 xre = _mm_shuffle_ps(vx, vx, _MM_SHUFFLE(2, 2, 0, 0));
-    const __m128 xim = _mm_shuffle_ps(vx, vx, _MM_SHUFFLE(3, 3, 1, 1));
-    const __m128 ysw = _mm_shuffle_ps(vy, vy, _MM_SHUFFLE(2, 3, 0, 1));
-    const __m128 t2 = _mm_xor_ps(_mm_mul_ps(xim, ysw), negmask);
-    acc = _mm_add_ps(acc, _mm_add_ps(_mm_mul_ps(xre, vy), t2));
-  }
-  alignas(16) float lanes[4];
-  _mm_store_ps(lanes, acc);
-  float acc_r = lanes[0] + lanes[2];
-  float acc_i = lanes[1] + lanes[3];
-  for (; i < n; ++i) {
-    const float xr = x[2 * i], xi = x[2 * i + 1];
-    const float yr = y[2 * i], yi = y[2 * i + 1];
-    acc_r += xr * yr - xi * yi;
-    acc_i += xr * yi + xi * yr;
-  }
-  *out_re = acc_r;
-  *out_im = acc_i;
-}
-
-void cmac_conj_arr(float* y, const float* a, float xr, float xi,
-                   std::size_t n) {
-  // y += a * [xr, -xr, ...] + swap(a) * xi
-  const __m128 vc1 = _mm_set_ps(-xr, xr, -xr, xr);
-  const __m128 vc2 = _mm_set1_ps(xi);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128 va = _mm_loadu_ps(a + 2 * i);
-    const __m128 vy = _mm_loadu_ps(y + 2 * i);
-    const __m128 asw = _mm_shuffle_ps(va, va, _MM_SHUFFLE(2, 3, 0, 1));
-    const __m128 t = _mm_add_ps(_mm_mul_ps(va, vc1), _mm_mul_ps(asw, vc2));
-    _mm_storeu_ps(y + 2 * i, _mm_add_ps(vy, t));
-  }
-  for (; i < n; ++i) {
-    const float ar = a[2 * i], ai = a[2 * i + 1];
-    y[2 * i] += ar * xr + ai * xi;
-    y[2 * i + 1] += ar * xi - ai * xr;
   }
 }
 
@@ -617,23 +462,15 @@ void zmac_conj(double* y, const double* x, double cr, double ci,
 }
 
 constexpr Ops kOps = {
-    .butterfly = butterfly,
     .butterfly_rows = butterfly_rows,
     .butterfly2_rows = butterfly2_rows,
-    .cscale = cscale,
-    .cscale_to = cscale_to,
     .cscale_rows = cscale_rows,
     .cscale_rows_to = cscale_rows_to,
-    .cmul_interleaved = cmul_interleaved,
     .scale = scale,
     .deinterleave_scale = deinterleave_scale,
     .interleave = interleave,
-    .cmac_conj = cmac_conj,
     .norm_interleaved = norm_interleaved,
-    .cdot = cdot,
     .cgemm_planar = cgemm_planar,
-    .cdotu = cdotu,
-    .cmac_conj_arr = cmac_conj_arr,
     .zherk_cf_lower = zherk_cf_lower,
     .zmac = zmac,
     .zmac_conj = zmac_conj,
@@ -669,12 +506,22 @@ PSTAP_AVX2 void butterfly(float* ar, float* ai, float* br, float* bi, float wr,
   if (l < n) sse2_impl::butterfly(ar + l, ai + l, br + l, bi + l, wr, wi, n - l);
 }
 
+// The four row kernels below hand rows narrower than one ymm register to
+// the scalar rows kernel at entry, before any __m256 state exists. Going
+// through the per-row SSE2 tails instead would pay an AVX-to-SSE transition
+// on every row (a batch-of-one FFT is all such rows), and the scalar
+// kernels are FMA-free and out of line, so those rows keep the scalar bits.
+
 // Row-batched butterflies with the steady-state lane width (kBatchLanes ==
 // 16 → two 8-wide chunks per plane) fully unrolled: one dispatch per stage
 // block, registers live across the whole row.
 PSTAP_AVX2 void butterfly_rows(float* ar, float* ai, float* br, float* bi,
                                const float* w, std::size_t rows,
                                std::size_t lanes) {
+  if (lanes < 8) {
+    scalar_impl::butterfly_rows(ar, ai, br, bi, w, rows, lanes);
+    return;
+  }
   if (lanes == 16) {
     for (std::size_t j = 0; j < rows; ++j) {
       const __m256 vwr = _mm256_set1_ps(w[2 * j]);
@@ -712,6 +559,10 @@ PSTAP_AVX2 void butterfly_rows(float* ar, float* ai, float* br, float* bi,
 PSTAP_AVX2 void butterfly2_rows(float* re, float* im, const float* w1,
                                 const float* w2, std::size_t h,
                                 std::size_t lanes) {
+  if (lanes < 8) {
+    scalar_impl::butterfly2_rows(re, im, w1, w2, h, lanes);
+    return;
+  }
   for (std::size_t j = 0; j < h; ++j) {
     const __m256 w1r = _mm256_set1_ps(w1[2 * j]);
     const __m256 w1i = _mm256_set1_ps(w1[2 * j + 1]);
@@ -807,6 +658,10 @@ PSTAP_AVX2 void cscale_to(float* yr, float* yi, const float* xr, const float* xi
 
 PSTAP_AVX2 void cscale_rows(float* re, float* im, const float* w,
                             std::size_t rows, std::size_t lanes) {
+  if (lanes < 8) {
+    scalar_impl::cscale_rows(re, im, w, rows, lanes);
+    return;
+  }
   if (lanes == 16) {
     for (std::size_t j = 0; j < rows; ++j) {
       const __m256 vwr = _mm256_set1_ps(w[2 * j]);
@@ -833,6 +688,10 @@ PSTAP_AVX2 void cscale_rows(float* re, float* im, const float* w,
 PSTAP_AVX2 void cscale_rows_to(float* yr, float* yi, const float* xr,
                                const float* xi, const float* w,
                                std::size_t rows, std::size_t lanes) {
+  if (lanes < 8) {
+    scalar_impl::cscale_rows_to(yr, yi, xr, xi, w, rows, lanes);
+    return;
+  }
   if (lanes == 16) {
     for (std::size_t j = 0; j < rows; ++j) {
       const __m256 vwr = _mm256_set1_ps(w[2 * j]);
@@ -854,20 +713,6 @@ PSTAP_AVX2 void cscale_rows_to(float* yr, float* yi, const float* xr,
     cscale_to(yr + j * lanes, yi + j * lanes, xr + j * lanes, xi + j * lanes,
               w[2 * j], w[2 * j + 1], lanes);
   }
-}
-
-PSTAP_AVX2 void cmul_interleaved(float* a, const float* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256 va = _mm256_loadu_ps(a + 2 * i);
-    const __m256 vb = _mm256_loadu_ps(b + 2 * i);
-    const __m256 bre = _mm256_moveldup_ps(vb);
-    const __m256 bim = _mm256_movehdup_ps(vb);
-    const __m256 asw = _mm256_permute_ps(va, 0xB1);
-    _mm256_storeu_ps(a + 2 * i,
-                     _mm256_fmaddsub_ps(va, bre, _mm256_mul_ps(asw, bim)));
-  }
-  if (i < n) sse2_impl::cmul_interleaved(a + 2 * i, b + 2 * i, n - i);
 }
 
 PSTAP_AVX2 void scale(float* x, float s, std::size_t n) {
@@ -911,21 +756,6 @@ PSTAP_AVX2 void interleave(float* dst, const float* re, const float* im,
   if (i < n) sse2_impl::interleave(dst + 2 * i, re + i, im + i, n - i);
 }
 
-PSTAP_AVX2 void cmac_conj(float* y, const float* x, float wr, float wi,
-                          std::size_t n) {
-  const __m256 vwr = _mm256_set1_ps(wr);
-  const __m256 vwp = _mm256_setr_ps(wi, -wi, wi, -wi, wi, -wi, wi, -wi);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256 vx = _mm256_loadu_ps(x + 2 * i);
-    const __m256 vy = _mm256_loadu_ps(y + 2 * i);
-    const __m256 xsw = _mm256_permute_ps(vx, 0xB1);
-    const __m256 t = _mm256_fmadd_ps(vwr, vx, _mm256_mul_ps(vwp, xsw));
-    _mm256_storeu_ps(y + 2 * i, _mm256_add_ps(vy, t));
-  }
-  if (i < n) sse2_impl::cmac_conj(y + 2 * i, x + 2 * i, wr, wi, n - i);
-}
-
 PSTAP_AVX2 void norm_interleaved(double* power, const float* x, std::size_t n) {
   // FMA-free on purpose: must stay bit-exact with the scalar reference.
   const __m256i idx = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
@@ -938,34 +768,6 @@ PSTAP_AVX2 void norm_interleaved(double* power, const float* x, std::size_t n) {
     _mm256_storeu_pd(power + i, _mm256_cvtps_pd(_mm256_castps256_ps128(packed)));
   }
   if (i < n) sse2_impl::norm_interleaved(power + i, x + 2 * i, n - i);
-}
-
-PSTAP_AVX2 void cdot(const float* x, const float* y, std::size_t n,
-                     float* out_re, float* out_im) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256 vx = _mm256_loadu_ps(x + 2 * i);
-    const __m256 vy = _mm256_loadu_ps(y + 2 * i);
-    const __m256 xre = _mm256_moveldup_ps(vx);
-    const __m256 xim = _mm256_movehdup_ps(vx);
-    const __m256 ysw = _mm256_permute_ps(vy, 0xB1);
-    // even lanes: xr*yr + xi*yi; odd lanes: xr*yi - xi*yr.
-    acc = _mm256_add_ps(
-        acc, _mm256_fmsubadd_ps(xre, vy, _mm256_mul_ps(xim, ysw)));
-  }
-  alignas(32) float lanes[8];
-  _mm256_store_ps(lanes, acc);
-  float acc_r = lanes[0] + lanes[2] + lanes[4] + lanes[6];
-  float acc_i = lanes[1] + lanes[3] + lanes[5] + lanes[7];
-  for (; i < n; ++i) {
-    const float xr = x[2 * i], xi = x[2 * i + 1];
-    const float yr = y[2 * i], yi = y[2 * i + 1];
-    acc_r += xr * yr + xi * yi;
-    acc_i += xr * yi - xi * yr;
-  }
-  *out_re = acc_r;
-  *out_im = acc_i;
 }
 
 namespace {
@@ -1113,49 +915,6 @@ PSTAP_AVX2 void cgemm_planar(float* c, std::size_t ldc, const float* ar,
   }
 }
 
-PSTAP_AVX2 void cdotu(const float* x, const float* y, std::size_t n,
-                      float* out_re, float* out_im) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256 vx = _mm256_loadu_ps(x + 2 * i);
-    const __m256 vy = _mm256_loadu_ps(y + 2 * i);
-    const __m256 xre = _mm256_moveldup_ps(vx);
-    const __m256 xim = _mm256_movehdup_ps(vx);
-    const __m256 ysw = _mm256_permute_ps(vy, 0xB1);
-    // even lanes: xr*yr - xi*yi; odd lanes: xr*yi + xi*yr.
-    acc = _mm256_add_ps(
-        acc, _mm256_fmaddsub_ps(xre, vy, _mm256_mul_ps(xim, ysw)));
-  }
-  alignas(32) float lanes[8];
-  _mm256_store_ps(lanes, acc);
-  float acc_r = lanes[0] + lanes[2] + lanes[4] + lanes[6];
-  float acc_i = lanes[1] + lanes[3] + lanes[5] + lanes[7];
-  for (; i < n; ++i) {
-    const float xr = x[2 * i], xi = x[2 * i + 1];
-    const float yr = y[2 * i], yi = y[2 * i + 1];
-    acc_r += xr * yr - xi * yi;
-    acc_i += xr * yi + xi * yr;
-  }
-  *out_re = acc_r;
-  *out_im = acc_i;
-}
-
-PSTAP_AVX2 void cmac_conj_arr(float* y, const float* a, float xr, float xi,
-                              std::size_t n) {
-  const __m256 vc1 = _mm256_setr_ps(xr, -xr, xr, -xr, xr, -xr, xr, -xr);
-  const __m256 vc2 = _mm256_set1_ps(xi);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256 va = _mm256_loadu_ps(a + 2 * i);
-    const __m256 vy = _mm256_loadu_ps(y + 2 * i);
-    const __m256 asw = _mm256_permute_ps(va, 0xB1);
-    const __m256 t = _mm256_fmadd_ps(va, vc1, _mm256_mul_ps(asw, vc2));
-    _mm256_storeu_ps(y + 2 * i, _mm256_add_ps(vy, t));
-  }
-  if (i < n) sse2_impl::cmac_conj_arr(y + 2 * i, a + 2 * i, xr, xi, n - i);
-}
-
 PSTAP_AVX2 void zherk_cf_lower(double* r, std::size_t ldr, const float* s,
                                std::size_t lds, std::size_t dof, std::size_t t,
                                double alpha) {
@@ -1273,23 +1032,15 @@ PSTAP_AVX2_NOFMA void zmac_conj(double* y, const double* x, double cr,
 #undef PSTAP_AVX2_NOFMA
 
 constexpr Ops kOps = {
-    .butterfly = butterfly,
     .butterfly_rows = butterfly_rows,
     .butterfly2_rows = butterfly2_rows,
-    .cscale = cscale,
-    .cscale_to = cscale_to,
     .cscale_rows = cscale_rows,
     .cscale_rows_to = cscale_rows_to,
-    .cmul_interleaved = cmul_interleaved,
     .scale = scale,
     .deinterleave_scale = deinterleave_scale,
     .interleave = interleave,
-    .cmac_conj = cmac_conj,
     .norm_interleaved = norm_interleaved,
-    .cdot = cdot,
     .cgemm_planar = cgemm_planar,
-    .cdotu = cdotu,
-    .cmac_conj_arr = cmac_conj_arr,
     .zherk_cf_lower = zherk_cf_lower,
     .zmac = zmac,
     .zmac_conj = zmac_conj,

@@ -18,16 +18,24 @@
 // "simd.backend" (0 = scalar, 1 = sse2, 2 = avx2) so benches and CI can
 // assert the dispatch actually engaged.
 //
+// Every field has a production caller: the FFT (the *_rows kernels and
+// `scale`), the Doppler filter (`deinterleave_scale`, `interleave`), CFAR
+// (`norm_interleaved`), the weight and beamform GEMMs (`cgemm_planar`,
+// `zherk_cf_lower`) and the QR solve (`zmac`, `zmac_conj`).
+//
 // Numerical contract: every backend computes the same per-element
 // expression trees as the scalar reference. The AVX2 tier contracts
-// mul+add pairs into FMAs inside `butterfly`, `cscale*`, `cmul_*`, `cmac_conj`,
-// `cdot`, and the GEMM family (`cgemm_planar`, `cdotu`, `cmac_conj_arr`,
-// `zherk_cf_lower`), so those results may differ from scalar in the last
-// bits (tests compare within tolerance). `norm_interleaved`, `scale`,
-// `deinterleave_scale`, `interleave`, `zmac` and `zmac_conj` are FMA-free
-// and bit-exact with the scalar path on every backend — CFAR threshold
-// comparisons see identical powers and the QR weight solve computes
-// identical weights no matter which backend ran.
+// mul+add pairs into FMAs inside `butterfly_rows`, `butterfly2_rows`,
+// `cscale_rows`, `cscale_rows_to`, `cgemm_planar` and `zherk_cf_lower`, so
+// those results may differ from scalar in the last bits (tests compare
+// within tolerance). AVX2 hands rows narrower than 8 lanes to the scalar row
+// kernels, which keeps those rows (every row of a single-series FFT)
+// bit-exact with scalar; SSE2 never contracts, so its four complex row
+// kernels are bit-exact with scalar at every width. `norm_interleaved`,
+// `scale`, `deinterleave_scale`, `interleave`, `zmac` and `zmac_conj` are
+// FMA-free and bit-exact with the scalar path on every backend — CFAR
+// threshold comparisons see identical powers and the QR weight solve
+// computes identical weights no matter which backend ran.
 //
 // Hot callers hoist `const simd::Ops& o = simd::ops();` outside their loops
 // so dispatch costs one indirect call per row, not per element.
@@ -70,14 +78,11 @@ bool init_thread() noexcept;
 /// unaligned (the kernels use unaligned loads); 64-byte-aligned inputs —
 /// see AlignedVector in common/aligned_buffer.hpp — avoid split-line loads.
 struct Ops {
-  /// Radix-2 butterfly row over split re/im planes:
-  /// t = w * b; b = a - t; a = a + t  (complex, w = wr + i*wi broadcast).
-  void (*butterfly)(float* ar, float* ai, float* br, float* bi, float wr,
-                    float wi, std::size_t n);
-  /// Row-batched butterflies: rows j in [0, rows) of `lanes` lanes each,
-  /// a-row j at ar/ai + j*lanes, b-row j at br/bi + j*lanes, twiddle j
-  /// broadcast from the interleaved pair w[2j], w[2j+1]. One dispatch per
-  /// whole stage block instead of per twiddle — the FFT's dominant call.
+  /// Row-batched radix-2 butterflies over split re/im planes: rows j in
+  /// [0, rows) of `lanes` lanes each, a-row j at ar/ai + j*lanes, b-row j at
+  /// br/bi + j*lanes, twiddle w_j = w[2j] + i*w[2j+1] broadcast:
+  /// t = w_j * b; b = a - t; a = a + t. One dispatch per whole stage block
+  /// instead of per twiddle — the FFT's dominant call.
   void (*butterfly_rows)(float* ar, float* ai, float* br, float* bi,
                          const float* w, std::size_t rows, std::size_t lanes);
   /// Two fused radix-2 stages (h then 2h) over one DIT block of 4h rows
@@ -86,25 +91,20 @@ struct Ops {
   /// twiddle w1[2j], w1[2j+1], then (j, j+2h) with w2[2j], w2[2j+1] and
   /// (j+h, j+3h) with w2[2(j+h)], w2[2(j+h)+1]. Rows are loaded and stored
   /// ONCE for both stages — half the plane traffic of two butterfly_rows
-  /// passes. Same per-element expression trees as butterfly, so results
-  /// match two separate stage passes bit-for-bit per backend.
+  /// passes. Same per-element expression trees as butterfly_rows, so
+  /// results match two separate stage passes bit-for-bit per backend.
   void (*butterfly2_rows)(float* re, float* im, const float* w1,
                           const float* w2, std::size_t h, std::size_t lanes);
-  /// In-place complex scale of split planes by the scalar w = wr + i*wi.
-  void (*cscale)(float* re, float* im, float wr, float wi, std::size_t n);
-  /// Out-of-place complex scale: (yr, yi) = (xr, xi) * (wr + i*wi).
-  void (*cscale_to)(float* yr, float* yi, const float* xr, const float* xi,
-                    float wr, float wi, std::size_t n);
-  /// Row-batched in-place complex scale: row j (lanes wide, at offset
-  /// j*lanes) scaled by the interleaved pair w[2j], w[2j+1]. Used for the
-  /// fused matched-filter spectral multiply and Bluestein kernel rows.
+  /// Row-batched in-place complex scale of split planes: row j (lanes wide,
+  /// at offset j*lanes) scaled by the interleaved pair w[2j] + i*w[2j+1].
+  /// Used for the fused matched-filter spectral multiply and Bluestein
+  /// kernel rows.
   void (*cscale_rows)(float* re, float* im, const float* w, std::size_t rows,
                       std::size_t lanes);
-  /// Row-batched out-of-place complex scale (Bluestein chirp pre/post).
+  /// Row-batched out-of-place complex scale, (yr, yi) = (xr, xi) * w_j per
+  /// row (Bluestein chirp pre/post).
   void (*cscale_rows_to)(float* yr, float* yi, const float* xr, const float* xi,
                          const float* w, std::size_t rows, std::size_t lanes);
-  /// Interleaved complex elementwise multiply: a[i] *= b[i] (n complex).
-  void (*cmul_interleaved)(float* a, const float* b, std::size_t n);
   /// x[i] *= s.
   void (*scale)(float* x, float s, std::size_t n);
   /// Windowed deinterleave: re[i] = w * src[2i], im[i] = w * src[2i+1].
@@ -113,19 +113,9 @@ struct Ops {
   /// Interleave split planes: dst[2i] = re[i], dst[2i+1] = im[i].
   void (*interleave)(float* dst, const float* re, const float* im,
                      std::size_t n);
-  /// Beamform MAC: y[i] += conj(w) * x[i] over interleaved complex arrays
-  /// (n complex elements, w = wr + i*wi broadcast).
-  void (*cmac_conj)(float* y, const float* x, float wr, float wi,
-                    std::size_t n);
   /// CFAR power: power[i] = re_i^2 + im_i^2 of interleaved complex input,
   /// widened to double. FMA-free: bit-exact across backends.
   void (*norm_interleaved)(double* power, const float* x, std::size_t n);
-  /// Hermitian dot product over interleaved complex arrays:
-  /// (*out_re, *out_im) = sum_i conj(x[i]) * y[i]. Vector backends reorder
-  /// the reduction (lane-wise partial sums), so expect tolerance-level
-  /// differences from scalar.
-  void (*cdot)(const float* x, const float* y, std::size_t n, float* out_re,
-               float* out_im);
 
   // ---------------------------------------------- complex GEMM kernels --
   // The adaptive-weights / beamform micro-kernel family (linalg/cgemm.hpp
@@ -137,21 +127,11 @@ struct Ops {
   /// the caller — conjugation of A is applied at pack time by negating the
   /// imag plane, which is exact), and B row p is interleaved complex at
   /// b + 2*p*ldb. The scalar backend accumulates i-outer / p-middle /
-  /// n-inner with the historical beamform cmac expression trees; AVX2
+  /// n-inner with the historical beamform MAC expression trees; AVX2
   /// register-blocks 4 C rows x 4 complex columns with FMA (tolerance).
   void (*cgemm_planar)(float* c, std::size_t ldc, const float* ar,
                        const float* ai, std::size_t m, std::size_t k,
                        const float* b, std::size_t ldb, std::size_t n);
-  /// Unconjugated dot product: (*out_re, *out_im) = sum_i x[i] * y[i] over
-  /// interleaved complex arrays — the CMatrix<float>::matvec row kernel.
-  /// Vector backends use lane partial sums (tolerance).
-  void (*cdotu)(const float* x, const float* y, std::size_t n, float* out_re,
-                float* out_im);
-  /// Array-conjugate MAC: y[i] += conj(a[i]) * x with the scalar broadcast
-  /// x = xr + i*xi — the CMatrix<float>::matvec_herm row kernel. FMA on
-  /// AVX2 (tolerance).
-  void (*cmac_conj_arr)(float* y, const float* a, float xr, float xi,
-                        std::size_t n);
   /// Hermitian rank-k update of a double-precision lower triangle from
   /// cfloat snapshot rows (STAP covariance formation): for 0 <= j <= i <
   /// dof,

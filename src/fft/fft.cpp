@@ -116,82 +116,10 @@ FftPlan::FftPlan(std::size_t n) : n_(n), pow2_(is_pow2(n)) {
   chirp_fft_inv_ = build_kernel(false);
 }
 
-void FftPlan::transform_pow2(std::span<cfloat> data, Direction dir) const {
-  cfloat* x = data.data();
-  const std::size_t n = n_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) std::swap(x[i], x[j]);
-  }
-  const std::vector<cfloat>& tw =
-      dir == Direction::kForward ? twiddle_fwd_ : twiddle_inv_;
-  std::size_t tw_base = 0;
-  for (std::size_t h = 1; h < n; h <<= 1) {
-    for (std::size_t block = 0; block < n; block += 2 * h) {
-      for (std::size_t j = 0; j < h; ++j) {
-        const cfloat w = tw[tw_base + j];
-        cfloat& a = x[block + j];
-        cfloat& b = x[block + j + h];
-        const cfloat t = w * b;
-        b = a - t;
-        a = a + t;
-      }
-    }
-    tw_base += h;
-  }
-  if (dir == Direction::kInverse) {
-    const float inv = 1.0f / static_cast<float>(n);
-    for (std::size_t i = 0; i < n; ++i) x[i] *= inv;
-  }
-}
-
-void FftPlan::transform_bluestein(std::span<cfloat> data, Direction dir) const {
-  const bool fwd = dir == Direction::kForward;
-  std::vector<cfloat> a(m_, cfloat{0.0f, 0.0f});
-  for (std::size_t k = 0; k < n_; ++k) {
-    const cfloat c = fwd ? chirp_[k] : std::conj(chirp_[k]);
-    a[k] = data[k] * c;
-  }
-  helper_->transform(a, Direction::kForward);
-  const std::vector<cfloat>& kernel = fwd ? chirp_fft_fwd_ : chirp_fft_inv_;
-  for (std::size_t i = 0; i < m_; ++i) a[i] *= kernel[i];
-  helper_->transform(a, Direction::kInverse);
-  for (std::size_t k = 0; k < n_; ++k) {
-    const cfloat c = fwd ? chirp_[k] : std::conj(chirp_[k]);
-    data[k] = a[k] * c;
-  }
-  if (!fwd) {
-    const float inv = 1.0f / static_cast<float>(n_);
-    for (std::size_t k = 0; k < n_; ++k) data[k] *= inv;
-  }
-}
-
 void FftPlan::transform(std::span<cfloat> data, Direction dir) const {
   PSTAP_REQUIRE(data.size() == n_, "FFT buffer size does not match plan length");
-  if (n_ == 1) return;
-  if (pow2_) {
-    transform_pow2(data, dir);
-  } else {
-    transform_bluestein(data, dir);
-  }
-}
-
-void FftPlan::transform_strided(cfloat* data, std::size_t stride, Direction dir,
-                                std::vector<cfloat>& scratch) const {
-  PSTAP_REQUIRE(data != nullptr, "null data");
-  PSTAP_REQUIRE(stride >= 1, "stride must be >= 1");
-  if (stride == 1) {
-    transform({data, n_}, dir);
-    return;
-  }
-  scratch.resize(n_);
-  for (std::size_t i = 0; i < n_; ++i) scratch[i] = data[i * stride];
-  transform(std::span<cfloat>(scratch.data(), n_), dir);
-  for (std::size_t i = 0; i < n_; ++i) data[i * stride] = scratch[i];
-}
-
-void FftPlan::transform_strided(cfloat* data, std::size_t stride, Direction dir) {
-  transform_strided(data, stride, dir, scratch_);
+  BatchScratch scratch;
+  transform_strided_batch(data.data(), 1, n_, 1, dir, scratch);
 }
 
 // Lane-parallel radix-2 butterflies over SoA planes. The lane index is the
@@ -303,10 +231,10 @@ void FftPlan::transform_strided_batch(cfloat* base, std::size_t count,
                                       std::size_t dist, std::size_t stride,
                                       Direction dir, BatchScratch& scratch) const {
   PSTAP_REQUIRE(base != nullptr || count == 0, "null data");
-  if (count == 0 || n_ == 0) return;
-  if (n_ == 1) return;  // length-1 transform is the identity
-  scratch.re_.resize(n_ * kBatchLanes);
-  scratch.im_.resize(n_ * kBatchLanes);
+  if (count == 0 || n_ == 1) return;  // length-1 transform is the identity
+  const std::size_t lanes = std::min(kBatchLanes, count);
+  scratch.re_.resize(n_ * lanes);
+  scratch.im_.resize(n_ * lanes);
   PSTAP_REQUIRE(is_aligned(scratch.re_.data()) && is_aligned(scratch.im_.data()),
                 "SoA scratch planes lost their SIMD alignment");
   for (std::size_t b0 = 0; b0 < count; b0 += kBatchLanes) {
@@ -324,9 +252,10 @@ void FftPlan::convolve_batch(std::span<cfloat> data, std::size_t count,
                              BatchScratch& scratch) const {
   PSTAP_REQUIRE(data.size() == count * n_, "batch buffer size mismatch");
   PSTAP_REQUIRE(spectrum.size() == n_, "spectrum size does not match plan length");
-  if (count == 0 || n_ == 0) return;
-  scratch.re_.resize(n_ * kBatchLanes);
-  scratch.im_.resize(n_ * kBatchLanes);
+  if (count == 0) return;
+  const std::size_t lanes = std::min(kBatchLanes, count);
+  scratch.re_.resize(n_ * lanes);
+  scratch.im_.resize(n_ * lanes);
   PSTAP_REQUIRE(is_aligned(scratch.re_.data()) && is_aligned(scratch.im_.data()),
                 "SoA scratch planes lost their SIMD alignment");
   for (std::size_t b0 = 0; b0 < count; b0 += kBatchLanes) {
@@ -346,20 +275,6 @@ void FftPlan::convolve_batch(std::span<cfloat> data, std::size_t count,
                   Direction::kInverse, scratch);
     scatter_soa(block, n_, n_, 1, L, re, im);
   }
-}
-
-void transform(std::span<cfloat> data, Direction dir) {
-  FftPlan plan(data.size());
-  plan.transform(data, dir);
-}
-
-void multiply_spectra(std::span<cfloat> a, std::span<const cfloat> b) {
-  PSTAP_REQUIRE(a.size() == b.size(), "spectra size mismatch");
-  // std::complex<float> is layout-compatible with float[2]; the matched
-  // filter's per-series multiply runs through the SIMD backend.
-  simd::ops().cmul_interleaved(reinterpret_cast<float*>(a.data()),
-                               reinterpret_cast<const float*>(b.data()),
-                               a.size());
 }
 
 }  // namespace pstap::fft

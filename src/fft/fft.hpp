@@ -13,12 +13,12 @@
 // shape the compiler auto-vectorizes. This replaces per-series dispatch
 // (and per-element strided gathers) with one transpose per block.
 //
+// The single-series transform() is a batch of one through the same SoA
+// engine, so every length and direction runs on one set of kernels.
+//
 // Thread safety: plans are immutable after construction. Every entry point
-// taking a caller-provided scratch (BatchScratch or a scratch vector) is
-// const and safe to call concurrently on a shared plan — give each thread
-// its own scratch. The legacy no-scratch transform_strided overload mutates
-// plan-local scratch and is NOT thread-safe; it survives for convenience
-// only.
+// is const and safe to call concurrently on a shared plan — give each
+// thread its own BatchScratch.
 #pragma once
 
 #include <cstddef>
@@ -64,21 +64,11 @@ class FftPlan {
 
   std::size_t size() const noexcept { return n_; }
 
-  /// In-place transform of `data` (size() elements).
+  /// In-place transform of `data` (size() elements): a batch of one through
+  /// transform_strided_batch, with a transient scratch.
   /// Inverse transforms are scaled by 1/N so that inverse(forward(x)) == x.
   /// Thread-safe on a shared plan.
   void transform(std::span<cfloat> data, Direction dir) const;
-
-  /// Transform a strided sequence: elements data[0], data[stride], ...
-  /// data[(size()-1)*stride]. Gathers into `scratch` (resized as needed),
-  /// transforms and scatters back. Thread-safe on a shared plan when each
-  /// caller provides its own scratch.
-  void transform_strided(cfloat* data, std::size_t stride, Direction dir,
-                         std::vector<cfloat>& scratch) const;
-
-  /// Legacy convenience overload. NOT thread-safe: mutates plan-local
-  /// scratch. Prefer the scratch-taking overload on shared plans.
-  void transform_strided(cfloat* data, std::size_t stride, Direction dir);
 
   /// Transform `count` series laid out back to back in `data`
   /// (count * size() elements), lane-blocked through SoA planes.
@@ -115,8 +105,6 @@ class FftPlan {
                      Direction dir, BatchScratch& scratch) const;
 
  private:
-  void transform_pow2(std::span<cfloat> data, Direction dir) const;
-  void transform_bluestein(std::span<cfloat> data, Direction dir) const;
   void soa_pow2(float* re, float* im, std::size_t lanes, Direction dir) const;
   void soa_bluestein(float* re, float* im, std::size_t lanes, Direction dir,
                      BatchScratch& scratch) const;
@@ -136,14 +124,6 @@ class FftPlan {
   std::vector<cfloat> chirp_fft_fwd_;    // FFT of zero-padded conjugate chirp
   std::vector<cfloat> chirp_fft_inv_;
   std::unique_ptr<FftPlan> helper_;      // pow2 plan of length m_
-
-  std::vector<cfloat> scratch_;          // legacy transform_strided only
 };
-
-/// One-shot convenience transform (plans internally; prefer FftPlan in loops).
-void transform(std::span<cfloat> data, Direction dir);
-
-/// Element-wise spectral multiply: a[i] *= b[i]. Sizes must match.
-void multiply_spectra(std::span<cfloat> a, std::span<const cfloat> b);
 
 }  // namespace pstap::fft

@@ -2,8 +2,8 @@
 // beamform path.
 //
 // The raw loops live on the runtime-dispatched simd::Ops table
-// (common/simd.hpp: cgemm_planar / zherk_cf_lower / cdotu / cmac_conj_arr /
-// zmac / zmac_conj); this layer owns the packing, shape checking and the
+// (common/simd.hpp: cgemm_planar / zherk_cf_lower; the QR solve uses zmac /
+// zmac_conj); this layer owns the packing, shape checking and the
 // 64-byte-aligned split-re/im tile buffers:
 //
 //   * cgemm       — C(m x n) += op(A)(m x k) * B(k x n), op = identity or

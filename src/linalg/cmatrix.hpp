@@ -5,20 +5,17 @@
 #include <complex>
 #include <cstddef>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/simd.hpp"
 #include "common/types.hpp"
 
 namespace pstap::linalg {
 
 /// Row-major dense matrix of std::complex<T>.
 ///
-/// Deliberately minimal: the STAP weight solver needs storage, element
-/// access, Hermitian rank-1 updates and matrix-vector products — not a full
-/// expression-template library.
+/// Deliberately minimal: storage and element access only. The STAP kernels
+/// run their products through linalg/cgemm.hpp and the factorizations.
 template <typename T>
 class CMatrix {
  public:
@@ -60,62 +57,6 @@ class CMatrix {
     for (std::size_t i = 0; i < rows_; ++i) (*this)(i, i) = diag;
   }
 
-  /// Hermitian rank-1 update: A += alpha * x * x^H (square, |x| == rows).
-  void her_update(std::span<const value_type> x, T alpha) {
-    PSTAP_REQUIRE(rows_ == cols_ && x.size() == rows_, "her_update shape mismatch");
-    for (std::size_t i = 0; i < rows_; ++i) {
-      const value_type xi = x[i];
-      value_type* arow = data_.data() + i * cols_;
-      for (std::size_t j = 0; j < cols_; ++j) {
-        arow[j] += alpha * xi * std::conj(x[j]);
-      }
-    }
-  }
-
-  /// y = A * x. Single precision routes each contiguous row dot through the
-  /// SIMD backend (cdotu: lane partial sums, tolerance vs the scalar
-  /// template).
-  void matvec(std::span<const value_type> x, std::span<value_type> y) const {
-    PSTAP_REQUIRE(x.size() == cols_ && y.size() == rows_, "matvec shape mismatch");
-    if constexpr (std::is_same_v<T, float>) {
-      const simd::Ops& vec = simd::ops();
-      for (std::size_t i = 0; i < rows_; ++i) {
-        float re = 0.0f, im = 0.0f;
-        vec.cdotu(reinterpret_cast<const float*>(data_.data() + i * cols_),
-                  reinterpret_cast<const float*>(x.data()), cols_, &re, &im);
-        y[i] = {re, im};
-      }
-    } else {
-      for (std::size_t i = 0; i < rows_; ++i) {
-        value_type acc{};
-        const value_type* arow = data_.data() + i * cols_;
-        for (std::size_t j = 0; j < cols_; ++j) acc += arow[j] * x[j];
-        y[i] = acc;
-      }
-    }
-  }
-
-  /// y = A^H * x. Single precision routes each row MAC through the SIMD
-  /// backend (cmac_conj_arr).
-  void matvec_herm(std::span<const value_type> x, std::span<value_type> y) const {
-    PSTAP_REQUIRE(x.size() == rows_ && y.size() == cols_, "matvec_herm shape mismatch");
-    std::fill(y.begin(), y.end(), value_type{});
-    if constexpr (std::is_same_v<T, float>) {
-      const simd::Ops& vec = simd::ops();
-      for (std::size_t i = 0; i < rows_; ++i) {
-        vec.cmac_conj_arr(reinterpret_cast<float*>(y.data()),
-                          reinterpret_cast<const float*>(data_.data() + i * cols_),
-                          x[i].real(), x[i].imag(), cols_);
-      }
-    } else {
-      for (std::size_t i = 0; i < rows_; ++i) {
-        const value_type xi = x[i];
-        const value_type* arow = data_.data() + i * cols_;
-        for (std::size_t j = 0; j < cols_; ++j) y[j] += std::conj(arow[j]) * xi;
-      }
-    }
-  }
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -124,44 +65,5 @@ class CMatrix {
 
 using CMatF = CMatrix<float>;
 using CMatD = CMatrix<double>;
-
-/// Hermitian inner product <x, y> = x^H y.
-template <typename T>
-std::complex<T> cdot(std::span<const std::complex<T>> x,
-                     std::span<const std::complex<T>> y) {
-  PSTAP_REQUIRE(x.size() == y.size(), "cdot size mismatch");
-  std::complex<T> acc{};
-  for (std::size_t i = 0; i < x.size(); ++i) acc += std::conj(x[i]) * y[i];
-  return acc;
-}
-
-/// Single-precision overload: runs through the runtime-dispatched SIMD
-/// backend (lane-wise partial sums, so the reduction order differs from the
-/// scalar template at tolerance level).
-inline std::complex<float> cdot(std::span<const std::complex<float>> x,
-                                std::span<const std::complex<float>> y) {
-  PSTAP_REQUIRE(x.size() == y.size(), "cdot size mismatch");
-  float re = 0.0f, im = 0.0f;
-  simd::ops().cdot(reinterpret_cast<const float*>(x.data()),
-                   reinterpret_cast<const float*>(y.data()), x.size(), &re, &im);
-  return {re, im};
-}
-
-/// Squared 2-norm.
-template <typename T>
-T norm2_sq(std::span<const std::complex<T>> x) {
-  T acc{};
-  for (const auto& v : x) acc += std::norm(v);
-  return acc;
-}
-
-/// Single-precision overload: <x, x> through the SIMD backend (the
-/// imaginary part cancels exactly lane-by-lane).
-inline float norm2_sq(std::span<const std::complex<float>> x) {
-  float re = 0.0f, im = 0.0f;
-  const float* p = reinterpret_cast<const float*>(x.data());
-  simd::ops().cdot(p, p, x.size(), &re, &im);
-  return re;
-}
 
 }  // namespace pstap::linalg

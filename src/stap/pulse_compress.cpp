@@ -21,14 +21,6 @@ PulseCompressor::PulseCompressor(const RadarParams& params)
   }
 }
 
-void PulseCompressor::compress_series(std::span<cfloat> series) const {
-  PSTAP_REQUIRE(series.size() == params_.ranges,
-                "series length must equal the range window");
-  plan_.transform(series, fft::Direction::kForward);
-  fft::multiply_spectra(series, code_spectrum_);
-  plan_.transform(series, fft::Direction::kInverse);
-}
-
 void PulseCompressor::compress(BeamArray& beams) const {
   PSTAP_REQUIRE(beams.ranges() == params_.ranges,
                 "beam array range extent must equal the range window");

@@ -26,10 +26,6 @@ class PulseCompressor {
   /// per thread.
   void compress(BeamArray& beams) const;
 
-  /// Compress a single range series in place (unit-test hook / reference
-  /// path; the batched compress() must match it exactly per series).
-  void compress_series(std::span<cfloat> series) const;
-
   const std::vector<cfloat>& code() const noexcept { return code_; }
 
  private:

@@ -1,6 +1,8 @@
 // Tests for the FFT substrate: analytic spot checks, round-trip and
 // Parseval properties (parameterized over lengths, incl. non-power-of-two
 // Bluestein paths), linearity, shift theorem, strided/batched interfaces.
+// transform() is a batch of one through the SoA engine, so every case
+// below runs the same kernels as the batched paths.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -178,14 +180,18 @@ INSTANTIATE_TEST_SUITE_P(Lengths, FftRoundTrip,
 
 // ------------------------------------------------------------ interfaces --
 
+// transform_strided_batch with a single series: the strided view of one
+// sequence, gathered and scattered through the SoA planes.
 TEST(Fft, StridedTransformEqualsGathered) {
   const std::size_t n = 16, stride = 5;
   auto base = random_signal(n * stride, 31);
   std::vector<cfloat> gathered(n);
   for (std::size_t i = 0; i < n; ++i) gathered[i] = base[i * stride];
   FftPlan plan(n);
+  BatchScratch scratch;
   plan.transform(gathered, Direction::kForward);
-  plan.transform_strided(base.data(), stride, Direction::kForward);
+  plan.transform_strided_batch(base.data(), 1, n * stride, stride,
+                               Direction::kForward, scratch);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(std::abs(base[i * stride] - gathered[i]), 0.0, 1e-5);
   }
@@ -196,7 +202,9 @@ TEST(Fft, StridedLeavesOtherElementsUntouched) {
   auto base = random_signal(n * stride, 37);
   const auto original = base;
   FftPlan plan(n);
-  plan.transform_strided(base.data(), stride, Direction::kForward);
+  BatchScratch scratch;
+  plan.transform_strided_batch(base.data(), 1, n * stride, stride,
+                               Direction::kForward, scratch);
   for (std::size_t i = 0; i < base.size(); ++i) {
     if (i % stride != 0 || i / stride >= n) {
       EXPECT_EQ(base[i], original[i]) << "index " << i;
@@ -280,7 +288,7 @@ TEST(Fft, ConvolveBatchMatchesTransformMultiplyInverse) {
   for (std::size_t b = 0; b < count; ++b) {
     std::vector<cfloat> seg(copy.begin() + b * n, copy.begin() + (b + 1) * n);
     plan.transform(seg, Direction::kForward);
-    multiply_spectra(seg, spectrum);
+    for (std::size_t i = 0; i < n; ++i) seg[i] *= spectrum[i];
     plan.transform(seg, Direction::kInverse);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(std::abs(data[b * n + i] - seg[i]), 0.0, 1e-4)
@@ -289,34 +297,23 @@ TEST(Fft, ConvolveBatchMatchesTransformMultiplyInverse) {
   }
 }
 
-TEST(Fft, CallerScratchStridedOverloadIsConstAndMatchesLegacy) {
-  const std::size_t n = 16, stride = 3;
-  auto a = random_signal(n * stride, 71);
-  auto b = a;
-  FftPlan plan(n);
-  const FftPlan& cplan = plan;  // caller-scratch overload usable via const ref
-  std::vector<cfloat> scratch;
-  cplan.transform_strided(a.data(), stride, Direction::kForward, scratch);
-  plan.transform_strided(b.data(), stride, Direction::kForward);
-  EXPECT_LT(max_abs_diff(a, b), 1e-7);
-}
-
-TEST(Fft, OneShotHelperMatchesPlan) {
-  auto x = random_signal(64, 43);
-  auto y = x;
-  FftPlan plan(64);
-  plan.transform(x, Direction::kForward);
-  transform(y, Direction::kForward);
-  EXPECT_LT(max_abs_diff(x, y), 1e-7);
-}
-
+// The spectral multiply fused into convolve_batch is elementwise: a
+// one-hot spectrum keeps exactly one frequency of the input.
 TEST(Fft, MultiplySpectraIsElementwise) {
-  std::vector<cfloat> a{{1, 0}, {0, 1}, {2, 2}};
-  std::vector<cfloat> b{{2, 0}, {0, 1}, {1, -1}};
-  multiply_spectra(a, b);
-  EXPECT_EQ(a[0], (cfloat{2, 0}));
-  EXPECT_EQ(a[1], (cfloat{-1, 0}));
-  EXPECT_EQ(a[2], (cfloat{4, 0}));
+  const std::size_t n = 16, bin = 3;
+  auto x = random_signal(n, 73);
+  std::vector<cfloat> spectrum(n, cfloat{});
+  spectrum[bin] = {0.0f, 2.0f};
+  FftPlan plan(n);
+  BatchScratch scratch;
+  auto y = x;
+  plan.convolve_batch(y, 1, spectrum, scratch);
+  plan.transform(x, Direction::kForward);
+  plan.transform(y, Direction::kForward);
+  for (std::size_t k = 0; k < n; ++k) {
+    const cfloat expect = k == bin ? x[k] * spectrum[k] : cfloat{};
+    EXPECT_NEAR(std::abs(y[k] - expect), 0.0, 1e-4) << "bin " << k;
+  }
 }
 
 // ------------------------------------------------------------ error paths --
@@ -338,8 +335,10 @@ TEST(Fft, RejectsBadBatchSize) {
 }
 
 TEST(Fft, RejectsMismatchedSpectra) {
-  std::vector<cfloat> a(4), b(5);
-  EXPECT_THROW(multiply_spectra(a, b), PreconditionError);
+  FftPlan plan(4);
+  BatchScratch scratch;
+  std::vector<cfloat> data(8), spectrum(5);
+  EXPECT_THROW(plan.convolve_batch(data, 2, spectrum, scratch), PreconditionError);
 }
 
 }  // namespace

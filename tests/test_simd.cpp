@@ -2,17 +2,21 @@
 //
 // Every vector backend must reproduce the scalar reference: bit-exactly for
 // the FMA-free primitives (scale, deinterleave_scale, interleave,
-// norm_interleaved) and within tolerance for the FMA-contracted ones
-// (butterfly*, cscale*, cmul_interleaved, cmac_conj, cdot). On top of the
-// primitives, the whole STAP chain is checked end to end: FFT batch paths
-// (including Bluestein sizes and odd lane counts) and — the contract that
-// matters operationally — CFAR detections identical across backends.
+// norm_interleaved, zmac*), for every SSE2 complex row kernel and for AVX2
+// rows narrower than 8 lanes; within tolerance for the FMA-contracted AVX2
+// rows of 8 lanes or more and the GEMM family. On top of the primitives,
+// the whole STAP chain is checked end to end: FFT batch and single-series
+// paths against a naive DFT (including Bluestein sizes and odd lane
+// counts) and — the contract that matters operationally — CFAR detections
+// identical across backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdlib>
+#include <numbers>
+#include <span>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
@@ -21,6 +25,7 @@
 #include "fft/fft.hpp"
 #include "linalg/cgemm.hpp"
 #include "linalg/cmatrix.hpp"
+#include "linalg_reference.hpp"
 #include "obs/metrics.hpp"
 #include "stap/cfar.hpp"
 #include "stap/doppler.hpp"
@@ -101,23 +106,44 @@ TEST(SimdDispatch, OpsByBackendReturnsDistinctTablesWhenSupported) {
 // Sizes straddling every vector width and tail combination.
 const std::size_t kSizes[] = {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 64, 100};
 
+// Whether backend b's complex row kernels must match the scalar rows
+// kernels bit-for-bit at this lane width: SSE2 never contracts, and AVX2
+// hands rows narrower than one ymm register to the scalar kernels. Wider
+// AVX2 rows use FMA and match within tolerance.
+bool rows_bit_exact(Backend b, std::size_t lanes) {
+  return b != Backend::kAvx2 || lanes < 8;
+}
+
+void expect_rows_match(const std::vector<float>& ref, const std::vector<float>& got,
+                       Backend b, std::size_t lanes) {
+  if (rows_bit_exact(b, lanes)) {
+    EXPECT_EQ(ref, got) << simd::backend_name(b) << " lanes=" << lanes;
+    return;
+  }
+  ASSERT_EQ(ref.size(), got.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_NEAR(ref[i], got[i], 1e-5f) << simd::backend_name(b) << " lanes=" << lanes;
+  }
+}
+
 TEST(SimdPrimitives, ButterflyMatchesScalar) {
   const simd::Ops& ref = simd::ops(Backend::kScalar);
   for (Backend b : supported_backends()) {
     const simd::Ops& vec = simd::ops(b);
-    for (std::size_t n : kSizes) {
-      auto ar0 = random_floats(n, 1), ai0 = random_floats(n, 2);
-      auto br0 = random_floats(n, 3), bi0 = random_floats(n, 4);
+    for (std::size_t lanes : kSizes) {
+      const std::size_t rows = 3;
+      auto ar0 = random_floats(rows * lanes, 1), ai0 = random_floats(rows * lanes, 2);
+      auto br0 = random_floats(rows * lanes, 3), bi0 = random_floats(rows * lanes, 4);
+      auto w = random_floats(2 * rows, 5);
       auto ar1 = ar0, ai1 = ai0, br1 = br0, bi1 = bi0;
-      const float wr = 0.6f, wi = -0.8f;
-      ref.butterfly(ar0.data(), ai0.data(), br0.data(), bi0.data(), wr, wi, n);
-      vec.butterfly(ar1.data(), ai1.data(), br1.data(), bi1.data(), wr, wi, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(ar0[i], ar1[i], 1e-5f) << simd::backend_name(b) << " n=" << n;
-        EXPECT_NEAR(ai0[i], ai1[i], 1e-5f);
-        EXPECT_NEAR(br0[i], br1[i], 1e-5f);
-        EXPECT_NEAR(bi0[i], bi1[i], 1e-5f);
-      }
+      ref.butterfly_rows(ar0.data(), ai0.data(), br0.data(), bi0.data(), w.data(),
+                         rows, lanes);
+      vec.butterfly_rows(ar1.data(), ai1.data(), br1.data(), bi1.data(), w.data(),
+                         rows, lanes);
+      expect_rows_match(ar0, ar1, b, lanes);
+      expect_rows_match(ai0, ai1, b, lanes);
+      expect_rows_match(br0, br1, b, lanes);
+      expect_rows_match(bi0, bi1, b, lanes);
     }
   }
 }
@@ -135,9 +161,9 @@ TEST(SimdPrimitives, ButterflyRowsMatchesPerRowButterfly) {
       auto w = random_floats(2 * rows, 15);
       auto ar1 = ar0, ai1 = ai0, br1 = br0, bi1 = bi0;
       for (std::size_t j = 0; j < rows; ++j) {
-        vec.butterfly(ar0.data() + j * lanes, ai0.data() + j * lanes,
-                      br0.data() + j * lanes, bi0.data() + j * lanes, w[2 * j],
-                      w[2 * j + 1], lanes);
+        vec.butterfly_rows(ar0.data() + j * lanes, ai0.data() + j * lanes,
+                           br0.data() + j * lanes, bi0.data() + j * lanes,
+                           w.data() + 2 * j, 1, lanes);
       }
       vec.butterfly_rows(ar1.data(), ai1.data(), br1.data(), bi1.data(),
                          w.data(), rows, lanes);
@@ -153,8 +179,9 @@ TEST(SimdPrimitives, ButterflyRowsMatchesPerRowButterfly) {
 TEST(SimdPrimitives, Butterfly2RowsMatchesTwoStagePasses) {
   for (Backend b : supported_backends()) {
     const simd::Ops& vec = simd::ops(b);
-    for (std::size_t lanes : {std::size_t{4}, std::size_t{8}, std::size_t{16},
-                              std::size_t{19}, std::size_t{64}}) {
+    for (std::size_t lanes : {std::size_t{1}, std::size_t{3}, std::size_t{4},
+                              std::size_t{8}, std::size_t{16}, std::size_t{19},
+                              std::size_t{64}}) {
       for (std::size_t h : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
         const std::size_t rows = 4 * h;
         auto re0 = random_floats(rows * lanes, 21);
@@ -187,25 +214,25 @@ TEST(SimdPrimitives, CscaleFamilyMatchesScalar) {
   const simd::Ops& ref = simd::ops(Backend::kScalar);
   for (Backend b : supported_backends()) {
     const simd::Ops& vec = simd::ops(b);
-    for (std::size_t n : kSizes) {
-      const float wr = -0.3f, wi = 0.9f;
-      auto re0 = random_floats(n, 5), im0 = random_floats(n, 6);
+    for (std::size_t lanes : kSizes) {
+      const std::size_t rows = 3;
+      auto w = random_floats(2 * rows, 5);
+      auto re0 = random_floats(rows * lanes, 6), im0 = random_floats(rows * lanes, 7);
       auto re1 = re0, im1 = im0;
-      ref.cscale(re0.data(), im0.data(), wr, wi, n);
-      vec.cscale(re1.data(), im1.data(), wr, wi, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(re0[i], re1[i], 1e-5f) << simd::backend_name(b);
-        EXPECT_NEAR(im0[i], im1[i], 1e-5f);
-      }
+      ref.cscale_rows(re0.data(), im0.data(), w.data(), rows, lanes);
+      vec.cscale_rows(re1.data(), im1.data(), w.data(), rows, lanes);
+      expect_rows_match(re0, re1, b, lanes);
+      expect_rows_match(im0, im1, b, lanes);
 
-      auto xr = random_floats(n, 7), xi = random_floats(n, 8);
-      std::vector<float> yr0(n), yi0(n), yr1(n), yi1(n);
-      ref.cscale_to(yr0.data(), yi0.data(), xr.data(), xi.data(), wr, wi, n);
-      vec.cscale_to(yr1.data(), yi1.data(), xr.data(), xi.data(), wr, wi, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(yr0[i], yr1[i], 1e-5f);
-        EXPECT_NEAR(yi0[i], yi1[i], 1e-5f);
-      }
+      auto xr = random_floats(rows * lanes, 8), xi = random_floats(rows * lanes, 9);
+      std::vector<float> yr0(rows * lanes), yi0(rows * lanes);
+      std::vector<float> yr1(rows * lanes), yi1(rows * lanes);
+      ref.cscale_rows_to(yr0.data(), yi0.data(), xr.data(), xi.data(), w.data(),
+                         rows, lanes);
+      vec.cscale_rows_to(yr1.data(), yi1.data(), xr.data(), xi.data(), w.data(),
+                         rows, lanes);
+      expect_rows_match(yr0, yr1, b, lanes);
+      expect_rows_match(yi0, yi1, b, lanes);
     }
   }
 }
@@ -220,8 +247,8 @@ TEST(SimdPrimitives, CscaleRowsMatchesPerRow) {
       auto w = random_floats(2 * rows, 33);
       auto re1 = re0, im1 = im0;
       for (std::size_t j = 0; j < rows; ++j) {
-        vec.cscale(re0.data() + j * lanes, im0.data() + j * lanes, w[2 * j],
-                   w[2 * j + 1], lanes);
+        vec.cscale_rows(re0.data() + j * lanes, im0.data() + j * lanes,
+                        w.data() + 2 * j, 1, lanes);
       }
       vec.cscale_rows(re1.data(), im1.data(), w.data(), rows, lanes);
       EXPECT_EQ(re0, re1) << simd::backend_name(b) << " lanes=" << lanes;
@@ -232,9 +259,9 @@ TEST(SimdPrimitives, CscaleRowsMatchesPerRow) {
       std::vector<float> yr0(rows * lanes), yi0(rows * lanes);
       std::vector<float> yr1(rows * lanes), yi1(rows * lanes);
       for (std::size_t j = 0; j < rows; ++j) {
-        vec.cscale_to(yr0.data() + j * lanes, yi0.data() + j * lanes,
-                      xr.data() + j * lanes, xi.data() + j * lanes, w[2 * j],
-                      w[2 * j + 1], lanes);
+        vec.cscale_rows_to(yr0.data() + j * lanes, yi0.data() + j * lanes,
+                           xr.data() + j * lanes, xi.data() + j * lanes,
+                           w.data() + 2 * j, 1, lanes);
       }
       vec.cscale_rows_to(yr1.data(), yi1.data(), xr.data(), xi.data(), w.data(),
                          rows, lanes);
@@ -249,33 +276,13 @@ TEST(SimdPrimitives, InterleavedOpsMatchScalar) {
   for (Backend b : supported_backends()) {
     const simd::Ops& vec = simd::ops(b);
     for (std::size_t n : kSizes) {
-      // cmul_interleaved (tolerance: FMA allowed).
-      auto a0 = random_floats(2 * n, 41);
-      auto bb = random_floats(2 * n, 42);
-      auto a1 = a0;
-      ref.cmul_interleaved(a0.data(), bb.data(), n);
-      vec.cmul_interleaved(a1.data(), bb.data(), n);
-      for (std::size_t i = 0; i < 2 * n; ++i) {
-        EXPECT_NEAR(a0[i], a1[i], 1e-5f) << simd::backend_name(b) << " n=" << n;
-      }
-
-      // cmac_conj (tolerance).
-      auto y0 = random_floats(2 * n, 43);
-      auto x = random_floats(2 * n, 44);
-      auto y1 = y0;
-      ref.cmac_conj(y0.data(), x.data(), 0.7f, -0.2f, n);
-      vec.cmac_conj(y1.data(), x.data(), 0.7f, -0.2f, n);
-      for (std::size_t i = 0; i < 2 * n; ++i) {
-        EXPECT_NEAR(y0[i], y1[i], 1e-5f);
-      }
-
       // scale / deinterleave_scale / interleave / norm_interleaved are
       // FMA-free: bit-exact across backends.
       auto s0 = random_floats(n, 45);
       auto s1 = s0;
       ref.scale(s0.data(), 1.25f, n);
       vec.scale(s1.data(), 1.25f, n);
-      EXPECT_EQ(s0, s1);
+      EXPECT_EQ(s0, s1) << simd::backend_name(b) << " n=" << n;
 
       auto src = random_floats(2 * n, 46);
       std::vector<float> dr0(n), di0(n), dr1(n), di1(n);
@@ -297,24 +304,37 @@ TEST(SimdPrimitives, InterleavedOpsMatchScalar) {
   }
 }
 
-TEST(SimdPrimitives, CdotMatchesScalarWithinTolerance) {
-  const simd::Ops& ref = simd::ops(Backend::kScalar);
-  for (Backend b : supported_backends()) {
-    const simd::Ops& vec = simd::ops(b);
-    for (std::size_t n : kSizes) {
-      auto x = random_floats(2 * n, 51);
-      auto y = random_floats(2 * n, 52);
-      float rr = 0, ri = 0, vr = 0, vi = 0;
-      ref.cdot(x.data(), y.data(), n, &rr, &ri);
-      vec.cdot(x.data(), y.data(), n, &vr, &vi);
-      const float tol = 1e-4f * static_cast<float>(n + 1);
-      EXPECT_NEAR(rr, vr, tol) << simd::backend_name(b) << " n=" << n;
-      EXPECT_NEAR(ri, vi, tol);
+// --------------------------------------------------------- FFT kernels --
+
+// O(n^2) double-precision DFT: the reference no backend computes.
+std::vector<cdouble> naive_dft(std::span<const cfloat> x, fft::Direction dir) {
+  const std::size_t n = x.size();
+  const bool inverse = dir == fft::Direction::kInverse;
+  const double sign = inverse ? 1.0 : -1.0;
+  std::vector<cdouble> out(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    cdouble acc{};
+    for (std::size_t t = 0; t < n; ++t) {
+      const double ang = sign * 2.0 * std::numbers::pi *
+                         static_cast<double>(k * t % n) / static_cast<double>(n);
+      acc += cdouble(x[t].real(), x[t].imag()) * cdouble(std::cos(ang), std::sin(ang));
     }
+    out[k] = inverse ? acc / static_cast<double>(n) : acc;
   }
+  return out;
 }
 
-// --------------------------------------------------------- FFT kernels --
+// Largest deviation from the reference, relative to the reference's RMS
+// magnitude (so forward and 1/N-scaled inverse outputs share one bound).
+double rel_error(std::span<const cfloat> got, const std::vector<cdouble>& ref) {
+  double err = 0.0, energy = 0.0;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    err = std::max(err, std::abs(cdouble(got[i].real(), got[i].imag()) - ref[i]));
+    energy += std::norm(ref[i]);
+  }
+  const double rms = std::sqrt(energy / static_cast<double>(ref.size()));
+  return rms > 0.0 ? err / rms : err;
+}
 
 TEST(SimdKernels, BatchFftMatchesReferenceAcrossBackends) {
   BackendGuard guard;
@@ -327,31 +347,57 @@ TEST(SimdKernels, BatchFftMatchesReferenceAcrossBackends) {
       Rng rng(n * 100 + count);
       std::vector<cfloat> input(n * count);
       for (auto& v : input) v = rng.complex_normal();
-
-      // Reference: per-series AoS transform (scalar expression trees).
-      simd::force_backend(Backend::kScalar);
-      std::vector<cfloat> ref = input;
-      fft::FftPlan plan(n);
-      for (std::size_t c = 0; c < count; ++c) {
-        plan.transform(std::span<cfloat>(ref.data() + c * n, n),
-                       fft::Direction::kForward);
-      }
+      const std::span<const cfloat> in(input);
 
       for (Backend b : supported_backends()) {
         simd::force_backend(b);
+        fft::FftPlan plan(n);
         std::vector<cfloat> got = input;
         fft::BatchScratch scratch;
         plan.transform_batch(got, count, fft::Direction::kForward, scratch);
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          EXPECT_NEAR(got[i].real(), ref[i].real(), 2e-3f)
-              << simd::backend_name(b) << " n=" << n << " count=" << count;
-          EXPECT_NEAR(got[i].imag(), ref[i].imag(), 2e-3f);
+        for (std::size_t c = 0; c < count; ++c) {
+          const auto ref = naive_dft(in.subspan(c * n, n), fft::Direction::kForward);
+          EXPECT_LT(rel_error(std::span<const cfloat>(got).subspan(c * n, n), ref),
+                    1e-4)
+              << simd::backend_name(b) << " n=" << n << " count=" << count
+              << " series=" << c;
         }
         // Round-trip through the inverse lands back on the input.
         plan.transform_batch(got, count, fft::Direction::kInverse, scratch);
         for (std::size_t i = 0; i < got.size(); ++i) {
           EXPECT_NEAR(got[i].real(), input[i].real(), 2e-3f);
           EXPECT_NEAR(got[i].imag(), input[i].imag(), 2e-3f);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, SingleSeriesFftMatchesNaiveDftOnEveryBackend) {
+  // FftPlan::transform is a batch of one: every row is one lane wide, so
+  // the AVX2 backend runs it on the scalar row kernels and the result is
+  // bit-identical to the scalar backend's, as well as close to the DFT.
+  BackendGuard guard;
+  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{64},
+                        std::size_t{127}, std::size_t{1000}, std::size_t{1024}}) {
+    Rng rng(n + 5);
+    std::vector<cfloat> input(n);
+    for (auto& v : input) v = rng.complex_normal();
+    for (fft::Direction dir : {fft::Direction::kForward, fft::Direction::kInverse}) {
+      const auto ref = naive_dft(input, dir);
+      std::vector<cfloat> scalar_out;
+      for (Backend b : supported_backends()) {
+        simd::force_backend(b);
+        fft::FftPlan plan(n);
+        std::vector<cfloat> got = input;
+        plan.transform(got, dir);
+        EXPECT_LT(rel_error(got, ref), 1e-4)
+            << simd::backend_name(b) << " n=" << n
+            << (dir == fft::Direction::kForward ? " forward" : " inverse");
+        if (b == Backend::kScalar) {
+          scalar_out = got;
+        } else {
+          EXPECT_EQ(got, scalar_out) << simd::backend_name(b) << " n=" << n;
         }
       }
     }
@@ -589,7 +635,7 @@ TEST(GemmEquivalence, CgemvRowsIsConjugateGemm) {
 
 TEST(GemmEquivalence, ScalarCherkBitExactAgainstHerUpdateReference) {
   // The scalar rank-k kernel must reproduce the historical covariance path:
-  // per-gate snapshot gather into cdouble followed by CMatrix::her_update,
+  // per-gate snapshot gather into cdouble followed by a rank-1 her_update,
   // accumulated in gate order. lds > t exercises a stride wider than the
   // training window, as in the real BinArray layout.
   BackendGuard guard;
@@ -609,7 +655,7 @@ TEST(GemmEquivalence, ScalarCherkBitExactAgainstHerUpdateReference) {
           const cfloat v = s[d * lds + g];
           snap[d] = {v.real(), v.imag()};
         }
-        ref.her_update(snap, alpha);
+        linalg::ref::her_update(ref, snap, alpha);
       }
 
       linalg::CMatrix<double> got(dof, dof);
@@ -653,60 +699,6 @@ TEST(GemmEquivalence, CherkBackendsMatchScalarWithinTolerance) {
             EXPECT_NEAR(got(i, j).imag(), ref(i, j).imag(), 1e-12 * t);
           }
         }
-      }
-    }
-  }
-}
-
-TEST(GemmEquivalence, CdotuMatchesComplexReferenceAndBackendsAgree) {
-  const simd::Ops& ref_ops = simd::ops(Backend::kScalar);
-  for (std::size_t n : kSizes) {
-    const auto x = random_cfloats(n, 61);
-    const auto y = random_cfloats(n, 62);
-    // Scalar backend vs the std::complex expression trees: bit-exact.
-    cfloat expect{};
-    for (std::size_t i = 0; i < n; ++i) expect += x[i] * y[i];
-    float rr = 0, ri = 0;
-    ref_ops.cdotu(reinterpret_cast<const float*>(x.data()),
-                  reinterpret_cast<const float*>(y.data()), n, &rr, &ri);
-    EXPECT_EQ(rr, expect.real()) << "n=" << n;
-    EXPECT_EQ(ri, expect.imag());
-    // Vector backends: lane partial sums, tolerance.
-    for (Backend b : supported_backends()) {
-      float vr = 0, vi = 0;
-      simd::ops(b).cdotu(reinterpret_cast<const float*>(x.data()),
-                         reinterpret_cast<const float*>(y.data()), n, &vr, &vi);
-      const float tol = 1e-4f * static_cast<float>(n + 1);
-      EXPECT_NEAR(vr, rr, tol) << simd::backend_name(b) << " n=" << n;
-      EXPECT_NEAR(vi, ri, tol);
-    }
-  }
-}
-
-TEST(GemmEquivalence, CmacConjArrMatchesComplexReferenceAndBackendsAgree) {
-  const simd::Ops& ref_ops = simd::ops(Backend::kScalar);
-  for (std::size_t n : kSizes) {
-    const auto a = random_cfloats(n, 63);
-    const cfloat xc{0.7f, -1.3f};
-    std::vector<cfloat> expect(n, cfloat{});
-    for (std::size_t i = 0; i < n; ++i) expect[i] += std::conj(a[i]) * xc;
-    std::vector<cfloat> got(n, cfloat{});
-    ref_ops.cmac_conj_arr(reinterpret_cast<float*>(got.data()),
-                          reinterpret_cast<const float*>(a.data()), xc.real(),
-                          xc.imag(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(got[i].real(), expect[i].real()) << "n=" << n << " i=" << i;
-      EXPECT_EQ(got[i].imag(), expect[i].imag());
-    }
-    for (Backend b : supported_backends()) {
-      std::vector<cfloat> v(n, cfloat{});
-      simd::ops(b).cmac_conj_arr(reinterpret_cast<float*>(v.data()),
-                                 reinterpret_cast<const float*>(a.data()),
-                                 xc.real(), xc.imag(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(v[i].real(), got[i].real(), 1e-5f)
-            << simd::backend_name(b) << " n=" << n;
-        EXPECT_NEAR(v[i].imag(), got[i].imag(), 1e-5f);
       }
     }
   }
@@ -757,38 +749,38 @@ TEST(GemmEquivalence, ZmacPairBitExactAcrossBackends) {
 }
 
 TEST(GemmEquivalence, MatvecPathsMatchScalarTemplatesWithinTolerance) {
-  // CMatrix<float>::matvec / matvec_herm now route through cdotu /
-  // cmac_conj_arr; the double instantiation keeps the original templates.
-  // Cross-check float against a double-widened reference.
+  // Matrix-vector products run on the GEMM kernel: A x is an n = 1 cgemm,
+  // and A^H x is the conjugate of the one-row product x^H A. Cross-check
+  // both on every backend against the plain templates on a double-widened
+  // copy.
   BackendGuard guard;
   const std::size_t rows = 7, cols = 13;
-  linalg::CMatrix<float> a(rows, cols);
-  const auto vals = random_cfloats(rows * cols, 91);
-  std::copy(vals.begin(), vals.end(), a.flat().begin());
+  const auto a = random_cfloats(rows * cols, 91);
   const auto x = random_cfloats(cols, 92);
   const auto xr = random_cfloats(rows, 93);
+  linalg::CMatrix<double> wide(rows, cols);
+  std::copy(a.begin(), a.end(), wide.flat().begin());
+  std::vector<cdouble> ax(rows), ahx(cols);
+  linalg::ref::matvec(wide, std::vector<cdouble>(x.begin(), x.end()), ax);
+  linalg::ref::matvec_herm(wide, std::vector<cdouble>(xr.begin(), xr.end()), ahx);
 
+  linalg::CgemmScratch scratch;
   for (Backend b : supported_backends()) {
     simd::force_backend(b);
-    std::vector<cfloat> y(rows);
-    a.matvec(x, y);
+    std::vector<cfloat> y(rows, cfloat{});
+    linalg::cgemm(false, rows, cols, 1, a.data(), cols, x.data(), 1, y.data(), 1,
+                  scratch);
     for (std::size_t i = 0; i < rows; ++i) {
-      cdouble acc{};
-      for (std::size_t j = 0; j < cols; ++j) {
-        acc += cdouble(a(i, j)) * cdouble(x[j]);
-      }
-      EXPECT_NEAR(y[i].real(), acc.real(), 1e-4) << simd::backend_name(b);
-      EXPECT_NEAR(y[i].imag(), acc.imag(), 1e-4);
+      EXPECT_NEAR(y[i].real(), ax[i].real(), 1e-4) << simd::backend_name(b);
+      EXPECT_NEAR(y[i].imag(), ax[i].imag(), 1e-4);
     }
-    std::vector<cfloat> yh(cols);
-    a.matvec_herm(xr, yh);
+    std::vector<cfloat> yh(cols, cfloat{});
+    linalg::cgemm(true, 1, rows, cols, xr.data(), rows, a.data(), cols, yh.data(),
+                  cols, scratch);
     for (std::size_t j = 0; j < cols; ++j) {
-      cdouble acc{};
-      for (std::size_t i = 0; i < rows; ++i) {
-        acc += std::conj(cdouble(a(i, j))) * cdouble(xr[i]);
-      }
-      EXPECT_NEAR(yh[j].real(), acc.real(), 1e-4) << simd::backend_name(b);
-      EXPECT_NEAR(yh[j].imag(), acc.imag(), 1e-4);
+      const cfloat v = std::conj(yh[j]);
+      EXPECT_NEAR(v.real(), ahx[j].real(), 1e-4) << simd::backend_name(b);
+      EXPECT_NEAR(v.imag(), ahx[j].imag(), 1e-4);
     }
   }
 }

@@ -15,6 +15,7 @@
 #include "common/simd.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/cmatrix.hpp"
+#include "linalg_reference.hpp"
 #include "stap/beamform.hpp"
 #include "stap/cfar.hpp"
 #include "stap/cube_io.hpp"
@@ -585,6 +586,34 @@ TEST(Beamform, RejectsMismatchedWeights) {
 
 // -------------------------------------------------------- pulse compress --
 
+// One range series through the production batched path: a BeamArray of one
+// bin and one beam.
+std::vector<cfloat> compress_one(const PulseCompressor& pc,
+                                 const std::vector<cfloat>& series) {
+  BeamArray beams(1, 1, series.size());
+  std::copy(series.begin(), series.end(), beams.flat().begin());
+  pc.compress(beams);
+  return {beams.flat().begin(), beams.flat().end()};
+}
+
+// The matched filter written out: circular correlation of the series with
+// the code, normalized by the code length, in double precision.
+std::vector<cdouble> naive_compress(const std::vector<cfloat>& code,
+                                    std::span<const cfloat> series) {
+  const std::size_t n = series.size();
+  std::vector<cdouble> out(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    cdouble acc{};
+    for (std::size_t k = 0; k < code.size(); ++k) {
+      const cfloat v = series[(r + k) % n];
+      acc += cdouble(v.real(), v.imag()) *
+             std::conj(cdouble(code[k].real(), code[k].imag()));
+    }
+    out[r] = acc / static_cast<double>(code.size());
+  }
+  return out;
+}
+
 TEST(PulseCompress, CodeEchoCompressesToItsGate) {
   RadarParams p = RadarParams::test_small();
   PulseCompressor pc(p);
@@ -592,7 +621,7 @@ TEST(PulseCompress, CodeEchoCompressesToItsGate) {
   std::vector<cfloat> series(p.ranges, cfloat{});
   const std::size_t r0 = 40;
   for (std::size_t k = 0; k < code.size(); ++k) series[r0 + k] = code[k];
-  pc.compress_series(series);
+  series = compress_one(pc, series);
   // Peak at r0 with (normalized) amplitude ~1; elsewhere low sidelobes.
   EXPECT_NEAR(std::abs(series[r0]), 1.0, 1e-4);
   for (std::size_t r = 0; r < p.ranges; ++r) {
@@ -606,22 +635,14 @@ TEST(PulseCompress, MatchesNaiveCircularCorrelation) {
   RadarParams p = RadarParams::test_small();
   p.ranges = 64;
   PulseCompressor pc(p);
-  const auto& code = pc.code();
   Rng rng(9);
   std::vector<cfloat> series(p.ranges);
   for (auto& v : series) v = rng.complex_normal();
-  const auto original = series;
-  pc.compress_series(series);
+  const auto expect = naive_compress(pc.code(), series);
+  series = compress_one(pc, series);
   for (std::size_t r = 0; r < p.ranges; r += 7) {
-    cdouble expect{};
-    for (std::size_t k = 0; k < code.size(); ++k) {
-      const cfloat v = original[(r + k) % p.ranges];
-      expect += cdouble(v.real(), v.imag()) *
-                std::conj(cdouble(code[k].real(), code[k].imag()));
-    }
-    expect /= static_cast<double>(code.size());
-    EXPECT_NEAR(std::abs(cdouble(series[r].real(), series[r].imag()) - expect), 0.0,
-                1e-3);
+    EXPECT_NEAR(std::abs(cdouble(series[r].real(), series[r].imag()) - expect[r]),
+                0.0, 1e-3);
   }
 }
 
@@ -636,7 +657,7 @@ TEST(PulseCompress, SnrGainOnNoisyEcho) {
   const std::size_t r0 = 64;
   const float amp = 1.0f;  // 0 dB per-sample SNR
   for (std::size_t k = 0; k < code.size(); ++k) series[r0 + k] += amp * code[k];
-  pc.compress_series(series);
+  series = compress_one(pc, series);
   // Post-compression noise power ~ 1/L; peak ~ amp -> SNR gain ~ L (9 dB for L=8).
   double noise_est = 0;
   std::size_t count = 0;
@@ -670,14 +691,11 @@ TEST(PulseCompress, BatchedCompressMatchesPerSeriesReference) {
   BeamArray beams(p.doppler_bins(), p.beams, p.ranges);
   for (auto& v : beams.flat()) v = rng.complex_normal();
 
-  // Reference: the scalar path, one series at a time.
-  std::vector<std::vector<cfloat>> expected;
+  // Reference: the naive circular correlation, one series at a time.
+  std::vector<std::vector<cdouble>> expected;
   for (std::size_t b = 0; b < beams.bins(); ++b) {
     for (std::size_t beam = 0; beam < beams.beams(); ++beam) {
-      const auto row = beams.range_series(b, beam);
-      std::vector<cfloat> series(row.begin(), row.end());
-      pc.compress_series(series);
-      expected.push_back(std::move(series));
+      expected.push_back(naive_compress(pc.code(), beams.range_series(b, beam)));
     }
   }
 
@@ -687,7 +705,8 @@ TEST(PulseCompress, BatchedCompressMatchesPerSeriesReference) {
     for (std::size_t beam = 0; beam < beams.beams(); ++beam, ++idx) {
       const auto row = beams.range_series(b, beam);
       for (std::size_t r = 0; r < p.ranges; ++r) {
-        EXPECT_NEAR(std::abs(row[r] - expected[idx][r]), 0.0, 1e-4)
+        EXPECT_NEAR(std::abs(cdouble(row[r].real(), row[r].imag()) - expected[idx][r]),
+                    0.0, 1e-4)
             << "bin " << b << " beam " << beam << " range " << r;
       }
     }
@@ -697,10 +716,10 @@ TEST(PulseCompress, BatchedCompressMatchesPerSeriesReference) {
 TEST(PulseCompress, RejectsWrongLengths) {
   const RadarParams p = RadarParams::test_small();
   PulseCompressor pc(p);
-  std::vector<cfloat> wrong(p.ranges - 1);
-  EXPECT_THROW(pc.compress_series(wrong), PreconditionError);
-  BeamArray beams(1, 1, p.ranges + 1);
-  EXPECT_THROW(pc.compress(beams), PreconditionError);
+  BeamArray shorter(1, 1, p.ranges - 1);
+  EXPECT_THROW(pc.compress(shorter), PreconditionError);
+  BeamArray longer(1, 1, p.ranges + 1);
+  EXPECT_THROW(pc.compress(longer), PreconditionError);
 }
 
 // ------------------------------------------------------------------ cfar --
@@ -1015,7 +1034,7 @@ TEST(Weights, CholeskyWeightsMatchPreKernelScalarReference) {
           const cfloat v = spectra.at(bi, d, t);
           snap[d] = {v.real(), v.imag()};
         }
-        r.her_update(snap, 1.0 / static_cast<double>(training));
+        linalg::ref::her_update(r, snap, 1.0 / static_cast<double>(training));
       }
       double trace = 0.0;
       for (std::size_t d = 0; d < dof; ++d) trace += r(d, d).real();
