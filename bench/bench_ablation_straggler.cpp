@@ -35,7 +35,7 @@ namespace {
 
 struct IoModeResult {
   double wall = 0;  ///< seconds for the measured read rounds
-  std::uint64_t hedges = 0, wins = 0, stolen = 0, expired = 0;
+  obs::IoStats io;
 };
 
 pfs::PfsConfig bench_pfs(bool sched, bool hedge, double slowdown) {
@@ -84,10 +84,7 @@ IoModeResult run_io_mode(const std::string& label, const pfs::PfsConfig& cfg) {
     const Seconds t0 = monotonic_now();
     for (int i = 0; i < kRounds; ++i) f.read(0, buf);
     out.wall = monotonic_now() - t0;
-    out.hedges = pfs.engine().hedges_launched();
-    out.wins = pfs.engine().hedge_wins();
-    out.stolen = pfs.engine().chunks_stolen();
-    out.expired = pfs.engine().deadline_expired();
+    out.io = pfs.engine().stats();
 
     if (obs::report_enabled()) {
       obs::RunReport r;
@@ -100,23 +97,7 @@ IoModeResult run_io_mode(const std::string& label, const pfs::PfsConfig& cfg) {
       r.config.straggler_slowdown = cfg.straggler_slowdown;
       r.totals.wall_s = out.wall;
       r.totals.throughput_cpis_per_s = kRounds / out.wall;
-      auto& eng = pfs.engine();
-      r.io.present = true;
-      r.io.queue_depth = eng.queue_depth();
-      r.io.service_time = eng.service_time();
-      r.io.submit_latency = eng.submit_latency();
-      for (std::size_t s = 0; s < eng.servers(); ++s) {
-        r.io.server_service_time.push_back(eng.server_service_time(s));
-      }
-      r.io.bytes_serviced = eng.bytes_serviced();
-      r.io.corrupt_chunks = eng.corrupt_chunks();
-      r.io.quarantined_servers = eng.quarantined_servers();
-      r.io.hedges_launched = eng.hedges_launched();
-      r.io.hedge_wins = eng.hedge_wins();
-      r.io.hedge_cancels = eng.hedge_cancels();
-      r.io.chunks_stolen = eng.chunks_stolen();
-      r.io.deadline_expired = eng.deadline_expired();
-      r.io.breaker_reopened = eng.breaker_reopened();
+      r.io = out.io;
       obs::ReportCollector::global().add(std::move(r));
     }
   }
@@ -256,22 +237,23 @@ int main() {
               clean_sched.wall);
   std::printf("defense counters (sched+hedge): hedges=%llu wins=%llu stolen=%llu "
               "deadline_expired=%llu\n\n",
-              static_cast<unsigned long long>(hedged.hedges),
-              static_cast<unsigned long long>(hedged.wins),
-              static_cast<unsigned long long>(hedged.stolen),
-              static_cast<unsigned long long>(hedged.expired));
+              static_cast<unsigned long long>(hedged.io.hedges_launched),
+              static_cast<unsigned long long>(hedged.io.hedge_wins),
+              static_cast<unsigned long long>(hedged.io.chunks_stolen),
+              static_cast<unsigned long long>(hedged.io.deadline_expired));
 
   // Scheduler OFF reproduces the baseline: no hedges, no steals, and the
   // hedged_reads knob alone (scheduler off) is inert.
   all_ok &= shape_check("sched OFF: no hedges/steals fire",
-                        off.hedges == 0 && off.stolen == 0 &&
-                            off_hedge.hedges == 0 && off_hedge.stolen == 0);
+                        off.io.hedges_launched == 0 && off.io.chunks_stolen == 0 &&
+                            off_hedge.io.hedges_launched == 0 &&
+                            off_hedge.io.chunks_stolen == 0);
   // The straggler must actually hurt the undefended configuration.
   all_ok &= shape_check("5x straggler slows the undefended read path",
                         off.wall > clean_off.wall * 1.5);
   // Defense engaged: the scheduler observed expirations and acted.
   all_ok &= shape_check("sched+hedge: defense engaged (hedges or steals > 0)",
-                        hedged.hedges + hedged.stolen > 0);
+                        hedged.io.hedges_launched + hedged.io.chunks_stolen > 0);
   // The tentpole claim: scheduler+hedging recovers at least 2x of the
   // straggler-induced excess time over the matching clean baseline.
   const double excess_off = off.wall - clean_off.wall;

@@ -13,15 +13,22 @@ servers) that moved — output like:
       pulse compression: +8.1e-03 s (compute p95 +31%)
       io server 3: service p50 2.10x
 
-Exit codes: 0 = within threshold, 1 = regression above threshold,
-2 = bad input (unreadable file, schema violation, no matching labels).
+Every integer counter of the io and recovery sections that moved is
+printed by name on a "counters:" line (e.g. io.hedges_launched 0->9);
+the keys come from the document, so a new counter needs no change here.
+
+Exit codes: 0 = within threshold (or valid), 1 = regression above
+threshold (or, with --validate, a schema violation), 2 = bad input
+(unreadable file, not a RunReport document, wrong schema_version, no
+matching labels).
 
 Validate mode checks a document against the RunReport schema
 (schema_version 1, see src/obs/report.hpp and DESIGN.md section 11):
 required keys with the right types, histogram consistency
 (count == sum of bucket counts, p50 <= p95 <= p99), bucket indices
-in range and ascending. Unknown keys are ignored by design — adding a
-key is not a schema break.
+in range and ascending, and every scalar counter of io and recovery a
+non-negative number. Unknown keys are ignored by design — adding a key
+is not a schema break.
 """
 
 import argparse
@@ -31,9 +38,9 @@ import sys
 SCHEMA_VERSION = 1
 
 
-def fail(msg):
+def fail(msg, code=2):
     print(f"[report-diff] error: {msg}", file=sys.stderr)
-    sys.exit(2)
+    sys.exit(code)
 
 
 def load_document(path):
@@ -54,7 +61,22 @@ def load_document(path):
 
 def check(cond, path, where, what):
     if not cond:
-        fail(f"{path}: {where}: {what}")
+        fail(f"{path}: {where}: {what}", code=1)
+
+
+def is_count(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def validate_counters(section, path, where, name):
+    """Every scalar of an io/recovery section is a counter: a non-negative
+    number. Objects and lists (histograms, servers) are checked apart."""
+    for key, v in section.items():
+        if isinstance(v, (dict, list)):
+            continue
+        check(isinstance(v, (int, float)) and not isinstance(v, bool)
+              and v >= 0, path, where,
+              f"{name}.{key} = {v!r} is not a non-negative number")
 
 
 def validate_histogram(h, path, where):
@@ -126,18 +148,20 @@ def validate_report(r, path, index):
     if "io" in r:
         io = r["io"]
         check(isinstance(io, dict), path, where, "'io' must be an object")
+        validate_counters(io, path, where, "io")
         for key in ("queue_depth", "service_time", "submit_latency"):
             validate_histogram(io.get(key), path, f"{where} io.{key}")
         check(isinstance(io.get("servers"), list), path, where,
               "io.servers missing")
         for s in io["servers"]:
-            check(isinstance(s.get("id"), int), path, where,
+            check(isinstance(s, dict) and is_count(s.get("id")), path, where,
                   "io server missing id")
             validate_histogram(s.get("service_time"), path,
                                f"{where} io server {s.get('id')}")
     if "recovery" in r:
         check(isinstance(r["recovery"], dict), path, where,
               "'recovery' must be an object")
+        validate_counters(r["recovery"], path, where, "recovery")
 
 
 def cmd_validate(paths):
@@ -235,20 +259,16 @@ def diff_servers(base, cur):
     return rows
 
 
-DEFENSE_COUNTERS = ("hedges_launched", "hedge_wins", "hedge_cancels",
-                    "chunks_stolen", "deadline_expired", "breaker_reopened")
-
-
-def diff_straggler_defense(base, cur):
-    """One-line attribution of straggler-defense activity: which adaptive
-    mechanisms (hedging, stealing, breaker probes) moved between the two
-    runs. Empty string when neither run exercised the scheduler."""
+def diff_counters(base, cur):
+    """Every integer counter of the io and recovery sections whose value
+    moved between the two runs, by name. Empty string when none moved."""
     parts = []
-    base_io, cur_io = base.get("io", {}), cur.get("io", {})
-    for key in DEFENSE_COUNTERS:
-        b, c = base_io.get(key, 0), cur_io.get(key, 0)
-        if b or c:
-            parts.append(f"{key} {b}->{c}")
+    for section in ("io", "recovery"):
+        base_sec, cur_sec = base.get(section, {}), cur.get(section, {})
+        for key, c in cur_sec.items():
+            b = base_sec.get(key, 0)
+            if is_count(c) and is_count(b) and b != c:
+                parts.append(f"{section}.{key} {b}->{c}")
     return ", ".join(parts)
 
 
@@ -287,9 +307,9 @@ def cmd_diff(baseline_path, current_path, threshold, top):
             print(f"    {name}: {delta:+.3e} s{note}")
         for r, server_id in diff_servers(base, cur)[:top]:
             print(f"    io server {server_id}: service p50 {r:.2f}x")
-        defense = diff_straggler_defense(base, cur)
-        if defense:
-            print(f"    straggler defense: {defense}")
+        counters = diff_counters(base, cur)
+        if counters:
+            print(f"    counters: {counters}")
         if bad:
             regressed = True
 

@@ -5,7 +5,9 @@
 #include <fstream>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 namespace pstap::obs {
 
@@ -82,6 +84,22 @@ void hist_field(std::ostream& out, const char* name, const Histogram& h,
                 bool& first) {
   key(out, name, first);
   h.to_json(out);
+}
+
+/// Every scalar of a counter family, in its kCounters order.
+template <class Stats>
+void counter_fields(std::ostream& out, const Stats& stats, bool& first) {
+  for (const CounterField<Stats>& c : Stats::kCounters) {
+    std::visit(
+        [&](auto member) {
+          if constexpr (std::is_same_v<decltype(member), double Stats::*>) {
+            num_field(out, c.name, stats.*member, first);
+          } else {
+            uint_field(out, c.name, stats.*member, first);
+          }
+        },
+        c.member);
+  }
 }
 
 }  // namespace
@@ -163,51 +181,32 @@ void RunReport::write_json(std::ostream& out) const {
   }
   out << "]";
 
-  if (io.present) {
+  if (io) {
     key(out, "io", f0);
     out << "{";
     bool f = true;
-    int_field(out, "queue_depth_peak", io.queue_depth_peak, f);
-    uint_field(out, "bytes_serviced", io.bytes_serviced, f);
-    uint_field(out, "retries", io.retries, f);
-    uint_field(out, "injected_delays", io.injected_delays, f);
-    uint_field(out, "injected_errors", io.injected_errors, f);
-    uint_field(out, "injected_partials", io.injected_partials, f);
-    uint_field(out, "injected_corruptions", io.injected_corruptions, f);
-    uint_field(out, "corrupt_chunks", io.corrupt_chunks, f);
-    uint_field(out, "quarantined_servers", io.quarantined_servers, f);
-    uint_field(out, "hedges_launched", io.hedges_launched, f);
-    uint_field(out, "hedge_wins", io.hedge_wins, f);
-    uint_field(out, "hedge_cancels", io.hedge_cancels, f);
-    uint_field(out, "chunks_stolen", io.chunks_stolen, f);
-    uint_field(out, "deadline_expired", io.deadline_expired, f);
-    uint_field(out, "breaker_reopened", io.breaker_reopened, f);
-    hist_field(out, "queue_depth", io.queue_depth, f);
-    hist_field(out, "service_time", io.service_time, f);
-    hist_field(out, "submit_latency", io.submit_latency, f);
+    int_field(out, "queue_depth_peak",
+              static_cast<std::int64_t>(io->queue_depth.max()), f);
+    counter_fields(out, *io, f);
+    hist_field(out, "queue_depth", io->queue_depth, f);
+    hist_field(out, "service_time", io->service_time, f);
+    hist_field(out, "submit_latency", io->submit_latency, f);
     key(out, "servers", f);
     out << "[";
-    for (std::size_t s = 0; s < io.server_service_time.size(); ++s) {
+    for (std::size_t s = 0; s < io->server_service_time.size(); ++s) {
       if (s != 0) out << ",";
       out << "\n{\"id\":" << s << ",\"service_time\":";
-      io.server_service_time[s].to_json(out);
+      io->server_service_time[s].to_json(out);
       out << "}";
     }
     out << "]}";
   }
 
-  if (recovery.present) {
+  if (recovery) {
     key(out, "recovery", f0);
     out << "{";
     bool f = true;
-    uint_field(out, "injected_crashes", recovery.injected_crashes, f);
-    uint_field(out, "crashes_detected", recovery.crashes_detected, f);
-    uint_field(out, "ranks_respawned", recovery.ranks_respawned, f);
-    uint_field(out, "io_failovers", recovery.io_failovers, f);
-    uint_field(out, "promoted_reads", recovery.promoted_reads, f);
-    uint_field(out, "replayed_messages", recovery.replayed_messages, f);
-    uint_field(out, "checkpoint_peak_bytes", recovery.checkpoint_peak_bytes, f);
-    num_field(out, "max_detection_delay_s", recovery.max_detection_delay_s, f);
+    counter_fields(out, *recovery, f);
     out << "}";
   }
 

@@ -13,6 +13,12 @@
 // report_diff.py --validate plus the committed golden report in the same
 // change.
 //
+// The `io` and `recovery` sections are the counter-family snapshots of
+// obs/stats.hpp, not copies of them: a producer assigns its stats() result
+// (`report.io = engine.stats()`), and the writer emits each family's
+// kCounters table by name. A new counter therefore reaches the report, its
+// validator and report_diff.py without touching this file.
+//
 // Producers (ThreadRunner, SimRunner, bench mains) build a RunReport and
 // hand it to ReportCollector::global() when report_enabled(); a
 // ReportSession — opened from RunOptions::report_path or $PSTAP_REPORT —
@@ -26,12 +32,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/stats.hpp"
 
 namespace pstap::obs {
 
@@ -39,7 +47,7 @@ inline constexpr int kReportSchemaVersion = 1;
 
 /// Everything one run wants to say for itself. Fields left at their
 /// defaults are still serialized (a report is a fixed-shape record, not a
-/// sparse bag), except the `present`-gated sections.
+/// sparse bag), except the optional `io` and `recovery` sections.
 struct RunReport {
   std::string label;  ///< unique within a document; diff key
   std::string kind;   ///< "functional" | "sim"
@@ -95,44 +103,13 @@ struct RunReport {
   };
   std::vector<Task> tasks;
 
-  struct Io {
-    bool present = false;  ///< functional runs only
-    Histogram queue_depth;
-    Histogram service_time;
-    Histogram submit_latency;
-    std::vector<Histogram> server_service_time;  ///< index = server id
-    std::int64_t queue_depth_peak = 0;
-    std::uint64_t bytes_serviced = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t injected_delays = 0;
-    std::uint64_t injected_errors = 0;
-    std::uint64_t injected_partials = 0;
-    std::uint64_t injected_corruptions = 0;
-    std::uint64_t corrupt_chunks = 0;
-    std::uint64_t quarantined_servers = 0;
-    // Straggler-defense counters (schema v1 additive, PR 9): zero unless
-    // the straggler scheduler ran.
-    std::uint64_t hedges_launched = 0;
-    std::uint64_t hedge_wins = 0;
-    std::uint64_t hedge_cancels = 0;
-    std::uint64_t chunks_stolen = 0;
-    std::uint64_t deadline_expired = 0;
-    std::uint64_t breaker_reopened = 0;
-  };
-  Io io;
+  /// Functional runs only. The writer emits `queue_depth_peak` (from
+  /// `queue_depth.max()`), then every IoStats::kCounters entry, then the
+  /// histograms.
+  std::optional<IoStats> io;
 
-  struct Recovery {
-    bool present = false;  ///< supervised functional runs only
-    std::uint64_t injected_crashes = 0;
-    std::uint64_t crashes_detected = 0;
-    std::uint64_t ranks_respawned = 0;
-    std::uint64_t io_failovers = 0;
-    std::uint64_t promoted_reads = 0;
-    std::uint64_t replayed_messages = 0;
-    std::uint64_t checkpoint_peak_bytes = 0;
-    double max_detection_delay_s = 0;
-  };
-  Recovery recovery;
+  /// Supervised functional runs only: every RecoveryStats::kCounters entry.
+  std::optional<RecoveryStats> recovery;
 
   /// Serialize this report as one JSON object (no enclosing document).
   void write_json(std::ostream& out) const;

@@ -76,15 +76,6 @@ struct PfsConfig {
   /// straggler_sched on and replicas == 2.
   bool hedged_reads = true;
 
-  /// Per-server service-time quantile feeding chunk deadlines (p99 by
-  /// default, per Tavakoli-style client-side scheduling).
-  double deadline_quantile = 0.99;
-
-  /// Chunk deadline = hedge_multiplier x the healthy-server quantile (the
-  /// median across servers, so one straggler cannot inflate its own
-  /// deadline and dodge hedging).
-  double hedge_multiplier = 2.0;
-
   /// Deadline floor while histograms warm up (and the minimum hedge wait).
   Seconds deadline_floor = 2e-3;
 
@@ -99,12 +90,6 @@ struct PfsConfig {
   /// histogram deltas this often, so a recovered server sheds its slow
   /// history instead of dragging it forever.
   Seconds sched_window = 250e-3;
-
-  /// A server is "slow" when its seconds-per-byte service estimate exceeds
-  /// steal_factor x the median across servers. While any server is slow,
-  /// replicated reads are placed per stripe unit on whichever copy should
-  /// finish first, and queued reads may be stolen off the slow server.
-  double steal_factor = 2.0;
 
   // Built-in straggler *emulation* for benches/tests — the functional twin
   // of sim::MachineModel::straggler_{servers,slowdown}: the first

@@ -19,7 +19,6 @@ namespace pstap::pfs {
 IoEngine::IoEngine(const PfsConfig& config)
     : bandwidth_(config.server_bandwidth),
       latency_(config.server_latency),
-      steal_factor_(config.steal_factor),
       quarantine_threshold_(config.quarantine_threshold),
       breaker_probe_interval_(config.breaker_probe_interval),
       straggler_servers_(config.straggler_servers),
@@ -159,7 +158,7 @@ std::vector<bool> IoEngine::slow_servers() const {
   const double median = lower_median(sorted);
   std::vector<bool> slow(rates.size(), false);
   for (std::size_t s = 0; s < rates.size(); ++s) {
-    slow[s] = median > 0 && rates[s] > steal_factor_ * median;
+    slow[s] = median > 0 && rates[s] > kStealFactor * median;
   }
   return slow;
 }
@@ -455,8 +454,23 @@ void IoEngine::note_outcome(std::size_t server, bool failed) {
   }
 }
 
-std::uint64_t IoEngine::bytes_serviced() const {
-  return bytes_serviced_.load(std::memory_order_relaxed);
+obs::IoStats IoEngine::stats() const {
+  obs::IoStats out;
+  out.queue_depth = queue_depth_;
+  out.service_time = service_time_;
+  out.submit_latency = submit_latency_;
+  out.server_service_time.reserve(server_service_time_.size());
+  for (const auto& h : server_service_time_) out.server_service_time.push_back(*h);
+  out.bytes_serviced = bytes_serviced_.load(std::memory_order_relaxed);
+  out.corrupt_chunks = corrupt_chunks_.load(std::memory_order_relaxed);
+  out.quarantined_servers = quarantined_count_.load(std::memory_order_relaxed);
+  out.hedges_launched = hedges_launched_.load(std::memory_order_relaxed);
+  out.hedge_wins = hedge_wins_.load(std::memory_order_relaxed);
+  out.hedge_cancels = hedge_cancels_.load(std::memory_order_relaxed);
+  out.chunks_stolen = chunks_stolen_.load(std::memory_order_relaxed);
+  out.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
+  out.breaker_reopened = breaker_reopened_.load(std::memory_order_relaxed);
+  return out;
 }
 
 }  // namespace pstap::pfs

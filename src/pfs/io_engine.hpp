@@ -26,11 +26,18 @@
 #include "common/retry.hpp"
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
+#include "obs/stats.hpp"
 #include "pfs/config.hpp"
 
 namespace pstap::pfs {
 
 class StragglerScheduler;
+
+/// A server is "slow" when its seconds-per-byte service estimate exceeds
+/// kStealFactor x the median across servers. While any server is slow,
+/// replicated reads are placed per stripe unit on whichever copy should
+/// finish first, and queued reads may be stolen off the slow server.
+inline constexpr double kStealFactor = 2.0;
 
 /// Raised when a serviced chunk fails CRC32C verification. Derives IoError
 /// (and is not permanent), so retry layers re-read the chunk — corruption
@@ -284,20 +291,9 @@ class IoEngine {
   /// against service time, not queue depth).
   void submit(std::size_t server, Job job, bool front = false);
 
-  /// Total bytes serviced so far (reads + writes), for tests/benches.
-  /// Hedge losers are excluded: a chunk's bytes count exactly once.
-  std::uint64_t bytes_serviced() const;
-
-  /// Chunks whose served bytes failed CRC32C verification (each raised a
-  /// retryable ChecksumError toward the requester).
-  std::uint64_t corrupt_chunks() const {
-    return corrupt_chunks_.load(std::memory_order_relaxed);
-  }
-
-  /// Stripe directories quarantined by the circuit breaker since mount.
-  std::uint64_t quarantined_servers() const {
-    return quarantined_count_.load(std::memory_order_relaxed);
-  }
+  /// Snapshot of this engine's histograms and counters (see obs::IoStats;
+  /// the retry and fault-plan fields stay 0 — the engine does not see them).
+  obs::IoStats stats() const;
 
   /// True when `server`'s circuit breaker is open — clients holding a
   /// replica should redirect reads away from it. With a probe interval
@@ -307,34 +303,10 @@ class IoEngine {
   /// `breaker_reopened` bumps) or re-opens it for another interval.
   bool quarantined(std::size_t server) const;
 
-  // ------------------------------------------- straggler-defense counters --
-  /// Speculative backup reads launched past a quantile deadline.
-  std::uint64_t hedges_launched() const {
-    return hedges_launched_.load(std::memory_order_relaxed);
-  }
-  /// Hedged chunks where the backup beat the original.
-  std::uint64_t hedge_wins() const {
-    return hedge_wins_.load(std::memory_order_relaxed);
-  }
-  /// Jobs discarded unserviced because their twin already claimed the chunk.
-  std::uint64_t hedge_cancels() const {
-    return hedge_cancels_.load(std::memory_order_relaxed);
-  }
-  /// Read pieces moved off a slow primary onto its replica, at submit
-  /// (replica-balanced placement) or from the queue (stealing).
-  std::uint64_t chunks_stolen() const {
-    return chunks_stolen_.load(std::memory_order_relaxed);
-  }
+  /// Read pieces StripedFile placed on a replica at submit; they count
+  /// toward stats().chunks_stolen with the pieces the scheduler steals.
   void record_chunks_stolen(std::uint64_t pieces) {
     chunks_stolen_.fetch_add(pieces, std::memory_order_relaxed);
-  }
-  /// Jobs observed in flight past their quantile deadline.
-  std::uint64_t deadline_expired() const {
-    return deadline_expired_.load(std::memory_order_relaxed);
-  }
-  /// Quarantined stripe directories re-admitted by a half-open probe.
-  std::uint64_t breaker_reopened() const {
-    return breaker_reopened_.load(std::memory_order_relaxed);
   }
 
   // ------------------------------------------------------- observability --
@@ -377,7 +349,7 @@ class IoEngine {
   }
 
   /// Slowness verdict per server: its seconds-per-byte estimate exceeds
-  /// `config.steal_factor` x the median across warm servers. The one
+  /// kStealFactor x the median across warm servers. The one
   /// signal behind replica-balanced read placement and queue stealing.
   std::vector<bool> slow_servers() const;
 
@@ -438,7 +410,6 @@ class IoEngine {
 
   double bandwidth_;
   double latency_;
-  double steal_factor_;
   std::size_t quarantine_threshold_;
   Seconds breaker_probe_interval_;
   std::size_t straggler_servers_;

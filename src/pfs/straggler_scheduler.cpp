@@ -95,7 +95,7 @@ void StragglerScheduler::refresh_quantiles(Seconds now) {
     // Quantiles are sticky: a freshly re-baselined (thin) window keeps the
     // previous estimate instead of flapping back to "cold".
     if (total >= cfg_.deadline_min_samples) {
-      w.pq = window_quantile(w, cfg_.deadline_quantile);
+      w.pq = window_quantile(w, kDeadlineQuantile);
     }
     if (w.pq > 0) pqs.push_back(w.pq);
   }
@@ -106,7 +106,7 @@ void StragglerScheduler::refresh_quantiles(Seconds now) {
   // up with its own slow history (it is exactly the server we must not
   // let set the bar).
   const double healthy_pq = median(pqs);
-  budget_.store(std::max(cfg_.deadline_floor, cfg_.hedge_multiplier * healthy_pq),
+  budget_.store(std::max(cfg_.deadline_floor, kHedgeMultiplier * healthy_pq),
                 std::memory_order_relaxed);
 }
 

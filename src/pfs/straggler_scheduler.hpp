@@ -8,7 +8,7 @@
 //     (bucket-count deltas against a baseline re-taken every
 //     `sched_window`), so a recovered server sheds its slow history;
 //   * quantile deadlines — every submitted job gets an absolute deadline
-//     of now + max(floor, hedge_multiplier x healthy p-quantile), where
+//     of now + max(floor, kHedgeMultiplier x healthy p-quantile), where
 //     "healthy" is the MEDIAN across servers — a straggler cannot
 //     inflate its own deadline and dodge the defense;
 //   * hedged reads — a hedge-capable job (read with a replica) that
@@ -17,7 +17,7 @@
 //     chunk claim, the loser is discarded without touching user memory,
 //     metrics, or the checksum catalog (see detail::ChunkState);
 //   * queue stealing — jobs still QUEUED on a quarantined server, or on a
-//     slow one (IoEngine::slow_servers: seconds-per-byte > steal_factor x
+//     slow one (IoEngine::slow_servers: seconds-per-byte > kStealFactor x
 //     the median) whose replica is expected to finish them sooner, are
 //     moved to the replica server's queue, fd swapped to the replica copy;
 //   * EDF reorder — queues are kept sorted by deadline, so stolen jobs
@@ -37,6 +37,15 @@
 #include "pfs/io_engine.hpp"
 
 namespace pstap::pfs {
+
+/// Per-server service-time quantile feeding chunk deadlines (p99, per
+/// Tavakoli-style client-side scheduling).
+inline constexpr double kDeadlineQuantile = 0.99;
+
+/// Chunk deadline budget = kHedgeMultiplier x the healthy-server quantile
+/// (the median across servers, so one straggler cannot inflate its own
+/// deadline and dodge hedging).
+inline constexpr double kHedgeMultiplier = 2.0;
 
 class StragglerScheduler {
  public:
@@ -70,7 +79,7 @@ class StragglerScheduler {
     std::array<std::uint64_t, obs::Histogram::kBuckets> baseline{};
     std::array<std::uint64_t, obs::Histogram::kBuckets> delta{};
     std::uint64_t samples = 0;
-    double pq = 0.0;  ///< config.deadline_quantile
+    double pq = 0.0;  ///< kDeadlineQuantile
   };
 
   void run();

@@ -67,9 +67,6 @@ class StripedFileSystem {
   /// Per-unit CRC32C catalog backing end-to-end read verification.
   ChecksumCatalog& checksums() noexcept { return checksums_; }
 
-  /// Total bytes moved through the I/O servers since mount.
-  std::uint64_t bytes_serviced() const { return engine_->bytes_serviced(); }
-
  private:
   friend class StripedFile;
 

@@ -213,9 +213,9 @@ void Supervisor::finish() {
   }
 }
 
-RecoveryStats Supervisor::stats() const {
+obs::RecoveryStats Supervisor::stats() const {
   std::lock_guard lock(mu_);
-  RecoveryStats out = stats_;
+  obs::RecoveryStats out = stats_;
   out.promoted_reads = promoted_reads_.load(std::memory_order_relaxed);
   for (const auto& ring : rings_) {
     out.replayed_messages += ring->messages_replayed();

@@ -40,6 +40,7 @@
 
 #include "common/checkpoint.hpp"
 #include "common/types.hpp"
+#include "obs/stats.hpp"
 
 namespace pstap::mp {
 class World;
@@ -63,17 +64,6 @@ struct SupervisorOptions {
 
   /// Total respawns allowed across the run; exceeding it aborts.
   int max_respawns = 8;
-};
-
-/// Recovery counters for one supervised run.
-struct RecoveryStats {
-  std::uint64_t crashes_detected = 0;
-  std::uint64_t ranks_respawned = 0;
-  std::uint64_t io_failovers = 0;       ///< I/O-task ranks abandoned
-  std::uint64_t promoted_reads = 0;     ///< slab pieces Doppler self-read
-  std::uint64_t replayed_messages = 0;  ///< checkpoint-log replay hits
-  std::uint64_t checkpoint_peak_bytes = 0;
-  Seconds max_detection_delay = 0;  ///< worst death -> monitor-action gap
 };
 
 class Supervisor {
@@ -123,8 +113,9 @@ class Supervisor {
   /// respawned threads, and rethrow the abort cause if the run failed.
   void finish();
 
-  /// Counters (ring-derived fields folded in on each call).
-  RecoveryStats stats() const;
+  /// Counters (ring-derived fields folded in on each call). Leaves
+  /// `injected_crashes` at 0: the fault plan, not the supervisor, counts it.
+  obs::RecoveryStats stats() const;
 
  private:
   enum class RankState { kAlive, kDeadPending, kAbandoned, kFinished };
@@ -162,7 +153,7 @@ class Supervisor {
   std::string abort_reason_;
   std::exception_ptr first_error_;
   int total_respawns_ = 0;
-  RecoveryStats stats_;  // counter fields maintained under mu_
+  obs::RecoveryStats stats_;  // counter fields maintained under mu_
 };
 
 }  // namespace pstap::pipeline

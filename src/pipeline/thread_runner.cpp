@@ -1186,43 +1186,16 @@ RunResult ThreadRunner::run() {
   }
   // I/O-side distributions and counters for this run (the engine and the
   // fault plan both live exactly one run, so these are per-run snapshots).
-  result.metrics.io.queue_depth = fs.engine().queue_depth();
-  result.metrics.io.service_time = fs.engine().service_time();
-  result.metrics.io.submit_latency = fs.engine().submit_latency();
-  result.metrics.io.server_service_time.reserve(fs.engine().servers());
-  for (std::size_t s = 0; s < fs.engine().servers(); ++s) {
-    result.metrics.io.server_service_time.push_back(
-        fs.engine().server_service_time(s));
-  }
-  result.metrics.io.bytes_serviced = fs.engine().bytes_serviced();
+  result.metrics.io = fs.engine().stats();
   result.metrics.io.retries = io_retry_counter().value() - retries_before;
-  result.metrics.io.corrupt_chunks = fs.engine().corrupt_chunks();
-  result.metrics.io.quarantined_servers = fs.engine().quarantined_servers();
-  result.metrics.io.hedges_launched = fs.engine().hedges_launched();
-  result.metrics.io.hedge_wins = fs.engine().hedge_wins();
-  result.metrics.io.hedge_cancels = fs.engine().hedge_cancels();
-  result.metrics.io.chunks_stolen = fs.engine().chunks_stolen();
-  result.metrics.io.deadline_expired = fs.engine().deadline_expired();
-  result.metrics.io.breaker_reopened = fs.engine().breaker_reopened();
+  if (supervisor) result.metrics.recovery = supervisor->stats();
   if (options_.fault_plan) {
-    result.metrics.io.injected_delays = options_.fault_plan->injected_delays();
-    result.metrics.io.injected_errors = options_.fault_plan->injected_errors();
-    result.metrics.io.injected_partials = options_.fault_plan->injected_partials();
-    result.metrics.io.injected_corruptions =
-        options_.fault_plan->injected_corruptions();
-    result.metrics.recovery.injected_crashes =
-        options_.fault_plan->injected_crashes();
-  }
-  if (supervisor) {
-    const RecoveryStats rs = supervisor->stats();
-    auto& rec = result.metrics.recovery;
-    rec.crashes_detected = rs.crashes_detected;
-    rec.ranks_respawned = rs.ranks_respawned;
-    rec.io_failovers = rs.io_failovers;
-    rec.promoted_reads = rs.promoted_reads;
-    rec.replayed_messages = rs.replayed_messages;
-    rec.checkpoint_peak_bytes = rs.checkpoint_peak_bytes;
-    rec.max_detection_delay = rs.max_detection_delay;
+    const fault::FaultPlan& plan = *options_.fault_plan;
+    result.metrics.io.injected_delays = plan.injected_delays();
+    result.metrics.io.injected_errors = plan.injected_errors();
+    result.metrics.io.injected_partials = plan.injected_partials();
+    result.metrics.io.injected_corruptions = plan.injected_corruptions();
+    result.metrics.recovery.injected_crashes = plan.injected_crashes();
   }
   // Union the per-rank dropped-CPI sets and suppress those CPIs'
   // detections: a degraded read zero-fills only one node's slab, so the
@@ -1309,40 +1282,8 @@ RunResult ThreadRunner::run() {
       task.phases.push_back({"send", t.send, t.send_hist});
       report.tasks.push_back(std::move(task));
     }
-    const auto& io = result.metrics.io;
-    report.io.present = true;
-    report.io.queue_depth = io.queue_depth;
-    report.io.service_time = io.service_time;
-    report.io.submit_latency = io.submit_latency;
-    report.io.server_service_time = io.server_service_time;
-    report.io.queue_depth_peak =
-        static_cast<std::int64_t>(io.queue_depth.max());
-    report.io.bytes_serviced = io.bytes_serviced;
-    report.io.retries = io.retries;
-    report.io.injected_delays = io.injected_delays;
-    report.io.injected_errors = io.injected_errors;
-    report.io.injected_partials = io.injected_partials;
-    report.io.injected_corruptions = io.injected_corruptions;
-    report.io.corrupt_chunks = io.corrupt_chunks;
-    report.io.quarantined_servers = io.quarantined_servers;
-    report.io.hedges_launched = io.hedges_launched;
-    report.io.hedge_wins = io.hedge_wins;
-    report.io.hedge_cancels = io.hedge_cancels;
-    report.io.chunks_stolen = io.chunks_stolen;
-    report.io.deadline_expired = io.deadline_expired;
-    report.io.breaker_reopened = io.breaker_reopened;
-    if (options_.supervise.enabled) {
-      const auto& rec = result.metrics.recovery;
-      report.recovery.present = true;
-      report.recovery.injected_crashes = rec.injected_crashes;
-      report.recovery.crashes_detected = rec.crashes_detected;
-      report.recovery.ranks_respawned = rec.ranks_respawned;
-      report.recovery.io_failovers = rec.io_failovers;
-      report.recovery.promoted_reads = rec.promoted_reads;
-      report.recovery.replayed_messages = rec.replayed_messages;
-      report.recovery.checkpoint_peak_bytes = rec.checkpoint_peak_bytes;
-      report.recovery.max_detection_delay_s = rec.max_detection_delay;
-    }
+    report.io = result.metrics.io;
+    if (options_.supervise.enabled) report.recovery = result.metrics.recovery;
     obs::ReportCollector::global().add(std::move(report));
   }
   return result;

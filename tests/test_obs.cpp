@@ -3,7 +3,8 @@
 // span nesting under concurrent emitters), the one-load disabled fast path
 // (no allocations), the always-on flight ring (wraparound, crash-dump on
 // supervisor abort), RunReport export (schema round-trip, Table-3 ordering
-// from report data alone, report_diff.py attribution), IoEngine
+// from report data alone, io/recovery counters equal to the run's own,
+// report_diff.py attribution and counter validation), IoEngine
 // queue-depth distributions, and the functional runner's PSTAP_TRACE
 // acceptance: spans for every task phase of every CPI plus an instant
 // event for every injected fault.
@@ -92,6 +93,7 @@ struct Json {
   std::string str;
   std::vector<Json> array;
   std::map<std::string, Json> object;
+  std::vector<std::string> keys;  ///< object keys in document order
 
   const Json& at(const std::string& key) const {
     const auto it = object.find(key);
@@ -173,6 +175,7 @@ class JsonParser {
       Json key = string();
       ws();
       expect(':');
+      v.keys.push_back(key.str);
       v.object.emplace(std::move(key.str), value());
       ws();
       if (peek() == ',') {
@@ -812,6 +815,108 @@ TEST(RunReportTest, SchemaRoundTripAndTable3OrderingFromReportData) {
   fsys::remove(path);
 }
 
+// A supervised functional run with injected corruption and one crash: the
+// report's io and recovery objects keep their published key order, and
+// every counter in them is the run's own RunResult value.
+TEST(RunReportTest, FunctionalReportCountersMatchRunResult) {
+  const fsys::path root =
+      fsys::temp_directory_path() /
+      ("pstap_obs_counters_" + std::to_string(::getpid()));
+  const fsys::path path = root / "report.json";
+  fsys::remove_all(root);
+  fsys::create_directories(root);
+
+  const auto p = stap::RadarParams::test_small();
+  const auto spec = pipeline::PipelineSpec::embedded_io(p, {1, 1, 1, 1, 1, 1, 1});
+  pipeline::RunOptions opt;
+  opt.cpis = 4;
+  opt.warmup = 1;
+  opt.seed = 77;
+  opt.fs_root = root / "fs";
+  opt.scene.cnr_db = 40.0;
+  opt.scene.targets = {{40, 8.0, 0.0, 18.0}, {90, 1.0, -0.35, 25.0}};
+  opt.supervise.enabled = true;
+  opt.supervise.heartbeat_interval = 2e-3;
+  opt.supervise.hang_timeout = 30.0;
+  opt.io_retry.max_attempts = 8;
+  opt.io_retry.initial_backoff = 1e-4;
+  opt.fault_plan = std::make_shared<fault::FaultPlan>(59);
+  opt.fault_plan->arm_corruption("pfs.server.read", 1.0, /*max_hits=*/5);
+  opt.fault_plan->arm_crash("pipeline.rank.3", /*at_index=*/2);
+
+  pipeline::RunResult result;
+  {
+    obs::ReportSession session(path);
+    ASSERT_TRUE(session.active());
+    result = pipeline::ThreadRunner(spec, opt).run();
+  }
+  const obs::IoStats& io = result.metrics.io;
+  const obs::RecoveryStats& rec = result.metrics.recovery;
+  ASSERT_EQ(io.injected_corruptions, 5u) << "the fault plan must fire";
+  ASSERT_EQ(rec.crashes_detected, 1u) << "the fault plan must fire";
+
+  const Json doc = parse_trace_file(path);
+  ASSERT_EQ(doc.at("reports").array.size(), 1u);
+  const Json& report = doc.at("reports").array.front();
+
+  // Key order and values, written out by hand (not read from kCounters)
+  // so a mis-wired table entry fails here. The order is the schema-v1
+  // order the report had before the counter structs were shared.
+  const auto d = [](std::uint64_t v) { return static_cast<double>(v); };
+  const std::vector<std::pair<std::string, double>> want_io = {
+      {"queue_depth_peak", io.queue_depth.max()},
+      {"bytes_serviced", d(io.bytes_serviced)},
+      {"retries", d(io.retries)},
+      {"injected_delays", d(io.injected_delays)},
+      {"injected_errors", d(io.injected_errors)},
+      {"injected_partials", d(io.injected_partials)},
+      {"injected_corruptions", d(io.injected_corruptions)},
+      {"corrupt_chunks", d(io.corrupt_chunks)},
+      {"quarantined_servers", d(io.quarantined_servers)},
+      {"hedges_launched", d(io.hedges_launched)},
+      {"hedge_wins", d(io.hedge_wins)},
+      {"hedge_cancels", d(io.hedge_cancels)},
+      {"chunks_stolen", d(io.chunks_stolen)},
+      {"deadline_expired", d(io.deadline_expired)},
+      {"breaker_reopened", d(io.breaker_reopened)},
+  };
+  const std::vector<std::pair<std::string, double>> want_rec = {
+      {"injected_crashes", d(rec.injected_crashes)},
+      {"crashes_detected", d(rec.crashes_detected)},
+      {"ranks_respawned", d(rec.ranks_respawned)},
+      {"io_failovers", d(rec.io_failovers)},
+      {"promoted_reads", d(rec.promoted_reads)},
+      {"replayed_messages", d(rec.replayed_messages)},
+      {"checkpoint_peak_bytes", d(rec.checkpoint_peak_bytes)},
+      {"max_detection_delay_s", rec.max_detection_delay},
+  };
+  const auto names = [](const auto& want) {
+    std::vector<std::string> out;
+    for (const auto& [name, value] : want) out.push_back(name);
+    return out;
+  };
+
+  const Json& io_json = report.at("io");
+  std::vector<std::string> io_keys = names(want_io);
+  for (const char* k : {"queue_depth", "service_time", "submit_latency", "servers"}) {
+    io_keys.push_back(k);
+  }
+  EXPECT_EQ(io_json.keys, io_keys);
+  for (const auto& [name, value] : want_io) {
+    EXPECT_EQ(io_json.at(name).number, value) << "io." << name;
+  }
+  EXPECT_EQ(io_json.at("queue_depth").at("count").number,
+            d(io.queue_depth.count()));
+  EXPECT_EQ(io_json.at("servers").array.size(), io.server_service_time.size());
+
+  const Json& rec_json = report.at("recovery");
+  EXPECT_EQ(rec_json.keys, names(want_rec));
+  for (const auto& [name, value] : want_rec) {
+    EXPECT_EQ(rec_json.at(name).number, value) << "recovery." << name;
+  }
+  fsys::remove_all(root);
+}
+
 // ------------------------------------------------------- report_diff.py --
 
 obs::RunReport synthetic_report(double compute_scale) {
@@ -859,8 +964,11 @@ TEST(ReportDiff, AttributesSyntheticSlowdownToTheSlowedStage) {
   const fsys::path cur_path = dir / "cur.json";
   const fsys::path out_path = dir / "out.txt";
 
-  const std::vector<obs::RunReport> base{synthetic_report(1.0)};
-  const std::vector<obs::RunReport> cur{synthetic_report(2.0)};  // 2x compute
+  std::vector<obs::RunReport> base{synthetic_report(1.0)};
+  std::vector<obs::RunReport> cur{synthetic_report(2.0)};  // 2x compute
+  base[0].io.emplace();
+  cur[0].io.emplace();
+  cur[0].io->hedges_launched = 7;  // a moved counter, reported by name
   obs::write_report_document(base_path, base);
   obs::write_report_document(cur_path, cur);
 
@@ -892,7 +1000,72 @@ TEST(ReportDiff, AttributesSyntheticSlowdownToTheSlowedStage) {
     EXPECT_LT(slow_at, fast_at) << out;
   }
   EXPECT_NE(out.find("compute p95"), std::string::npos) << out;
+  EXPECT_NE(out.find("io.hedges_launched 0->7"), std::string::npos) << out;
+  EXPECT_EQ(out.find("hedge_wins"), std::string::npos)
+      << "only counters that moved are listed\n" << out;
 
+  fsys::remove_all(dir);
+}
+
+// --validate rejects an io or recovery counter that is not a non-negative
+// number, naming it, with exit 1 rather than a Python traceback.
+TEST(ReportDiff, ValidateRejectsNonNumericOrNegativeCounters) {
+  if (std::system("python3 -c pass >/dev/null 2>&1") != 0) {
+    GTEST_SKIP() << "python3 unavailable";
+  }
+  const fsys::path dir =
+      fsys::temp_directory_path() /
+      ("pstap_obs_counters_diff_" + std::to_string(::getpid()));
+  fsys::remove_all(dir);
+  fsys::create_directories(dir);
+
+  std::vector<obs::RunReport> reports{synthetic_report(1.0)};
+  reports[0].io.emplace();
+  reports[0].io->hedges_launched = 7;
+  reports[0].recovery.emplace();
+  reports[0].recovery->crashes_detected = 2;
+  std::ostringstream doc;
+  obs::write_report_document(doc, reports);
+
+  const std::string script =
+      (fsys::path(PSTAP_SCRIPTS_DIR) / "report_diff.py").string();
+  const auto validate = [&](const std::string& name, const std::string& text,
+                            std::string& out) {
+    const fsys::path path = dir / (name + ".json");
+    const fsys::path out_path = dir / (name + ".txt");
+    std::ofstream(path) << text;
+    const std::string cmd = "python3 '" + script + "' --validate '" +
+                            path.string() + "' >'" + out_path.string() + "' 2>&1";
+    const int rc = WEXITSTATUS(std::system(cmd.c_str()));
+    std::ifstream in(out_path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    out = buf.str();
+    return rc;
+  };
+  const auto replaced = [&](const std::string& from, const std::string& to) {
+    std::string text = doc.str();
+    const auto at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
+  };
+
+  std::string out;
+  EXPECT_EQ(validate("good", doc.str(), out), 0) << out;
+  for (const auto& [name, text] : std::vector<std::pair<std::string, std::string>>{
+           {"io_string", replaced("\"hedges_launched\":7", "\"hedges_launched\":\"7\"")},
+           {"io_negative", replaced("\"hedges_launched\":7", "\"hedges_launched\":-7")},
+           {"recovery_string",
+            replaced("\"crashes_detected\":2", "\"crashes_detected\":\"two\"")},
+           {"recovery_negative",
+            replaced("\"crashes_detected\":2", "\"crashes_detected\":-2")}}) {
+    EXPECT_EQ(validate(name, text, out), 1) << name << "\n" << out;
+    const char* counter =
+        name.starts_with("io") ? "io.hedges_launched" : "recovery.crashes_detected";
+    EXPECT_NE(out.find(counter), std::string::npos) << name << "\n" << out;
+    EXPECT_EQ(out.find("Traceback"), std::string::npos) << name << "\n" << out;
+  }
   fsys::remove_all(dir);
 }
 

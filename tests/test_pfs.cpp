@@ -156,10 +156,10 @@ TEST(Pfs, BytesServicedCountsTraffic) {
   TempDir tmp;
   StripedFileSystem pfs(tmp.path(), small_cfg(2, 64));
   pfs.write_file("f", pattern_bytes(1000, 3));
-  const auto after_write = pfs.bytes_serviced();
+  const auto after_write = pfs.engine().stats().bytes_serviced;
   EXPECT_GE(after_write, 1000u);
   (void)pfs.read_file("f");
-  EXPECT_GE(pfs.bytes_serviced(), after_write + 1000u);
+  EXPECT_GE(pfs.engine().stats().bytes_serviced, after_write + 1000u);
 }
 
 // ------------------------------------------------------------- lifecycle --
@@ -387,14 +387,14 @@ TEST(Pfs, DroppedIoRequestDrainsBeforeItsBufferIsFreed) {
   auto plan = std::make_shared<fault::FaultPlan>(19);
   plan->arm_delay("pfs.server.read", 1.0, 5e-3, 10e-3);
   fault::FaultScope scope(plan);
-  const std::uint64_t before = pfs.bytes_serviced();
+  const std::uint64_t before = pfs.engine().stats().bytes_serviced;
   {
     std::vector<std::byte> first(512), second(512);
     IoRequest req = f.iread(0, first);
     req = f.iread(512, second);  // drains the first request
-    EXPECT_GE(pfs.bytes_serviced() - before, 512u);
+    EXPECT_GE(pfs.engine().stats().bytes_serviced - before, 512u);
   }  // drains the second
-  EXPECT_EQ(pfs.bytes_serviced() - before, 1024u);
+  EXPECT_EQ(pfs.engine().stats().bytes_serviced - before, 1024u);
 }
 
 TEST(Pfs, WaitWithTimeoutZeroMeansUnbounded) {

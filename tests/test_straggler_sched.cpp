@@ -190,7 +190,7 @@ TEST(StragglerSched, HedgedReadsRecoverFromStragglerAndCountOnce) {
   StripedFileSystem pfs(tmp.path(), cfg);
 
   StripedFile f = pfs.open("f");
-  const std::uint64_t bytes_before = pfs.engine().bytes_serviced();
+  const std::uint64_t bytes_before = pfs.engine().stats().bytes_serviced;
   std::uint64_t logical = 0;
   // Warm-up reads are serviced exactly once each too, so they simply add
   // to the expected byte total: 3 passes over the 48 healthy units.
@@ -204,13 +204,13 @@ TEST(StragglerSched, HedgedReadsRecoverFromStragglerAndCountOnce) {
   }
   // Exactly-once accounting: serviced bytes grow by the logical bytes
   // read — hedge losers must not add theirs, and none may be lost.
-  EXPECT_EQ(pfs.engine().bytes_serviced() - bytes_before, logical);
-  EXPECT_GT(pfs.engine().hedges_launched(), 0u)
+  EXPECT_EQ(pfs.engine().stats().bytes_serviced - bytes_before, logical);
+  EXPECT_GT(pfs.engine().stats().hedges_launched, 0u)
       << "a 20x straggler must blow through the quantile deadline";
-  EXPECT_GT(pfs.engine().hedge_wins(), 0u)
+  EXPECT_GT(pfs.engine().stats().hedge_wins, 0u)
       << "the replica read must beat a 20x-slowed original";
-  EXPECT_GE(pfs.engine().deadline_expired(), pfs.engine().hedges_launched());
-  EXPECT_EQ(pfs.engine().corrupt_chunks(), 0u);
+  EXPECT_GE(pfs.engine().stats().deadline_expired, pfs.engine().stats().hedges_launched);
+  EXPECT_EQ(pfs.engine().stats().corrupt_chunks, 0u);
 }
 
 // wait() stays idempotent when hedges are in flight: double wait and
@@ -268,7 +268,7 @@ TEST(StragglerSched, ConcurrentHedgedReadersSeeCorrectBytes) {
   }
   for (auto& th : readers) th.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(pfs.engine().corrupt_chunks(), 0u);
+  EXPECT_EQ(pfs.engine().stats().corrupt_chunks, 0u);
 }
 
 // Fault-injected delay on one server (instead of modeled slowdown):
@@ -295,7 +295,7 @@ TEST(StragglerSched, HedgeRacesInjectedDelayWinnerTakesChunk) {
     f.read(0, buf);
     ASSERT_EQ(buf, data) << "round " << round;
   }
-  EXPECT_EQ(pfs.engine().corrupt_chunks(), 0u);
+  EXPECT_EQ(pfs.engine().stats().corrupt_chunks, 0u);
 }
 
 // ------------------------------------------------------ queue stealing --
@@ -327,7 +327,7 @@ TEST(StragglerSched, QuarantinedServerReadsStayCorrect) {
     with_retry(policy, "straggler read", [&] { f.read(0, buf); });
     ASSERT_EQ(buf, data);
   }
-  EXPECT_GT(pfs.engine().quarantined_servers(), 0u);
+  EXPECT_GT(pfs.engine().stats().quarantined_servers, 0u);
 }
 
 // ------------------------------------------- replica-balanced placement --
@@ -399,13 +399,13 @@ TEST(StragglerSched, BalancedPlacementSpreadsStragglerReads) {
   ASSERT_TRUE(pfs.engine().slow_servers()[0]);
 
   StripedFile f = pfs.open("f");
-  const std::uint64_t bytes_before = pfs.engine().bytes_serviced();
+  const std::uint64_t bytes_before = pfs.engine().stats().bytes_serviced;
   std::vector<std::byte> buf(data.size());
   f.read(0, buf);
   EXPECT_EQ(buf, data);
-  EXPECT_EQ(pfs.engine().bytes_serviced() - bytes_before, data.size());
-  EXPECT_GT(pfs.engine().chunks_stolen(), 0u);
-  EXPECT_EQ(pfs.engine().corrupt_chunks(), 0u);
+  EXPECT_EQ(pfs.engine().stats().bytes_serviced - bytes_before, data.size());
+  EXPECT_GT(pfs.engine().stats().chunks_stolen, 0u);
+  EXPECT_EQ(pfs.engine().stats().corrupt_chunks, 0u);
 
   auto plan = std::make_shared<fault::FaultPlan>(89);
   plan->arm_corruption("pfs.server.read.sd001", 1.0, /*max_hits=*/1);
@@ -426,7 +426,8 @@ TEST(StragglerSched, BalancedPlacementSpreadsStragglerReads) {
         << "unit " << i * 4;
   }
   EXPECT_EQ(plan->injected_corruptions(), 1u);
-  EXPECT_EQ(pfs.engine().corrupt_chunks(), 1u) << "a diverted piece must be CRC-verified";
+  EXPECT_EQ(pfs.engine().stats().corrupt_chunks, 1u)
+      << "a diverted piece must be CRC-verified";
 }
 
 // ------------------------------------------------- breaker half-open --
@@ -459,7 +460,7 @@ TEST(StragglerBreaker, HalfOpenProbeReadmitsRecoveredServer) {
   EXPECT_EQ(with_retry(policy, "read", [&] { return pfs.read_file("f"); }),
             data);
   EXPECT_TRUE(pfs.engine().quarantined(0));
-  EXPECT_EQ(pfs.engine().breaker_reopened(), 0u);
+  EXPECT_EQ(pfs.engine().stats().breaker_reopened, 0u);
 
   // Probe interval elapses -> quarantined() decays to half-open and admits
   // the next read as the probe; the fault budget is spent, so the probe
@@ -467,7 +468,7 @@ TEST(StragglerBreaker, HalfOpenProbeReadmitsRecoveredServer) {
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   EXPECT_FALSE(pfs.engine().quarantined(0)) << "probe window must admit traffic";
   EXPECT_EQ(pfs.read_file("f"), data);
-  EXPECT_EQ(pfs.engine().breaker_reopened(), 1u);
+  EXPECT_EQ(pfs.engine().stats().breaker_reopened, 1u);
   EXPECT_FALSE(pfs.engine().quarantined(0));
 }
 
@@ -502,7 +503,7 @@ TEST(StragglerBreaker, FailedProbeReopensBreaker) {
   EXPECT_EQ(with_retry(policy, "probe read",
                        [&] { return pfs.read_file("f"); }),
             data);
-  EXPECT_EQ(pfs.engine().breaker_reopened(), 0u);
+  EXPECT_EQ(pfs.engine().stats().breaker_reopened, 0u);
   EXPECT_TRUE(pfs.engine().quarantined(0));
 }
 

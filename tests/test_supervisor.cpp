@@ -350,7 +350,7 @@ TEST(PfsQuarantine, BreakerRedirectsReadsToReplica) {
     EXPECT_EQ(got, data);
     EXPECT_TRUE(fs.engine().quarantined(0));
     EXPECT_FALSE(fs.engine().quarantined(1));
-    EXPECT_EQ(fs.engine().quarantined_servers(), 1u);
+    EXPECT_EQ(fs.engine().stats().quarantined_servers, 1u);
   }
   EXPECT_GT(plan->injected_errors(), 0u);
   fsys::remove_all(root, ec);
