@@ -1,6 +1,7 @@
 // Retry with exponential backoff for I/O operations, and the timeout
-// error raised when a bounded wait expires. Header-only; used by
-// stap::cube_io and pipeline::collective_read_slab.
+// error raised when a bounded wait expires. Header-only; with_retry is the
+// one retry loop: stap::cube_io, pipeline::collective_read_slab and the
+// pipeline's slab reader (every per-CPI read, failover included) use it.
 #pragma once
 
 #include <algorithm>
@@ -11,28 +12,16 @@
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "obs/trace.hpp"
 
 namespace pstap {
 
-/// Process-wide count of I/O retry sleeps (with_retry and the slab-reader
-/// loop in pipeline/thread_runner both bump it). Looked up once: registry
-/// references are stable.
+/// Process-wide count of I/O retry sleeps (with_retry bumps it). Looked up
+/// once: registry references are stable.
 inline obs::Counter& io_retry_counter() {
   static obs::Counter& counter = obs::Registry::global().counter("io.retries");
   return counter;
-}
-
-/// Mark one retry attempt: counted always, traced when tracing is on.
-inline void note_io_retry(std::string_view what, int next_attempt) {
-  io_retry_counter().add(1);
-  if (obs::trace_enabled()) {
-    obs::TraceRecorder::global().instant(
-        "retry", "retry.attempt " + std::to_string(next_attempt),
-        obs::kLibraryPid, -1, what);
-  }
 }
 
 /// Raised when an I/O request exceeds its per-attempt timeout. Derives
@@ -42,67 +31,17 @@ class TimeoutError : public IoError {
   using IoError::IoError;
 };
 
+/// Backoff growth per attempt, and the cap on a single backoff sleep.
+inline constexpr double kBackoffMultiplier = 2.0;
+inline constexpr Seconds kMaxBackoff = 100e-3;
+
 /// Retry configuration for an I/O consumer. The default (one attempt, no
 /// timeout) preserves the pre-fault-layer behavior: fail fast.
 struct RetryPolicy {
-  int max_attempts = 1;             ///< total attempts, >= 1
-  Seconds initial_backoff = 1e-3;   ///< sleep before the second attempt
-  double backoff_multiplier = 2.0;  ///< backoff growth per attempt
-  Seconds max_backoff = 100e-3;     ///< cap on a single backoff sleep
-  Seconds attempt_timeout = 0;      ///< per-attempt wait bound (0 = none)
-  double backoff_jitter = 0;        ///< fraction of backoff randomized, [0,1]
-  std::uint64_t jitter_seed = 0;    ///< base seed for deterministic jitter
-
-  // Deadline-aware timeouts (straggler defense, DESIGN.md §12): when a
-  // service-time distribution is supplied to effective_attempt_timeout,
-  // the per-attempt bound adapts to observed behavior instead of the
-  // fixed attempt_timeout — deadline_multiplier x its deadline_quantile,
-  // floored by deadline_floor. 0 multiplier disables adaptation.
-  double deadline_multiplier = 0;     ///< x quantile (0 = fixed timeout)
-  double deadline_quantile = 0.99;    ///< which quantile bounds an attempt
-  Seconds deadline_floor = 10e-3;     ///< never adapt below this
-  std::uint64_t deadline_min_samples = 64;  ///< trust the quantile after N
+  int max_attempts = 1;            ///< total attempts, >= 1
+  Seconds initial_backoff = 1e-3;  ///< sleep before the second attempt
+  Seconds attempt_timeout = 0;     ///< per-attempt wait bound (0 = none)
 };
-
-/// The per-attempt timeout to use right now: the observed-quantile deadline
-/// when the policy opts in (deadline_multiplier > 0) and `service_time` has
-/// warmed past deadline_min_samples, else the fixed attempt_timeout. The
-/// adaptive bound never falls below the floor, and never *loosens* a fixed
-/// attempt_timeout the caller set (min of the two when both are active) —
-/// a straggling server tightens the bound, it cannot relax it.
-inline Seconds effective_attempt_timeout(const RetryPolicy& policy,
-                                         const obs::Histogram* service_time) {
-  if (policy.deadline_multiplier <= 0 || service_time == nullptr ||
-      service_time->count() < policy.deadline_min_samples) {
-    return policy.attempt_timeout;
-  }
-  const Seconds adaptive =
-      std::max(policy.deadline_floor,
-               policy.deadline_multiplier *
-                   service_time->quantile(policy.deadline_quantile));
-  if (policy.attempt_timeout <= 0) return adaptive;
-  return std::min(policy.attempt_timeout, adaptive);
-}
-
-/// The backoff sleep before attempt `next_attempt`, with the policy's
-/// jitter applied. Jitter is *deterministic*: the draw is a pure function
-/// of (jitter_seed, what, next_attempt) via common/rng.hpp SplitMix64, so a
-/// chaos run replays byte-identically from one seed regardless of thread
-/// interleaving. A jitter fraction j maps backoff b to [(1-j)b, b).
-inline Seconds jittered_backoff(const RetryPolicy& policy,
-                                std::string_view what, int next_attempt,
-                                Seconds backoff) {
-  if (policy.backoff_jitter <= 0) return backoff;
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the call site name
-  for (char c : what) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  Rng rng(policy.jitter_seed ^ h ^
-          (static_cast<std::uint64_t>(next_attempt) * 0x9e3779b97f4a7c15ULL));
-  const double jitter = std::min(1.0, policy.backoff_jitter);
-  return backoff * (1.0 - jitter * rng.uniform());
-}
 
 /// True for errors that retrying cannot fix (a permanently failed server).
 inline bool is_permanent(const std::exception& e) {
@@ -112,7 +51,9 @@ inline bool is_permanent(const std::exception& e) {
 
 /// Run `op` up to policy.max_attempts times, retrying on IoError with
 /// exponential backoff. Permanent errors and non-I/O errors propagate
-/// immediately; the last attempt's error propagates unconditionally.
+/// immediately; the last attempt's error propagates unconditionally. Each
+/// retry is counted in io.retries and, when tracing, marked by a
+/// "retry.attempt N" instant.
 template <typename Op>
 auto with_retry(const RetryPolicy& policy, const std::string& what,
                 Op&& op) -> decltype(op()) {
@@ -126,10 +67,14 @@ auto with_retry(const RetryPolicy& policy, const std::string& what,
         throw;
       }
     }
-    note_io_retry(what, attempt + 1);
-    const Seconds sleep = jittered_backoff(policy, what, attempt + 1, backoff);
-    std::this_thread::sleep_for(std::chrono::duration<double>(sleep));
-    backoff = std::min(policy.max_backoff, backoff * policy.backoff_multiplier);
+    io_retry_counter().add(1);
+    if (obs::trace_enabled()) {
+      obs::TraceRecorder::global().instant(
+          "retry", "retry.attempt " + std::to_string(attempt + 1),
+          obs::kLibraryPid, -1, what);
+    }
+    std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
+    backoff = std::min(kMaxBackoff, backoff * kBackoffMultiplier);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 
 namespace pstap::obs {
@@ -21,29 +22,6 @@ bool flight_default() {
 }  // namespace
 std::atomic<bool> g_flight_enabled{flight_default()};
 }  // namespace detail
-
-namespace {
-
-void json_escape(std::ostream& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 FlightRecorder& FlightRecorder::global() {
   static FlightRecorder* recorder = new FlightRecorder();  // never destroyed:

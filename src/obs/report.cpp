@@ -9,6 +9,8 @@
 #include <utility>
 #include <variant>
 
+#include "obs/json.hpp"
+
 namespace pstap::obs {
 
 namespace detail {
@@ -18,25 +20,6 @@ std::atomic<bool> g_report_enabled{false};
 namespace {
 
 std::atomic<bool> g_report_session_active{false};
-
-void json_escape(std::ostream& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
 
 void write_double(std::ostream& out, double v) {
   char buf[40];

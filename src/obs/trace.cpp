@@ -7,6 +7,8 @@
 #include <limits>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace pstap::obs {
 
 namespace detail {
@@ -18,25 +20,6 @@ namespace {
 // Set while a TraceSession owns the recorder, so nested sessions (a runner
 // inside trace_explorer) stay passive instead of stealing the export.
 std::atomic<bool> g_session_active{false};
-
-void json_escape(std::ostream& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
 
 /// Chrome's "ts" field is microseconds; keep nanosecond precision with
 /// three decimals.

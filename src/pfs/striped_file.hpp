@@ -95,10 +95,6 @@ class StripedFile {
     write(offset, std::as_bytes(data));
   }
 
-  /// Owning file system (for engine/config introspection, e.g. feeding
-  /// service-time quantiles into deadline-aware retry policies).
-  StripedFileSystem* filesystem() const noexcept { return fs_; }
-
  private:
   friend class StripedFileSystem;
   StripedFile(StripedFileSystem* fs, std::string name, std::uint64_t file_id,

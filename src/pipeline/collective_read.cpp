@@ -27,16 +27,11 @@ stap::DataCube collective_read_slab(mp::Comm& group, pfs::StripedFile& file,
   int my_degraded = 0;
   if (!mine.empty()) {
     try {
-      // Deadline-aware bound: the engine's observed service-time quantile
-      // replaces the fixed attempt_timeout once warm (no-op unless the
-      // policy sets deadline_multiplier).
-      const Seconds timeout = effective_attempt_timeout(
-          retry, &file.filesystem()->engine().service_time());
       with_retry(retry, "collective_read_slab(" + file.name() + ")", [&] {
         pfs::IoRequest req = file.iread_values<cfloat>(
             static_cast<std::uint64_t>(row_lo) * params.ranges * sizeof(cfloat),
             std::span<cfloat>(mine));
-        pfs::wait_with_timeout(req, timeout,
+        pfs::wait_with_timeout(req, retry.attempt_timeout,
                                "collective_read_slab(" + file.name() + ")");
       });
     } catch (const IoError&) {

@@ -9,6 +9,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 
 #include "common/simd.hpp"
 #include "common/wall_clock.hpp"
@@ -294,88 +295,97 @@ stap::WeightSet default_weights(const stap::WeightComputer& wc,
 
 // ------------------------------------------------------------- I/O nodes --
 
-/// Shared logic for reading range slabs of the round-robin files with
-/// next-CPI prefetch when the file system supports asynchronous reads.
+/// Open the round-robin CPI files (file f holds CPIs f, f + n, ...).
+std::vector<pfs::StripedFile> open_round_robin(const NodeCtx& ctx) {
+  std::vector<pfs::StripedFile> files;
+  for (std::size_t f = 0; f < ctx.opt.round_robin_files; ++f) {
+    files.push_back(ctx.fs.open(stap::round_robin_name(f, ctx.opt.round_robin_files)));
+  }
+  return files;
+}
+
+/// Every pipeline read of a range slab [r_lo, r_hi) of the round-robin
+/// files: the read task's, the embedded Doppler node's, and a Doppler
+/// node's failover reads for a dead read rank. Double-buffered, so the
+/// next CPI's read can be in flight while this one is consumed.
+///
+/// Declaration order keeps the async buffers safe: pending_ is declared
+/// after bufs_, so its IoRequest destructors drain every in-flight read
+/// before the buffers they write into are freed.
 class SlabReader {
  public:
   SlabReader(NodeCtx& ctx, std::size_t r_lo, std::size_t r_hi)
-      : ctx_(ctx), r_lo_(r_lo), r_hi_(r_hi) {
+      : ctx_(ctx), r_lo_(r_lo), r_hi_(r_hi), files_(open_round_robin(ctx)) {
     const auto& p = ctx.params();
     const std::size_t n = (r_hi - r_lo) * p.pulses * p.channels;
     bufs_[0].resize(n);
     bufs_[1].resize(n);
-    for (std::size_t f = 0; f < ctx.opt.round_robin_files; ++f) {
-      files_.push_back(ctx.fs.open(stap::round_robin_name(f, ctx.opt.round_robin_files)));
-    }
   }
 
-  bool empty() const { return r_lo_ >= r_hi_; }
+  /// Issue `cpi`'s read ahead of its wait(): only where the file system
+  /// reads asynchronously, so the read overlaps compute and send, and only
+  /// for a CPI the run consumes. Synchronous-only systems (PIOFS) pay the
+  /// full read inside wait() — the contrast the paper studies.
+  void prefetch(int cpi) {
+    if (ctx_.fs.config().supports_async && cpi < ctx_.opt.cpis) start(cpi);
+  }
 
+  /// The raw file-order slab of `cpi`, issuing the read first when nothing
+  /// was prefetched. Transient failures are retried per opt.io_retry by
+  /// reissuing the whole slab read (failed chunk buffers cannot be
+  /// salvaged piecemeal). When the error is permanent or attempts run out
+  /// the slab is zero-filled and *dropped set: graceful degradation, since
+  /// a throwing node would wedge every peer in World::run.
+  std::span<const cfloat> wait(int cpi, bool* dropped) {
+    if (r_lo_ >= r_hi_) return {};
+    const std::size_t slot = static_cast<std::size_t>(cpi & 1);
+    if (issued_[slot] != cpi) start(cpi);
+    auto& buf = bufs_[slot];
+    const std::string what = "slab read of cpi " + std::to_string(cpi);
+    bool reissue = false;
+    try {
+      with_retry(ctx_.opt.io_retry, what, [&] {
+        if (std::exchange(reissue, true)) start(cpi);
+        if (std::exception_ptr e = std::exchange(start_error_[slot], nullptr)) {
+          std::rethrow_exception(e);
+        }
+        pfs::wait_with_timeout(pending_[slot], ctx_.opt.io_retry.attempt_timeout,
+                               what);
+      });
+    } catch (const IoError&) {
+      std::fill(buf.begin(), buf.end(), cfloat{});
+      *dropped = true;
+    }
+    return buf;
+  }
+
+ private:
   /// Issue the read for `cpi` (async where supported). Submit-time faults
   /// (the logical pfs.file site, or a sync-mode chunk error) are captured
   /// and surfaced by wait(), so prefetch call sites stay exception-free.
   void start(int cpi) {
-    if (empty()) return;
+    if (r_lo_ >= r_hi_) return;
+    const std::size_t slot = static_cast<std::size_t>(cpi & 1);
     // Observable overlap: each double-buffered issue counts here, so runs
     // can verify the next-CPI read really is in flight during compute.
     obs::Registry::global().counter("io.slab_reads_started").add(1);
-    start_error_[cpi & 1] = nullptr;
+    issued_[slot] = cpi;
+    start_error_[slot] = nullptr;
     try {
       auto& file = files_[static_cast<std::size_t>(cpi) % files_.size()];
-      pending_[cpi & 1] = stap::start_read_cpi_slab(
-          file, ctx_.params(), r_lo_, r_hi_, std::span<cfloat>(bufs_[cpi & 1]),
-          ctx_.opt.file_layout);
+      pending_[slot] = stap::start_read_cpi_slab(file, ctx_.params(), r_lo_, r_hi_,
+                                                 std::span<cfloat>(bufs_[slot]),
+                                                 ctx_.opt.file_layout);
     } catch (const IoError&) {
-      start_error_[cpi & 1] = std::current_exception();
+      start_error_[slot] = std::current_exception();
     }
   }
 
-  /// Wait for `cpi`'s read; returns the raw file-order slab. Transient
-  /// failures are retried per opt.io_retry by reissuing the whole slab
-  /// read (failed chunk buffers cannot be salvaged piecemeal). When the
-  /// error is permanent or attempts are exhausted: with `dropped` set the
-  /// slab is zero-filled and *dropped flagged (graceful degradation — a
-  /// throwing node would wedge every peer in World::run); with `dropped`
-  /// == nullptr the error propagates.
-  std::span<const cfloat> wait(int cpi, bool* dropped = nullptr) {
-    if (empty()) return {};
-    auto& buf = bufs_[cpi & 1];
-    const RetryPolicy& retry = ctx_.opt.io_retry;
-    Seconds backoff = retry.initial_backoff;
-    for (int attempt = 1;; ++attempt) {
-      try {
-        if (start_error_[cpi & 1]) {
-          std::exception_ptr e = start_error_[cpi & 1];
-          start_error_[cpi & 1] = nullptr;
-          std::rethrow_exception(e);
-        }
-        pfs::wait_with_timeout(
-            pending_[cpi & 1],
-            effective_attempt_timeout(retry, &ctx_.fs.engine().service_time()),
-            "slab read of cpi " + std::to_string(cpi));
-        return buf;
-      } catch (const IoError& e) {
-        if (attempt >= retry.max_attempts || is_permanent(e)) {
-          if (dropped == nullptr) throw;
-          std::fill(buf.begin(), buf.end(), cfloat{});
-          *dropped = true;
-          return buf;
-        }
-      }
-      note_io_retry("slab read of cpi " + std::to_string(cpi), attempt + 1);
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      backoff = std::min(retry.max_backoff, backoff * retry.backoff_multiplier);
-      start(cpi);
-    }
-  }
-
-  bool async_capable() const { return ctx_.fs.config().supports_async; }
-
- private:
   NodeCtx& ctx_;
   std::size_t r_lo_, r_hi_;
   std::vector<pfs::StripedFile> files_;
   std::array<std::vector<cfloat>, 2> bufs_;
+  std::array<int, 2> issued_{-1, -1};  // the CPI each slot's read is for
   std::array<pfs::IoRequest, 2> pending_;
   std::array<std::exception_ptr, 2> start_error_;
 };
@@ -391,21 +401,17 @@ void run_read_node(NodeCtx& ctx, PhaseClock& clock) {
   SlabReader reader(ctx, r_lo, r_hi);
   const std::size_t per_range = p.pulses * p.channels;
 
-  // Async-capable systems prefetch the next CPI so the read overlaps the
-  // send phase; synchronous-only systems (PIOFS) pay the full read inside
-  // the receive phase — the contrast the paper studies.
   const int cpi0 = ctx.resume_cpi();
-  if (reader.async_capable()) reader.start(cpi0);
+  reader.prefetch(cpi0);
   for (int cpi = cpi0; cpi < ctx.opt.cpis; ++cpi) {
     clock.start_cpi(cpi);
     std::span<const cfloat> raw;
     clock.recv([&] {
-      if (!reader.async_capable()) reader.start(cpi);
       bool dropped = false;
       raw = reader.wait(cpi, &dropped);
       if (dropped) ctx.mark_dropped(cpi);
     });
-    if (cpi + 1 < ctx.opt.cpis && reader.async_capable()) reader.start(cpi + 1);
+    reader.prefetch(cpi + 1);
     clock.send([&] {
       for (int d = 0; d < dops; ++d) {
         const std::size_t lo = std::max(r_lo, theirs.begin(static_cast<std::size_t>(d)));
@@ -459,12 +465,9 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
       doppler_ranks.push_back(ctx.rank_of(TaskKind::kDoppler, d));
     }
     doppler_group = ctx.world.subgroup(doppler_ranks);
-    for (std::size_t f = 0; f < ctx.opt.round_robin_files; ++f) {
-      collective_files.push_back(
-          ctx.fs.open(stap::round_robin_name(f, ctx.opt.round_robin_files)));
-    }
+    collective_files = open_round_robin(ctx);
   } else if (embedded) {
-    reader.emplace(ctx, r_lo, r_hi);  // first start() issued before the loop
+    reader.emplace(ctx, r_lo, r_hi);
   } else {
     raw_recv.resize((r_hi - r_lo) * p.pulses * p.channels);
   }
@@ -473,47 +476,19 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
   const std::size_t per_range = p.pulses * p.channels;
 
   // I/O-task failover: once the supervisor abandons a crashed read rank,
-  // this Doppler node promotes to embedded I/O for that rank's slab pieces
-  // — opened lazily, since most runs never need them.
-  std::vector<pfs::StripedFile> failover_files;
-  auto self_read = [&](int cpi, std::size_t lo, std::size_t hi,
-                       std::span<cfloat> piece) {
-    if (failover_files.empty()) {
-      for (std::size_t f = 0; f < ctx.opt.round_robin_files; ++f) {
-        failover_files.push_back(
-            ctx.fs.open(stap::round_robin_name(f, ctx.opt.round_robin_files)));
-      }
-    }
-    auto& file = failover_files[static_cast<std::size_t>(cpi) % failover_files.size()];
-    const std::string what = "failover read of cpi " + std::to_string(cpi);
-    try {
-      with_retry(ctx.opt.io_retry, what, [&] {
-        // Separate-I/O mode requires range-major files, so rows [lo, hi)
-        // are exactly the contiguous piece the dead rank would have sent.
-        auto req = stap::start_read_cpi_slab(file, p, lo, hi, piece,
-                                             ctx.opt.file_layout);
-        pfs::wait_with_timeout(
-            req,
-            effective_attempt_timeout(ctx.opt.io_retry,
-                                      &ctx.fs.engine().service_time()),
-            what);
-      });
-    } catch (const IoError&) {
-      // Same degradation contract as SlabReader: zero-fill and drop the
-      // CPI rather than wedging the pipeline.
-      std::fill(piece.begin(), piece.end(), cfloat{});
-      ctx.mark_dropped(cpi);
-    }
-    ctx.sup->note_promoted_read();
-  };
+  // this node promotes to embedded reads of that rank's slab pieces, with
+  // one reader per dead source — made on first use, since most runs never
+  // need one.
+  std::vector<std::optional<SlabReader>> failover(static_cast<std::size_t>(reads));
 
-  // Receive one raw slab piece from read rank `src`, surviving its death:
+  // Receive one raw slab piece from read rank `s`, surviving its death:
   // replay from the checkpoint first; otherwise poll the mailbox against
   // the supervisor's failover flag. All of a dead rank's sends are visible
   // before failed() turns true, so the probe-after-failed re-check cannot
   // strand a delivered message (which FIFO would hand to the wrong CPI).
-  auto recv_piece = [&](int cpi, int src, std::size_t lo, std::size_t hi,
+  auto recv_piece = [&](int cpi, int s, std::size_t lo, std::size_t hi,
                         std::span<cfloat> piece) {
+    const int src = ctx.rank_of(TaskKind::kParallelRead, s);
     if (ctx.sup == nullptr) {
       ctx.world.recv_into<cfloat>(src, kTagRaw, piece);
       return;
@@ -530,9 +505,17 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
         break;
       }
       if (ctx.sup->failed(src) && !ctx.world.probe(src, kTagRaw)) {
-        self_read(cpi, lo, hi, piece);
+        // Separate-I/O mode requires range-major files, so rows [lo, hi)
+        // are exactly the contiguous piece the dead rank would have sent.
+        auto& self = failover[static_cast<std::size_t>(s)];
+        if (!self) self.emplace(ctx, lo, hi);
+        bool dropped = false;
+        const auto raw = self->wait(cpi, &dropped);
+        if (dropped) ctx.mark_dropped(cpi);
+        ctx.sup->note_promoted_read();
+        std::copy(raw.begin(), raw.end(), piece.begin());
         payload = ctx.payload_for(piece.size());
-        std::copy(piece.begin(), piece.end(), payload.as_span<cfloat>().begin());
+        std::copy(raw.begin(), raw.end(), payload.as_span<cfloat>().begin());
         break;
       }
       if (ctx.sup->aborted()) throw mp::MailboxClosed("supervised run aborting");
@@ -550,7 +533,7 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
   stap::DataCube cube;
   stap::DopplerOutput out;
   const int cpi0 = ctx.resume_cpi();
-  if (reader && reader->async_capable()) reader->start(cpi0);
+  if (reader) reader->prefetch(cpi0);
   for (int cpi = cpi0; cpi < ctx.opt.cpis; ++cpi) {
     clock.start_cpi(cpi);
     if (collective) {
@@ -563,15 +546,13 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
         if (degraded) ctx.mark_dropped(cpi);
       });
     } else if (embedded) {
-      std::span<const cfloat> raw;
       clock.recv([&] {
-        if (!reader->async_capable()) reader->start(cpi);
         bool dropped = false;
-        raw = reader->wait(cpi, &dropped);
+        const auto raw = reader->wait(cpi, &dropped);
         if (dropped) ctx.mark_dropped(cpi);
         stap::unpack_slab_into(p, r_lo, r_hi, raw, cube, ctx.opt.file_layout);
       });
-      if (cpi + 1 < ctx.opt.cpis && reader->async_capable()) reader->start(cpi + 1);
+      reader->prefetch(cpi + 1);
     } else {
       clock.recv([&] {
         for (int s = 0; s < reads; ++s) {
@@ -582,7 +563,7 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
           if (lo >= hi) continue;
           auto piece = std::span<cfloat>(raw_recv)
                            .subspan((lo - r_lo) * per_range, (hi - lo) * per_range);
-          recv_piece(cpi, ctx.rank_of(TaskKind::kParallelRead, s), lo, hi, piece);
+          recv_piece(cpi, s, lo, hi, piece);
         }
         stap::unpack_slab_into(p, r_lo, r_hi, raw_recv, cube);
       });
@@ -694,6 +675,37 @@ void run_weights_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
 
 // ------------------------------------------------------- beamform nodes --
 
+/// Route each row block — the (beams x ranges) rows of absolute bin
+/// bins[b] — to the `dest_kind` node owning that bin under a block
+/// partition of the full bin space, counting first so each pooled payload
+/// is sized exactly.
+void ship_rows(const NodeCtx& ctx, const stap::BeamArray& rows,
+               const std::vector<std::size_t>& bins, TaskKind dest_kind, int tag) {
+  const auto& p = ctx.params();
+  const int dests = ctx.nodes_of(dest_kind);
+  const BlockPartition part(p.doppler_bins(), static_cast<std::size_t>(dests));
+  for (int n = 0; n < dests; ++n) {
+    const auto owned = [&](std::size_t bin) {
+      return part.owner(bin) == static_cast<std::size_t>(n);
+    };
+    const auto nbins =
+        static_cast<std::size_t>(std::count_if(bins.begin(), bins.end(), owned));
+    if (nbins == 0) continue;
+    mp::Buffer payload = ctx.payload_for(nbins * p.beams * p.ranges);
+    const auto buf = payload.as_span<cfloat>();
+    std::size_t idx = 0;
+    for (std::size_t b = 0; b < bins.size(); ++b) {
+      if (!owned(bins[b])) continue;
+      for (std::size_t beam = 0; beam < p.beams; ++beam) {
+        const auto row = rows.range_series(b, beam);
+        std::copy(row.begin(), row.end(), buf.begin() + idx);
+        idx += p.ranges;
+      }
+    }
+    ctx.world.send_buffer(ctx.rank_of(dest_kind, n), tag, std::move(payload));
+  }
+}
+
 void run_beamform_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
   const auto& p = ctx.params();
   const auto ids = hard ? p.hard_bins() : p.easy_bins();
@@ -709,12 +721,10 @@ void run_beamform_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
   const int dops = ctx.nodes_of(TaskKind::kDoppler);
   const TaskKind pc_kind = ctx.spec.combined_pc_cfar ? TaskKind::kPulseCompressionCfar
                                                      : TaskKind::kPulseCompression;
-  const int n_pc = ctx.nodes_of(pc_kind);
 
   const BlockPartition mine(ids.size(), static_cast<std::size_t>(n_self));
   const BlockPartition wc_part(ids.size(), static_cast<std::size_t>(n_wc));
   const BlockPartition ranges(p.ranges, static_cast<std::size_t>(dops));
-  const BlockPartition pc_part(p.doppler_bins(), static_cast<std::size_t>(n_pc));
   const std::size_t b_lo = mine.begin(static_cast<std::size_t>(ctx.local));
   const std::size_t b_hi = mine.end(static_cast<std::size_t>(ctx.local));
   std::vector<std::size_t> my_ids(ids.begin() + b_lo, ids.begin() + b_hi);
@@ -774,29 +784,7 @@ void run_beamform_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
     stap::BeamArray out;
     clock.comp([&] { out = bf.apply(spectra, current); });
 
-    clock.send([&] {
-      // Route each absolute bin's (beams x ranges) block to its PC owner,
-      // counting first so the pooled payload is sized exactly.
-      for (int n = 0; n < n_pc; ++n) {
-        std::size_t nbins = 0;
-        for (std::size_t b = 0; b < my_ids.size(); ++b) {
-          if (pc_part.owner(my_ids[b]) == static_cast<std::size_t>(n)) ++nbins;
-        }
-        if (nbins == 0) continue;
-        mp::Buffer payload = ctx.payload_for(nbins * p.beams * p.ranges);
-        const auto buf = payload.as_span<cfloat>();
-        std::size_t idx = 0;
-        for (std::size_t b = 0; b < my_ids.size(); ++b) {
-          if (pc_part.owner(my_ids[b]) != static_cast<std::size_t>(n)) continue;
-          for (std::size_t beam = 0; beam < p.beams; ++beam) {
-            const auto row = out.range_series(b, beam);
-            std::copy(row.begin(), row.end(), buf.begin() + idx);
-            idx += p.ranges;
-          }
-        }
-        ctx.world.send_buffer(ctx.rank_of(pc_kind, n), beam_tag, std::move(payload));
-      }
-    });
+    clock.send([&] { ship_rows(ctx, out, my_ids, pc_kind, beam_tag); });
     ctx.complete_cpi(cpi);
   }
 }
@@ -834,8 +822,7 @@ struct RowRoute {
 };
 
 RowRoute make_row_route(const NodeCtx& ctx, const RowPlan& plan,
-                        TaskKind sender_kind, int tag, bool sender_is_bf_easy,
-                        bool sender_is_bf_hard) {
+                        TaskKind sender_kind, int tag) {
   const auto& p = ctx.params();
   const int senders = ctx.nodes_of(sender_kind);
   const auto easy_ids = p.easy_bins();
@@ -851,13 +838,16 @@ RowRoute make_row_route(const NodeCtx& ctx, const RowPlan& plan,
     return static_cast<std::size_t>(it - plan.bins.begin());
   };
 
+  const bool bf_easy = sender_kind == TaskKind::kBeamformEasy;
+  const bool bf_hard = sender_kind == TaskKind::kBeamformHard;
   RowRoute route{sender_kind, tag, {}};
   route.slots_per_sender.resize(static_cast<std::size_t>(senders));
   for (int s = 0; s < senders; ++s) {
     auto& slots = route.slots_per_sender[static_cast<std::size_t>(s)];
-    if (sender_is_bf_easy || sender_is_bf_hard) {
-      const auto& ids = sender_is_bf_easy ? easy_ids : hard_ids;
-      const auto& my = sender_is_bf_easy ? plan.easy_bins : plan.hard_bins;
+    if (bf_easy || bf_hard) {
+      // A BF sender partitions its own (easy or hard) bin list.
+      const auto& ids = bf_easy ? easy_ids : hard_ids;
+      const auto& my = bf_easy ? plan.easy_bins : plan.hard_bins;
       const BlockPartition sp(ids.size(), static_cast<std::size_t>(senders));
       for (const std::size_t bin : my) {
         if (sp.owner(local_index_of(ids, bin)) == static_cast<std::size_t>(s)) {
@@ -900,20 +890,27 @@ void receive_rows(NodeCtx& ctx, int cpi, stap::BeamArray& rows,
   }
 }
 
-void run_pc_node(NodeCtx& ctx, PhaseClock& clock) {
+/// The tail row stage: pulse compression (kPulseCompression) shipping its
+/// rows to CFAR, CFAR detection (kCfar), or both in one task
+/// (kPulseCompressionCfar, the paper's task combination).
+void run_row_node(NodeCtx& ctx, PhaseClock& clock, TaskKind kind) {
   const auto& p = ctx.params();
-  const int n_pc = ctx.nodes_of(TaskKind::kPulseCompression);
-  const int n_cfar = ctx.nodes_of(TaskKind::kCfar);
-  const BlockPartition mine(p.doppler_bins(), static_cast<std::size_t>(n_pc));
-  const BlockPartition cfar_part(p.doppler_bins(), static_cast<std::size_t>(n_cfar));
+  const BlockPartition mine(p.doppler_bins(),
+                            static_cast<std::size_t>(ctx.nodes_of(kind)));
   const RowPlan plan = make_row_plan(p, mine, ctx.local);
-  const RowRoute easy_route =
-      make_row_route(ctx, plan, TaskKind::kBeamformEasy, kTagBeamEasy, true, false);
-  const RowRoute hard_route =
-      make_row_route(ctx, plan, TaskKind::kBeamformHard, kTagBeamHard, false, true);
-
-  stap::PulseCompressor pc(p);
+  std::vector<RowRoute> routes;
+  std::optional<stap::PulseCompressor> pc;
+  std::optional<stap::CfarDetector> cfar;
+  if (kind == TaskKind::kCfar) {
+    routes.push_back(make_row_route(ctx, plan, TaskKind::kPulseCompression, kTagPcOut));
+  } else {
+    routes.push_back(make_row_route(ctx, plan, TaskKind::kBeamformEasy, kTagBeamEasy));
+    routes.push_back(make_row_route(ctx, plan, TaskKind::kBeamformHard, kTagBeamHard));
+    pc.emplace(p);
+  }
+  if (kind != TaskKind::kPulseCompression) cfar.emplace(p);
   stap::BeamArray rows(plan.bins.size(), p.beams, p.ranges);
+  auto& sink = ctx.results->detections[static_cast<std::size_t>(ctx.world.rank())];
 
   for (int cpi = ctx.resume_cpi(); cpi < ctx.opt.cpis; ++cpi) {
     clock.start_cpi(cpi);
@@ -922,57 +919,12 @@ void run_pc_node(NodeCtx& ctx, PhaseClock& clock) {
       continue;
     }
     clock.recv([&] {
-      receive_rows(ctx, cpi, rows, easy_route);
-      receive_rows(ctx, cpi, rows, hard_route);
+      for (const RowRoute& route : routes) receive_rows(ctx, cpi, rows, route);
     });
-    clock.comp([&] { pc.compress(rows); });
-    clock.send([&] {
-      for (int n = 0; n < n_cfar; ++n) {
-        std::size_t nbins = 0;
-        for (const std::size_t bin : plan.bins) {
-          if (cfar_part.owner(bin) == static_cast<std::size_t>(n)) ++nbins;
-        }
-        if (nbins == 0) continue;
-        mp::Buffer payload = ctx.payload_for(nbins * p.beams * p.ranges);
-        const auto out = payload.as_span<cfloat>();
-        std::size_t idx = 0;
-        for (std::size_t b = 0; b < plan.bins.size(); ++b) {
-          if (cfar_part.owner(plan.bins[b]) != static_cast<std::size_t>(n)) continue;
-          for (std::size_t beam = 0; beam < p.beams; ++beam) {
-            const auto row = rows.range_series(b, beam);
-            std::copy(row.begin(), row.end(), out.begin() + idx);
-            idx += p.ranges;
-          }
-        }
-        ctx.world.send_buffer(ctx.rank_of(TaskKind::kCfar, n), kTagPcOut,
-                              std::move(payload));
-      }
-    });
-    ctx.complete_cpi(cpi);
-  }
-}
-
-void run_cfar_node(NodeCtx& ctx, PhaseClock& clock, int my_world_rank) {
-  const auto& p = ctx.params();
-  const int n_cfar = ctx.nodes_of(TaskKind::kCfar);
-  const BlockPartition mine(p.doppler_bins(), static_cast<std::size_t>(n_cfar));
-  const RowPlan plan = make_row_plan(p, mine, ctx.local);
-  const RowRoute pc_route = make_row_route(ctx, plan, TaskKind::kPulseCompression,
-                                           kTagPcOut, false, false);
-
-  stap::CfarDetector cfar(p);
-  stap::BeamArray rows(plan.bins.size(), p.beams, p.ranges);
-  auto& sink = ctx.results->detections[static_cast<std::size_t>(my_world_rank)];
-
-  for (int cpi = ctx.resume_cpi(); cpi < ctx.opt.cpis; ++cpi) {
-    clock.start_cpi(cpi);
-    if (plan.bins.empty()) {
-      ctx.complete_cpi(cpi);
-      continue;
-    }
-    clock.recv([&] { receive_rows(ctx, cpi, rows, pc_route); });
     clock.comp([&] {
-      auto dets = cfar.detect(rows, plan.bins);
+      if (pc) pc->compress(rows);
+      if (!cfar) return;
+      auto dets = cfar->detect(rows, plan.bins);
       for (auto& d : dets) d.cpi = static_cast<std::uint64_t>(cpi);
       // Replay idempotence: a predecessor that died between comp and the
       // send-start crash site already appended this CPI's detections.
@@ -981,46 +933,9 @@ void run_cfar_node(NodeCtx& ctx, PhaseClock& clock, int my_world_rank) {
       });
       sink.insert(sink.end(), dets.begin(), dets.end());
     });
-    clock.send([] {});
-    ctx.complete_cpi(cpi);
-  }
-}
-
-void run_pccfar_node(NodeCtx& ctx, PhaseClock& clock, int my_world_rank) {
-  const auto& p = ctx.params();
-  const int n_pc = ctx.nodes_of(TaskKind::kPulseCompressionCfar);
-  const BlockPartition mine(p.doppler_bins(), static_cast<std::size_t>(n_pc));
-  const RowPlan plan = make_row_plan(p, mine, ctx.local);
-  const RowRoute easy_route =
-      make_row_route(ctx, plan, TaskKind::kBeamformEasy, kTagBeamEasy, true, false);
-  const RowRoute hard_route =
-      make_row_route(ctx, plan, TaskKind::kBeamformHard, kTagBeamHard, false, true);
-
-  stap::PulseCompressor pc(p);
-  stap::CfarDetector cfar(p);
-  stap::BeamArray rows(plan.bins.size(), p.beams, p.ranges);
-  auto& sink = ctx.results->detections[static_cast<std::size_t>(my_world_rank)];
-
-  for (int cpi = ctx.resume_cpi(); cpi < ctx.opt.cpis; ++cpi) {
-    clock.start_cpi(cpi);
-    if (plan.bins.empty()) {
-      ctx.complete_cpi(cpi);
-      continue;
-    }
-    clock.recv([&] {
-      receive_rows(ctx, cpi, rows, easy_route);
-      receive_rows(ctx, cpi, rows, hard_route);
+    clock.send([&] {
+      if (!cfar) ship_rows(ctx, rows, plan.bins, TaskKind::kCfar, kTagPcOut);
     });
-    clock.comp([&] {
-      pc.compress(rows);
-      auto dets = cfar.detect(rows, plan.bins);
-      for (auto& d : dets) d.cpi = static_cast<std::uint64_t>(cpi);
-      std::erase_if(sink, [&](const stap::Detection& d) {
-        return d.cpi == static_cast<std::uint64_t>(cpi);
-      });
-      sink.insert(sink.end(), dets.begin(), dets.end());
-    });
-    clock.send([] {});
     ctx.complete_cpi(cpi);
   }
 }
@@ -1047,6 +962,12 @@ ThreadRunner::ThreadRunner(PipelineSpec spec, RunOptions options)
   PSTAP_REQUIRE(!options_.supervise.enabled || !options_.collective_io,
                 "supervised runs do not support collective I/O "
                 "(collectives have no checkpoint-replay path)");
+  PSTAP_REQUIRE(options_.io_retry.max_attempts >= 1,
+                "io_retry.max_attempts must be >= 1");
+  PSTAP_REQUIRE(options_.io_retry.initial_backoff >= 0,
+                "io_retry.initial_backoff must be >= 0");
+  PSTAP_REQUIRE(options_.io_retry.attempt_timeout >= 0,
+                "io_retry.attempt_timeout must be >= 0");
 }
 
 RunResult ThreadRunner::run() {
@@ -1122,23 +1043,21 @@ RunResult ThreadRunner::run() {
       ctx.sup = &*supervisor;
       ctx.ring = &supervisor->ring(comm.rank());
     }
-    PhaseClock clock(
-        options_, results.avg_phase[static_cast<std::size_t>(comm.rank())],
-        std::string("pipeline.stage.") +
-            task_name(spec_.tasks[static_cast<std::size_t>(task)].kind),
-        comm.rank(), ctx.sup);
-    switch (spec_.tasks[static_cast<std::size_t>(task)].kind) {
+    const TaskKind kind = spec_.tasks[static_cast<std::size_t>(task)].kind;
+    PhaseClock clock(options_,
+                     results.avg_phase[static_cast<std::size_t>(comm.rank())],
+                     std::string("pipeline.stage.") + task_name(kind), comm.rank(),
+                     ctx.sup);
+    switch (kind) {
       case TaskKind::kParallelRead: run_read_node(ctx, clock); break;
       case TaskKind::kDoppler: run_doppler_node(ctx, clock); break;
       case TaskKind::kWeightsEasy: run_weights_node(ctx, clock, false); break;
       case TaskKind::kWeightsHard: run_weights_node(ctx, clock, true); break;
       case TaskKind::kBeamformEasy: run_beamform_node(ctx, clock, false); break;
       case TaskKind::kBeamformHard: run_beamform_node(ctx, clock, true); break;
-      case TaskKind::kPulseCompression: run_pc_node(ctx, clock); break;
-      case TaskKind::kCfar: run_cfar_node(ctx, clock, comm.rank()); break;
-      case TaskKind::kPulseCompressionCfar:
-        run_pccfar_node(ctx, clock, comm.rank());
-        break;
+      case TaskKind::kPulseCompression:
+      case TaskKind::kCfar:
+      case TaskKind::kPulseCompressionCfar: run_row_node(ctx, clock, kind); break;
     }
     clock.finish();
   };

@@ -58,9 +58,13 @@ struct RunOptions {
   /// Numerical route used by the weight-computation tasks.
   stap::WeightSolver weight_solver = stap::WeightSolver::kCholeskySmi;
 
-  /// Retry policy for the per-CPI slab reads (transient I/O faults are
-  /// retried with backoff, each attempt bounded by attempt_timeout). The
-  /// default is fail-fast: one attempt, no timeout.
+  /// Retry policy for every per-CPI slab read — embedded, separate-task,
+  /// collective and failover. Transient I/O faults are retried up to
+  /// max_attempts times with exponential backoff from initial_backoff,
+  /// each attempt bounded by attempt_timeout (0 = unbounded); a read that
+  /// still fails drops its CPI. The default is fail-fast: one attempt, no
+  /// timeout. The constructor rejects max_attempts < 1 and negative
+  /// backoff or timeout.
   RetryPolicy io_retry;
 
   /// Fault plan installed (process-wide, via fault::FaultScope) for the

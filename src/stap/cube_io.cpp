@@ -64,13 +64,9 @@ DataCube read_cpi_slab(pfs::StripedFile& file, const RadarParams& params,
   PSTAP_REQUIRE(r0 < r1, "empty range slab");
   obs::ScopedSpan span("io", "read_cpi_slab", obs::kLibraryPid);
   std::vector<cfloat> raw(slab_elements(params, r0, r1));
-  // Deadline-aware bound (no-op unless the policy opts in): the engine's
-  // observed service-time quantile tightens the fixed attempt_timeout.
-  const Seconds timeout = effective_attempt_timeout(
-      retry, &file.filesystem()->engine().service_time());
   with_retry(retry, "read_cpi_slab(" + file.name() + ")", [&] {
     pfs::IoRequest req = start_read_cpi_slab(file, params, r0, r1, raw, layout);
-    pfs::wait_with_timeout(req, timeout,
+    pfs::wait_with_timeout(req, retry.attempt_timeout,
                            "read_cpi_slab(" + file.name() + ")");
   });
   return unpack_slab(params, r0, r1, raw, layout);

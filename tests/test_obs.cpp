@@ -2,12 +2,12 @@
 // math and JSON round-trips, Chrome trace JSON export (well-formedness and
 // span nesting under concurrent emitters), the one-load disabled fast path
 // (no allocations), the always-on flight ring (wraparound, crash-dump on
-// supervisor abort), RunReport export (schema round-trip, Table-3 ordering
-// from report data alone, io/recovery counters equal to the run's own,
-// report_diff.py attribution and counter validation), IoEngine
-// queue-depth distributions, and the functional runner's PSTAP_TRACE
-// acceptance: spans for every task phase of every CPI plus an instant
-// event for every injected fault.
+// supervisor abort), JSON string escaping in every writer, RunReport
+// export (schema round-trip, Table-3 ordering from report data alone,
+// io/recovery counters equal to the run's own, report_diff.py attribution
+// and counter validation), IoEngine queue-depth distributions, and the
+// functional runner's PSTAP_TRACE acceptance: spans for every task phase
+// of every CPI plus an instant event for every injected fault.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -689,6 +689,45 @@ TEST(FlightRing, SupervisorAbortDumpsRingAndTraceStaysValid) {
   EXPECT_TRUE(saw_abort_event);
 
   fsys::remove_all(root);
+}
+
+// ------------------------------------------------------- JSON escaping --
+
+// One escaper serves all three writers: a quote, a backslash and control
+// characters in a string field must come back intact from each document.
+TEST(ObsJson, EveryWriterEscapesQuoteBackslashAndControl) {
+  const std::string nasty = "a\"b\\c\x01" "d\te\nf\x1f";
+
+  auto& rec = obs::TraceRecorder::global();
+  rec.clear();
+  rec.enable();
+  rec.instant("escape", nasty, /*pid=*/9, /*cpi=*/-1, nasty);
+  rec.disable();
+  std::ostringstream trace;
+  rec.write_chrome_json(trace);
+  rec.clear();
+  const Json trace_doc = JsonParser(trace.str()).parse();
+  int found = 0;
+  for (const Json& e : trace_doc.at("traceEvents").array) {
+    if (e.at("cat").str != "escape") continue;
+    ++found;
+    EXPECT_EQ(e.at("name").str, nasty);
+    EXPECT_EQ(e.at("args").at("detail").str, nasty);
+  }
+  EXPECT_EQ(found, 1);
+
+  std::ostringstream ring;
+  obs::FlightRecorder::global().write_ring_json(ring, nasty);
+  EXPECT_EQ(JsonParser(ring.str()).parse().at("reason").str, nasty);
+
+  obs::RunReport report;
+  report.kind = "functional";
+  report.label = nasty;
+  std::ostringstream doc;
+  obs::write_report_document(doc, std::span<const obs::RunReport>(&report, 1));
+  const Json parsed = JsonParser(doc.str()).parse();
+  ASSERT_EQ(parsed.at("reports").array.size(), 1u);
+  EXPECT_EQ(parsed.at("reports").array[0].at("label").str, nasty);
 }
 
 // ------------------------------------------------------ histogram JSON --

@@ -480,17 +480,31 @@ TEST_F(ThreadRunnerTest, RejectsBadOptions) {
   opt = options();
   opt.fs_root.clear();
   EXPECT_THROW(ThreadRunner(spec, opt), PreconditionError);
+  // The retry policy is checked up front, not inside a rank thread.
+  opt = options();
+  opt.io_retry.max_attempts = 0;
+  EXPECT_THROW(ThreadRunner(spec, opt), PreconditionError);
+  opt = options();
+  opt.io_retry.initial_backoff = -1e-3;
+  EXPECT_THROW(ThreadRunner(spec, opt), PreconditionError);
+  opt = options();
+  opt.io_retry.attempt_timeout = -1.0;
+  EXPECT_THROW(ThreadRunner(spec, opt), PreconditionError);
 }
 
 // Any node assignment must leave the pipeline's output unchanged: sweep a
 // family of deliberately lopsided assignments and compare against the
-// sequential reference.
+// sequential reference. The task count picks the organization: 7 tasks is
+// embedded I/O, 6 the PC+CFAR combination, 8 a separate read task.
 class AssignmentSweep : public ThreadRunnerTest,
                         public ::testing::WithParamInterface<std::vector<int>> {};
 
 TEST_P(AssignmentSweep, DetectionsInvariantUnderAssignment) {
   const auto p = stap::RadarParams::test_small();
-  const auto spec = PipelineSpec::embedded_io(p, GetParam());
+  const std::vector<int>& nodes = GetParam();
+  const auto spec = nodes.size() == 6   ? PipelineSpec::combined(p, nodes)
+                    : nodes.size() == 8 ? PipelineSpec::separate_io(p, nodes)
+                                        : PipelineSpec::embedded_io(p, nodes);
   ThreadRunner runner(spec, options());
   const RunResult result = runner.run();
   for (int cpi = 1; cpi < 3; ++cpi) {
@@ -506,7 +520,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::vector<int>{1, 2, 2, 1, 1, 1, 1},   // wide weights
                       std::vector<int>{1, 1, 1, 3, 3, 1, 1},   // wide beamforming
                       std::vector<int>{1, 1, 1, 1, 1, 3, 3},   // wide tail
-                      std::vector<int>{2, 2, 2, 2, 2, 2, 2})); // uniform 2x
+                      std::vector<int>{2, 2, 2, 2, 2, 2, 2},   // uniform 2x
+                      std::vector<int>{1, 1, 1, 2, 2, 3},      // combined, wide tail
+                      // Separate I/O, 2 read -> 3 Doppler: read pieces
+                      // straddle Doppler boundaries.
+                      std::vector<int>{2, 3, 1, 1, 1, 1, 1, 1}));
 
 }  // namespace
 }  // namespace pstap::pipeline

@@ -507,35 +507,5 @@ TEST(StragglerBreaker, FailedProbeReopensBreaker) {
   EXPECT_TRUE(pfs.engine().quarantined(0));
 }
 
-// --------------------------------------------- deadline-aware timeouts --
-
-TEST(DeadlineRetry, EffectiveTimeoutAdaptsToQuantiles) {
-  RetryPolicy policy;
-  policy.attempt_timeout = 5.0;
-  policy.deadline_multiplier = 3.0;
-  policy.deadline_quantile = 0.99;
-  policy.deadline_floor = 10e-3;
-  policy.deadline_min_samples = 4;
-
-  obs::Histogram h;
-  // Cold: falls back to the fixed timeout.
-  EXPECT_DOUBLE_EQ(effective_attempt_timeout(policy, &h), 5.0);
-  EXPECT_DOUBLE_EQ(effective_attempt_timeout(policy, nullptr), 5.0);
-
-  for (int i = 0; i < 100; ++i) h.record(1e-3);
-  const Seconds t = effective_attempt_timeout(policy, &h);
-  EXPECT_GE(t, policy.deadline_floor);  // floored
-  EXPECT_LT(t, 5.0);                    // tightened well below the fixed bound
-
-  // The adaptive bound never loosens an explicit tight timeout.
-  policy.attempt_timeout = 1e-3;
-  EXPECT_DOUBLE_EQ(effective_attempt_timeout(policy, &h), 1e-3);
-
-  // Opt-out: multiplier 0 keeps the fixed semantics exactly.
-  policy.deadline_multiplier = 0;
-  policy.attempt_timeout = 0;
-  EXPECT_DOUBLE_EQ(effective_attempt_timeout(policy, &h), 0.0);
-}
-
 }  // namespace
 }  // namespace pstap::pfs

@@ -11,6 +11,7 @@
 #include <memory>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/checkpoint.hpp"
@@ -230,6 +231,38 @@ TEST_F(SupervisorPipelineTest, CrashAtSendPhaseReplaysFromTheRing) {
   EXPECT_GT(rec.replayed_messages, 0u);
 }
 
+// Both detection sinks get the same send-site crash: the CFAR rank of the
+// embedded layout (rank 6) and the PC+CFAR rank of the combined layout
+// (rank 5) die after appending CPI 1's detections. The replayed CPI must
+// replace them, not add to them — the detection count catches a duplicate
+// that the per-CPI key sets would hide.
+TEST_F(SupervisorPipelineTest, DetectionSinkSendCrashReplaysWithoutDuplicates) {
+  const auto p = stap::RadarParams::test_small();
+  const std::pair<pipeline::PipelineSpec, const char*> cases[] = {
+      {pipeline::PipelineSpec::embedded_io(p, {1, 1, 1, 1, 1, 1, 1}),
+       "pipeline.rank.6.send"},
+      {pipeline::PipelineSpec::combined(p, {1, 1, 1, 1, 1, 1}),
+       "pipeline.rank.5.send"},
+  };
+  for (const auto& [spec, site] : cases) {
+    SCOPED_TRACE(site);
+    pipeline::ThreadRunner baseline(spec, options(spec.combined_pc_cfar ? "kb" : "cb"));
+    const auto clean = baseline.run();
+
+    auto opt = supervised(spec.combined_pc_cfar ? "kc" : "cc");
+    opt.fault_plan = std::make_shared<fault::FaultPlan>(67);
+    opt.fault_plan->arm_crash(site, /*at_index=*/1);
+    pipeline::ThreadRunner runner(spec, opt);
+    const auto result = runner.run();
+
+    expect_same_detections(result, clean);
+    EXPECT_EQ(result.detections.size(), clean.detections.size());
+    EXPECT_TRUE(result.dropped_cpis.empty());
+    EXPECT_EQ(result.metrics.recovery.ranks_respawned, 1u);
+    EXPECT_GT(result.metrics.recovery.replayed_messages, 0u);
+  }
+}
+
 // The separate I/O task (rank 0 of the separate layout) dies at CPI 1.
 // Instead of a respawn, the rank is abandoned and the Doppler rank
 // promotes to embedded reads: it self-reads its row range for CPIs 1-3
@@ -283,6 +316,49 @@ TEST_F(SupervisorPipelineTest, IoTaskDeathAfterReadBeforeSendFailsOverCleanly) {
   const auto& rec = result.metrics.recovery;
   EXPECT_EQ(rec.io_failovers, 1u);
   EXPECT_EQ(rec.promoted_reads, 3u);
+}
+
+// Failover reads keep the embedded reads' degradation contract: the read
+// rank dies at CPI 1 and CPI 2's file fails permanently, so the promoted
+// Doppler read of CPI 2 zero-fills and drops that CPI instead of throwing,
+// and the pipeline carries on with CPI 3. CPI 3 adapts its weights to
+// CPI 2's zero-filled training gates (the temporal weights edge), so it is
+// compared with an embedded-I/O run under the same file fault rather than
+// with the fault-free baseline.
+TEST_F(SupervisorPipelineTest, IoTaskFailoverDegradesLikeEmbeddedReads) {
+  const auto p = stap::RadarParams::test_small();
+  const auto spec =
+      pipeline::PipelineSpec::separate_io(p, {1, 1, 1, 1, 1, 1, 1, 1});
+
+  pipeline::ThreadRunner baseline(spec, options("dbase"));
+  const auto clean = baseline.run();
+
+  auto emb_opt = options("demb");
+  emb_opt.fault_plan = std::make_shared<fault::FaultPlan>(73);
+  emb_opt.fault_plan->arm_permanent_error("pfs.file.read.cpi_rr2");
+  pipeline::ThreadRunner embedded(
+      pipeline::PipelineSpec::embedded_io(p, {1, 1, 1, 1, 1, 1, 1}), emb_opt);
+  const auto emb = embedded.run();
+  ASSERT_EQ(emb.dropped_cpis, (std::vector<int>{2}));
+
+  auto opt = supervised("dfail");
+  opt.fault_plan = std::make_shared<fault::FaultPlan>(73);
+  opt.fault_plan->arm_crash("pipeline.rank.0", /*at_index=*/1);
+  opt.fault_plan->arm_permanent_error("pfs.file.read.cpi_rr2");
+  pipeline::ThreadRunner runner(spec, opt);
+  const auto result = runner.run();
+
+  EXPECT_EQ(result.dropped_cpis, (std::vector<int>{2}));
+  EXPECT_EQ(result.metrics.recovery.io_failovers, 1u);
+  EXPECT_EQ(result.metrics.recovery.promoted_reads, 3u);
+  EXPECT_EQ(keys_of(result.detections, 1), keys_of(clean.detections, 1));
+  EXPECT_TRUE(keys_of(result.detections, 2).empty());
+  for (int cpi = 0; cpi < 4; ++cpi) {
+    EXPECT_EQ(keys_of(result.detections, cpi), keys_of(emb.detections, cpi))
+        << "cpi " << cpi;
+  }
+  EXPECT_EQ(result.detections.size(), emb.detections.size());
+  EXPECT_FALSE(keys_of(emb.detections, 3).empty());
 }
 
 // -------------------------------------------------------- data integrity --
