@@ -4,10 +4,13 @@
 // tracked perf baseline; see bench/perf_json.hpp.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "perf_json.hpp"
+#include "common/crc32c.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "fft/fft.hpp"
@@ -283,6 +286,23 @@ void BM_Cfar(benchmark::State& state) {
                           static_cast<std::int64_t>(beams.samples() * sizeof(cfloat)));
 }
 BENCHMARK(BM_Cfar);
+
+// CRC32C over one 16 MiB CPI, as the pfs verifies a whole CPI of stripe
+// units on read and checksums it on write: the SSE4.2 instruction under
+// auto dispatch, the byte table under PSTAP_SIMD=scalar.
+void BM_Crc32c(benchmark::State& state) {
+  constexpr std::size_t kBytes = std::size_t{16} << 20;
+  Rng rng(5);
+  std::vector<unsigned char> data(kBytes);
+  for (auto& b : data) b = static_cast<unsigned char>(rng.uniform_index(256));
+  for (auto _ : state) {
+    std::uint32_t crc = crc32c(data.data(), data.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBytes));
+}
+BENCHMARK(BM_Crc32c);
 
 void BM_SceneGeneration(benchmark::State& state) {
   const RadarParams p = bench_params();

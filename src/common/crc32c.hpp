@@ -1,46 +1,24 @@
 // CRC32C (Castagnoli) — the checksum used for end-to-end chunk integrity in
-// the pfs layer. Software slice-by-one implementation over the reflected
-// polynomial 0x82F63B78; fast enough for test-scale data sets (a few hundred
-// MB/s) and dependency-free, which matters more here than peak throughput.
+// the pfs layer, over the reflected polynomial 0x82F63B78. The kernel is the
+// dispatched `simd::Ops::crc32c`: the SSE4.2 `crc32` instruction on the AVX2
+// backend (~6 GB/s, about 3 ms per 16 MiB CPI), the byte-at-a-time table
+// elsewhere (~0.3 GB/s). CRC is exact, so every backend returns the same
+// value and the checksum catalog does not depend on the host.
 // Known-answer: crc32c of the ASCII bytes "123456789" is 0xE3069283.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
+#include "common/simd.hpp"
+
 namespace pstap {
 
-namespace detail {
-
-inline const std::array<std::uint32_t, 256>& crc32c_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
-      }
-      t[i] = crc;
-    }
-    return t;
-  }();
-  return table;
-}
-
-}  // namespace detail
-
 /// Incremental update: feed `crc32c_update(previous, ...)` successive spans.
-/// Start from 0 (crc32c() below handles the pre/post inversion).
+/// Start from 0 (the pre/post inversion is applied inside).
 inline std::uint32_t crc32c_update(std::uint32_t crc, const void* data,
                                    std::size_t len) {
-  const auto& table = detail::crc32c_table();
-  const auto* p = static_cast<const unsigned char*>(data);
-  crc = ~crc;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ p[i]) & 0xFFu];
-  }
-  return ~crc;
+  return simd::ops().crc32c(crc, data, len);
 }
 
 /// One-shot CRC32C of a buffer.

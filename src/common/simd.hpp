@@ -2,14 +2,16 @@
 //
 // The compute kernels (FFT butterflies, window/stagger gathers, matched
 // filtering, beamform inner products, CFAR power) all reduce to a small set
-// of float-array primitives. This header exposes those primitives behind a
-// table of function pointers (`Ops`) resolved ONCE at startup from CPUID:
+// of float-array primitives; the pfs integrity check adds one byte-stream
+// primitive, CRC32C. This header exposes those primitives behind a table of
+// function pointers (`Ops`) resolved ONCE at startup from CPUID:
 //
 //   * kScalar — plain C++ loops (the reference semantics; still subject to
 //     the compiler's baseline auto-vectorization, e.g. 4-wide SSE2 on
 //     x86-64);
 //   * kSse2   — explicit 4-wide __m128 kernels;
-//   * kAvx2   — explicit 8-wide __m256 kernels with FMA.
+//   * kAvx2   — explicit 8-wide __m256 kernels with FMA, plus the SSE4.2
+//     `crc32` instruction (detect_best() requires avx2, fma and sse4.2).
 //
 // Selection: best supported backend by default, overridable with the
 // PSTAP_SIMD environment variable (scalar|sse2|avx2|auto). An unsupported
@@ -21,7 +23,8 @@
 // Every field has a production caller: the FFT (the *_rows kernels and
 // `scale`), the Doppler filter (`deinterleave_scale`, `interleave`), CFAR
 // (`norm_interleaved`), the weight and beamform GEMMs (`cgemm_planar`,
-// `zherk_cf_lower`) and the QR solve (`zmac`, `zmac_conj`).
+// `zherk_cf_lower`), the QR solve (`zmac`, `zmac_conj`) and the pfs
+// checksum (`crc32c`, through common/crc32c.hpp).
 //
 // Numerical contract: every backend computes the same per-element
 // expression trees as the scalar reference. The AVX2 tier contracts
@@ -35,13 +38,15 @@
 // `scale`, `deinterleave_scale`, `interleave`, `zmac` and `zmac_conj` are
 // FMA-free and bit-exact with the scalar path on every backend — CFAR
 // threshold comparisons see identical powers and the QR weight solve
-// computes identical weights no matter which backend ran.
+// computes identical weights no matter which backend ran. `crc32c` is
+// integer arithmetic and returns the same value on every backend.
 //
 // Hot callers hoist `const simd::Ops& o = simd::ops();` outside their loops
 // so dispatch costs one indirect call per row, not per element.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace pstap::simd {
 
@@ -157,6 +162,15 @@ struct Ops {
   /// bit-exact across backends, like zmac.
   void (*zmac_conj)(double* y, const double* x, double cr, double ci,
                     std::size_t n);
+
+  // ------------------------------------------------------------ checksum --
+
+  /// CRC32C (Castagnoli, reflected polynomial 0x82F63B78) of `len` bytes,
+  /// continuing from `crc`, with the pre/post inversion applied inside, so
+  /// crc32c(crc32c(0, a), b) == crc32c(0, a ++ b). Scalar and SSE2 walk a
+  /// 256-entry byte table (~0.3 GB/s); AVX2 runs the SSE4.2 `crc32`
+  /// instruction 8 bytes per step, then a byte tail (~6 GB/s).
+  std::uint32_t (*crc32c)(std::uint32_t crc, const void* data, std::size_t len);
 };
 
 /// Kernel table for the active backend (cheap: one relaxed atomic load).

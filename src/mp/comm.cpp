@@ -12,10 +12,12 @@ namespace {
 // Process-wide message-layer distributions (registry references are
 // stable, so a single lookup each suffices). Sizes are bytes; waits are
 // seconds spent blocked inside recv before a matching envelope arrived.
+// `stream_waits` counts send_stream calls that found their stream full.
 struct MpStats {
   obs::Histogram& send_bytes = obs::Registry::global().histogram("mp.send_bytes");
   obs::Histogram& recv_bytes = obs::Registry::global().histogram("mp.recv_bytes");
   obs::Histogram& recv_wait = obs::Registry::global().histogram("mp.recv_wait_s");
+  obs::Counter& stream_waits = obs::Registry::global().counter("mp.stream_waits");
 };
 
 MpStats& mp_stats() {
@@ -42,7 +44,7 @@ Mailbox& Comm::my_mailbox() {
   return world_->mailbox(group_[static_cast<std::size_t>(rank_)]);
 }
 
-void Comm::send_buffer(int dest, int tag, Buffer payload) {
+Envelope Comm::user_envelope(int dest, int tag, Buffer payload) {
   PSTAP_REQUIRE(is_member(), "send on a non-member communicator handle");
   PSTAP_REQUIRE(dest >= 0 && dest < size(), "send destination rank out of range");
   PSTAP_REQUIRE(tag >= 0, "user message tags must be >= 0");
@@ -56,7 +58,20 @@ void Comm::send_buffer(int dest, int tag, Buffer payload) {
   env.source = rank_;
   env.tag = tag;
   env.payload = std::move(payload);
+  return env;
+}
+
+void Comm::send_buffer(int dest, int tag, Buffer payload) {
+  Envelope env = user_envelope(dest, tag, std::move(payload));
   world_->mailbox(group_[static_cast<std::size_t>(dest)]).push(std::move(env));
+}
+
+void Comm::send_stream(int dest, int tag, Buffer payload) {
+  Envelope env = user_envelope(dest, tag, std::move(payload));
+  if (world_->mailbox(group_[static_cast<std::size_t>(dest)])
+          .push_bounded(std::move(env), kStreamDepth)) {
+    mp_stats().stream_waits.add();
+  }
 }
 
 void Comm::send_bytes(int dest, int tag, std::vector<std::byte> payload) {

@@ -9,10 +9,15 @@
 // Ranks are threads (see mp::World). Sends are buffered: the payload is
 // copied into the destination mailbox immediately, so `send` never
 // deadlocks against an unposted receive and `isend` completes instantly —
-// matching the M_ASYNC-style semantics the paper relies on.
+// matching the M_ASYNC-style semantics the paper relies on. The one
+// exception is `send_stream`, the pipeline's CPI stream send: it blocks
+// while kStreamDepth envelopes of its (source, tag) stream are still
+// queued at the destination, so a fast stage cannot pile CPIs up in a slow
+// stage's mailbox. Collectives and every other send stay buffered.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -26,6 +31,12 @@
 namespace pstap::mp {
 
 class World;
+
+/// Envelopes one (communicator, source, tag) stream may hold queued at its
+/// destination before send_stream blocks. It caps how many CPIs a fast
+/// stage can park in a slow stage's mailbox, and so peak memory; DESIGN.md
+/// §9 gives the measurements behind four.
+inline constexpr std::size_t kStreamDepth = 4;
 
 /// Metadata returned by receives.
 struct RecvInfo {
@@ -78,6 +89,17 @@ class Comm {
   /// the hot-path primitive; pair it with BufferPool::acquire so steady
   /// state does no heap allocation either.
   void send_buffer(int dest, int tag, Buffer payload);
+
+  /// Bounded zero-copy send for a pipeline stream: as send_buffer, but
+  /// blocks while the destination already holds kStreamDepth envelopes
+  /// from this (communicator, rank, tag). The receiver taking one wakes it.
+  /// A closed destination mailbox never blocks it (the envelope is still
+  /// deposited), so an aborting run unwinds. Deadlock-free only when the
+  /// receiver consumes each stream in order without first waiting on this
+  /// sender's later messages — true of the pipeline's acyclic task graph.
+  /// Each call that had to wait adds one to the obs counter
+  /// "mp.stream_waits".
+  void send_stream(int dest, int tag, Buffer payload);
 
   /// Zero-copy receive: the returned handle shares the sender's storage.
   /// Matching and wildcards as recv_bytes.
@@ -315,6 +337,7 @@ class Comm {
     return -2 - static_cast<int>(((seq & 0xFFFFFFu) << 3) | static_cast<std::uint32_t>(op));
   }
 
+  Envelope user_envelope(int dest, int tag, Buffer payload);
   void send_internal(int dest, int tag, std::vector<std::byte> payload);
   std::vector<std::byte> recv_internal(int source, int tag);
   Request irecv_bytes_impl(int source, int tag,

@@ -1,7 +1,10 @@
-// Per-rank mailbox: an unbounded MPSC queue with (source, tag, context)
-// matching. Internal to the mp runtime.
+// Per-rank mailbox: an MPSC queue with (source, tag, context) matching.
+// Internal to the mp runtime. A plain push never blocks; a bounded push
+// (Comm::send_stream) waits while the queue already holds `bound`
+// envelopes of its own (context, source, tag) stream.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -27,13 +30,36 @@ class MailboxClosed : public RuntimeError {
 /// guarantee message-passing codes rely on.
 class Mailbox {
  public:
-  /// Deposit an envelope (called by any sender thread).
+  /// Deposit an envelope (called by any sender thread). Never blocks.
   void push(Envelope env) {
     {
       std::lock_guard lock(mu_);
       queue_.push_back(std::move(env));
     }
     cv_.notify_all();
+  }
+
+  /// Deposit an envelope once fewer than `bound` envelopes of the same
+  /// (context, source, tag) are queued; block until the receiver takes one
+  /// otherwise. The count is taken from the queue itself, so whatever a
+  /// closed mailbox accepted still counts after reopen(). close() wakes a
+  /// blocked sender, and the envelope is deposited anyway (a closed mailbox
+  /// keeps accepting pushes). Returns whether the sender had to wait.
+  bool push_bounded(Envelope env, std::size_t bound) {
+    bool waited = false;
+    {
+      std::unique_lock lock(mu_);
+      const auto has_room = [&] {
+        return closed_ || queued_locked(env.context, env.source, env.tag) < bound;
+      };
+      if (!has_room()) {
+        waited = true;
+        space_cv_.wait(lock, has_room);
+      }
+      queue_.push_back(std::move(env));
+    }
+    cv_.notify_all();
+    return waited;
   }
 
   /// Block until a matching envelope is available and remove it. Throws
@@ -83,6 +109,7 @@ class Mailbox {
       closed_ = true;
     }
     cv_.notify_all();
+    space_cv_.notify_all();
   }
 
   /// Reverse close(); subsequent blocking receives behave normally again.
@@ -116,11 +143,19 @@ class Mailbox {
     return std::nullopt;
   }
 
+  std::size_t queued_locked(std::uint64_t context, int source, int tag) const {
+    return static_cast<std::size_t>(
+        std::count_if(queue_.begin(), queue_.end(), [&](const Envelope& env) {
+          return matches(env, context, source, tag);
+        }));
+  }
+
   std::optional<Envelope> try_take(std::uint64_t context, int source, int tag) {
     for (auto it = queue_.begin(); it != queue_.end(); ++it) {
       if (matches(*it, context, source, tag)) {
         Envelope env = std::move(*it);
         queue_.erase(it);
+        space_cv_.notify_all();  // a bounded sender may have room now
         return env;
       }
     }
@@ -128,7 +163,8 @@ class Mailbox {
   }
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;        // receivers: an envelope arrived
+  std::condition_variable space_cv_;  // bounded senders: an envelope left
   std::deque<Envelope> queue_;
   bool closed_ = false;
 };

@@ -32,6 +32,8 @@ namespace {
 
 // Message streams between tasks. Per-(source, tag) FIFO ordering in mp makes
 // one constant tag per stream sufficient: successive CPIs stay ordered.
+// Every stream send is mp::Comm::send_stream, so at most mp::kStreamDepth
+// CPIs of a stream sit unconsumed in the receiver's mailbox.
 enum : int {
   kTagRaw = 1,          // read task -> Doppler (file-order slab pieces)
   kTagSpecEasy = 2,     // Doppler -> easy BF
@@ -424,7 +426,7 @@ void run_read_node(NodeCtx& ctx, PhaseClock& clock) {
         const auto piece = raw.subspan((lo - r_lo) * per_range, (hi - lo) * per_range);
         mp::Buffer payload = ctx.payload_for(piece.size());
         std::copy(piece.begin(), piece.end(), payload.as_span<cfloat>().begin());
-        ctx.world.send_buffer(ctx.rank_of(TaskKind::kDoppler, d), kTagRaw,
+        ctx.world.send_stream(ctx.rank_of(TaskKind::kDoppler, d), kTagRaw,
                               std::move(payload));
       }
     });
@@ -588,7 +590,7 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
           mp::Buffer payload =
               ctx.payload_for((b_hi - b_lo) * arr.dof() * local_hi);
           pack_bin_slab(arr, b_lo, b_hi, 0, local_hi, payload.as_span<cfloat>());
-          ctx.world.send_buffer(ctx.rank_of(dest_kind, n), tag, std::move(payload));
+          ctx.world.send_stream(ctx.rank_of(dest_kind, n), tag, std::move(payload));
         }
       };
       ship(out.easy, part_be, TaskKind::kBeamformEasy, n_be, kTagSpecEasy, p.ranges);
@@ -666,7 +668,7 @@ void run_weights_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
             idx += dof;
           }
         }
-        ctx.world.send_buffer(ctx.rank_of(bf_kind, n), weight_tag, std::move(payload));
+        ctx.world.send_stream(ctx.rank_of(bf_kind, n), weight_tag, std::move(payload));
       }
     });
     ctx.complete_cpi(cpi);
@@ -702,7 +704,7 @@ void ship_rows(const NodeCtx& ctx, const stap::BeamArray& rows,
         idx += p.ranges;
       }
     }
-    ctx.world.send_buffer(ctx.rank_of(dest_kind, n), tag, std::move(payload));
+    ctx.world.send_stream(ctx.rank_of(dest_kind, n), tag, std::move(payload));
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -685,6 +686,135 @@ TEST(Mp, ReopenRestoresBlockingReceives) {
     } else {
       EXPECT_EQ(comm.recv_value<int>(0, 3), 5);
     }
+  });
+}
+
+// ------------------------------------------------------- bounded streams --
+
+// Polls `pred` until it holds or 10 s pass; the deadline turns a missing
+// wake-up into a test failure instead of a hang.
+template <typename Pred>
+bool eventually(Pred pred) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// Long enough for a sender that should stay blocked to have got through
+// if the bound were broken; a pass can only be a false pass, never a
+// false failure.
+void settle() { std::this_thread::sleep_for(std::chrono::milliseconds(30)); }
+
+Buffer int_payload(int v) {
+  return Buffer::adopt(pack(std::span<const int>(&v, 1)));
+}
+
+TEST(MpStream, FifthSendBlocksUntilReceiverTakesOne) {
+  World world(2);
+  std::atomic<int> sent{0};
+  world.run([&](Comm& comm) {
+    if (comm.rank() == 0) {
+      for (int i = 0; i <= static_cast<int>(kStreamDepth); ++i) {
+        comm.send_stream(1, 4, int_payload(i));
+        sent++;
+      }
+      return;
+    }
+    ASSERT_TRUE(eventually([&] { return sent.load() == 4; }));
+    settle();
+    EXPECT_EQ(sent.load(), 4) << "the fifth send did not block";
+    EXPECT_EQ(world.mailbox(1).depth(), kStreamDepth);
+    EXPECT_EQ(comm.recv_value<int>(0, 4), 0);
+    EXPECT_TRUE(eventually([&] { return sent.load() == 5; }))
+        << "taking one envelope did not wake the sender";
+    for (int i = 1; i <= 4; ++i) EXPECT_EQ(comm.recv_value<int>(0, 4), i);
+  });
+}
+
+TEST(MpStream, OtherTagOrSourceIsNotBlocked) {
+  World world(3);
+  std::atomic<int> done{0};
+  world.run([&](Comm& comm) {
+    const int depth = static_cast<int>(kStreamDepth);
+    if (comm.rank() == 0) {
+      for (int i = 0; i < depth; ++i) comm.send_stream(1, 4, int_payload(i));
+      // Stream (0, 4) is full. Another tag from this rank, and a plain
+      // buffered send on the full tag, both go straight through.
+      for (int i = 0; i < depth; ++i) comm.send_stream(1, 5, int_payload(i));
+      comm.send_buffer(1, 4, int_payload(depth));
+      done++;
+    } else if (comm.rank() == 2) {
+      for (int i = 0; i < depth; ++i) comm.send_stream(1, 4, int_payload(i));
+      done++;
+    } else {
+      EXPECT_TRUE(eventually([&] { return done.load() == 2; }))
+          << "a send on a stream that was not full blocked";
+      EXPECT_EQ(world.mailbox(1).depth(), 3 * kStreamDepth + 1);
+      for (int i = 0; i <= depth; ++i) EXPECT_EQ(comm.recv_value<int>(0, 4), i);
+      for (int i = 0; i < depth; ++i) EXPECT_EQ(comm.recv_value<int>(0, 5), i);
+      for (int i = 0; i < depth; ++i) EXPECT_EQ(comm.recv_value<int>(2, 4), i);
+    }
+  });
+}
+
+// The supervisor's abort closes every mailbox; a sender blocked on a full
+// stream must wake, and its envelope is still deposited.
+TEST(MpStream, CloseWakesBlockedSender) {
+  World world(2);
+  std::atomic<int> sent{0};
+  world.run([&](Comm& comm) {
+    if (comm.rank() == 0) {
+      for (int i = 0; i <= static_cast<int>(kStreamDepth); ++i) {
+        comm.send_stream(1, 4, int_payload(i));
+        sent++;
+      }
+      return;
+    }
+    ASSERT_TRUE(eventually([&] { return sent.load() == 4; }));
+    settle();
+    EXPECT_EQ(sent.load(), 4);
+    world.close_all_mailboxes();
+    EXPECT_TRUE(eventually([&] { return sent.load() == 5; }))
+        << "close() did not wake the blocked sender";
+    EXPECT_EQ(world.mailbox(1).depth(), kStreamDepth + 1);
+    // Queued envelopes still drain after close, in order.
+    for (int i = 0; i <= 4; ++i) EXPECT_EQ(comm.recv_value<int>(0, 4), i);
+  });
+  world.reopen_all_mailboxes();
+}
+
+// Envelopes a closed mailbox accepted past the bound still count after
+// reopen(): the sender blocks until the queue is back under the bound.
+TEST(MpStream, ReopenCountsEnvelopesQueuedWhileClosed) {
+  World world(2);
+  world.close_all_mailboxes();
+  const int over = static_cast<int>(kStreamDepth) + 2;
+  world.run([&](Comm& comm) {
+    if (comm.rank() == 0) {
+      for (int i = 0; i < over; ++i) comm.send_stream(1, 4, int_payload(i));
+    }
+  });
+  ASSERT_EQ(world.mailbox(1).depth(), static_cast<std::size_t>(over));
+  world.reopen_all_mailboxes();
+
+  std::atomic<bool> sent{false};
+  world.run([&](Comm& comm) {
+    if (comm.rank() == 0) {
+      comm.send_stream(1, 4, int_payload(over));
+      sent = true;
+      return;
+    }
+    for (int i = 0; i < 3; ++i) {
+      settle();
+      EXPECT_FALSE(sent.load()) << "sent with " << world.mailbox(1).depth()
+                                << " envelopes of the stream queued";
+      EXPECT_EQ(comm.recv_value<int>(0, 4), i);
+    }
+    EXPECT_TRUE(eventually([&] { return sent.load(); }));
+    for (int i = 3; i <= over; ++i) EXPECT_EQ(comm.recv_value<int>(0, 4), i);
   });
 }
 

@@ -14,12 +14,15 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstdlib>
 #include <numbers>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
+#include "common/crc32c.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "fft/fft.hpp"
@@ -781,6 +784,78 @@ TEST(GemmEquivalence, MatvecPathsMatchScalarTemplatesWithinTolerance) {
       const cfloat v = std::conj(yh[j]);
       EXPECT_NEAR(v.real(), ahx[j].real(), 1e-4) << simd::backend_name(b);
       EXPECT_NEAR(v.imag(), ahx[j].imag(), 1e-4);
+    }
+  }
+}
+
+// ------------------------------------------------------------ checksum --
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> v(n);
+  for (auto& b : v) b = static_cast<unsigned char>(rng.uniform_index(256));
+  return v;
+}
+
+TEST(Crc32c, KnownAnswersOnEveryBackend) {
+  struct Vector {
+    const char* name;
+    std::vector<unsigned char> bytes;
+    std::uint32_t crc;
+  };
+  std::vector<unsigned char> ascending(32), descending(32);
+  for (int i = 0; i < 32; ++i) {
+    ascending[static_cast<std::size_t>(i)] = static_cast<unsigned char>(i);
+    descending[static_cast<std::size_t>(i)] = static_cast<unsigned char>(31 - i);
+  }
+  const std::string check = "123456789";
+  // "123456789" is the CRC catalogue's check value; the other four are the
+  // iSCSI test vectors of RFC 3720, appendix B.4.
+  const std::vector<Vector> vectors = {
+      {"123456789", {check.begin(), check.end()}, 0xE3069283u},
+      {"32 x 0x00", std::vector<unsigned char>(32, 0x00), 0x8A9136AAu},
+      {"32 x 0xFF", std::vector<unsigned char>(32, 0xFF), 0x62A8AB43u},
+      {"0..31", ascending, 0x46DD794Eu},
+      {"31..0", descending, 0x113FDB5Cu},
+  };
+  for (const Vector& v : vectors) {
+    EXPECT_EQ(crc32c(v.bytes.data(), v.bytes.size()), v.crc) << v.name;
+    for (Backend b : supported_backends()) {
+      EXPECT_EQ(simd::ops(b).crc32c(0, v.bytes.data(), v.bytes.size()), v.crc)
+          << v.name << " " << simd::backend_name(b);
+    }
+  }
+  EXPECT_EQ(crc32c(nullptr, 0), 0u);
+}
+
+TEST(Crc32c, BackendsAgreeOnEveryLengthAndOffset) {
+  // Lengths 0..4099 cover every 8-byte tail and several whole words; start
+  // offsets 0..7 cover every misalignment of the 8-byte loads.
+  const auto bytes = random_bytes(4099 + 8, 41);
+  const simd::Ops& ref = simd::ops(Backend::kScalar);
+  for (Backend b : supported_backends()) {
+    if (b == Backend::kScalar) continue;
+    const simd::Ops& o = simd::ops(b);
+    for (std::size_t off = 0; off < 8; ++off) {
+      for (std::size_t len = 0; len <= 4099; ++len) {
+        const unsigned char* p = bytes.data() + off;
+        ASSERT_EQ(o.crc32c(0, p, len), ref.crc32c(0, p, len))
+            << simd::backend_name(b) << " offset=" << off << " len=" << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32c, UpdateOverEverySplitEqualsOneShot) {
+  const auto bytes = random_bytes(257, 43);
+  for (Backend b : supported_backends()) {
+    BackendGuard guard;
+    simd::force_backend(b);
+    const std::uint32_t whole = crc32c(bytes.data(), bytes.size());
+    for (std::size_t split = 0; split <= bytes.size(); ++split) {
+      const std::uint32_t head = crc32c_update(0, bytes.data(), split);
+      ASSERT_EQ(crc32c_update(head, bytes.data() + split, bytes.size() - split), whole)
+          << simd::backend_name(b) << " split=" << split;
     }
   }
 }

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <set>
@@ -19,6 +20,7 @@
 #include "common/fault.hpp"
 #include "common/retry.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "pfs/striped_file_system.hpp"
 #include "pipeline/task_spec.hpp"
 #include "pipeline/thread_runner.hpp"
@@ -261,6 +263,70 @@ TEST_F(SupervisorPipelineTest, DetectionSinkSendCrashReplaysWithoutDuplicates) {
     EXPECT_EQ(result.metrics.recovery.ranks_respawned, 1u);
     EXPECT_GT(result.metrics.recovery.replayed_messages, 0u);
   }
+}
+
+// Bounded streams under a downstream crash. The CFAR rank (rank 6 of the
+// embedded layout) is slowed at every CPI boundary, so pulse compression
+// runs mp::kStreamDepth CPIs ahead and blocks on its full stream. CFAR then
+// dies at the start of CPI 6, with CPIs 6-9 queued and PC blocked sending
+// CPI 10.
+constexpr int kFullStreamCpis = 12;
+
+void arm_full_stream_crash(pipeline::RunOptions& opt) {
+  opt.cpis = kFullStreamCpis;
+  opt.fault_plan = std::make_shared<fault::FaultPlan>(79);
+  opt.fault_plan->arm_delay("pipeline.stage.CFAR", 1.0, 20e-3, 25e-3);
+  opt.fault_plan->arm_crash("pipeline.rank.6", /*at_index=*/6);
+}
+
+std::int64_t stream_waits() {
+  return obs::Registry::global().counter("mp.stream_waits").value();
+}
+
+// The replacement drains the queued CPIs, which wakes the blocked sender,
+// and every CPI matches the fault-free run.
+TEST_F(SupervisorPipelineTest, DownstreamCrashUnderFullStreamMatchesFaultFreeRun) {
+  const auto p = stap::RadarParams::test_small();
+  const auto spec = pipeline::PipelineSpec::embedded_io(p, {1, 1, 1, 1, 1, 1, 1});
+
+  auto base_opt = options("fbase");
+  base_opt.cpis = kFullStreamCpis;
+  pipeline::ThreadRunner baseline(spec, base_opt);
+  const auto clean = baseline.run();
+
+  auto opt = supervised("fcrash");
+  arm_full_stream_crash(opt);
+  const std::int64_t waits_before = stream_waits();
+  pipeline::ThreadRunner runner(spec, opt);
+  const auto result = runner.run();
+
+  EXPECT_GT(stream_waits(), waits_before)
+      << "no stream ever filled; the test proves nothing";
+  for (int cpi = 0; cpi < kFullStreamCpis; ++cpi) {
+    EXPECT_EQ(keys_of(result.detections, cpi), keys_of(clean.detections, cpi))
+        << "cpi " << cpi;
+  }
+  EXPECT_EQ(result.detections.size(), clean.detections.size());
+  EXPECT_FALSE(keys_of(clean.detections, 7).empty());
+  EXPECT_TRUE(result.dropped_cpis.empty());
+  EXPECT_EQ(result.metrics.recovery.crashes_detected, 1u);
+  EXPECT_EQ(result.metrics.recovery.ranks_respawned, 1u);
+}
+
+// With no respawn budget the same crash aborts the run. Closing the
+// mailboxes wakes the blocked sender, and the run unwinds with an error
+// instead of hanging in World::run.
+TEST_F(SupervisorPipelineTest, AbortUnderFullStreamUnwinds) {
+  const auto p = stap::RadarParams::test_small();
+  const auto spec = pipeline::PipelineSpec::embedded_io(p, {1, 1, 1, 1, 1, 1, 1});
+  auto opt = supervised("fabort");
+  arm_full_stream_crash(opt);
+  opt.supervise.max_respawns = 0;
+  const std::int64_t waits_before = stream_waits();
+  pipeline::ThreadRunner runner(spec, opt);
+  EXPECT_THROW(runner.run(), RuntimeError);
+  EXPECT_GT(stream_waits(), waits_before)
+      << "no stream ever filled; the test proves nothing";
 }
 
 // The separate I/O task (rank 0 of the separate layout) dies at CPI 1.
