@@ -31,14 +31,14 @@ using namespace pstap::bench;
 namespace {
 
 // ------------------------------------------------------------------------
-// Real-pfs straggler defense: one 5x-slow server, scheduler x hedging grid.
+// Real-pfs straggler defense: one 5x-slow server, defense off and on.
 
 struct IoModeResult {
   double wall = 0;  ///< seconds for the measured read rounds
   obs::IoStats io;
 };
 
-pfs::PfsConfig bench_pfs(bool sched, bool hedge, double slowdown) {
+pfs::PfsConfig bench_pfs(bool sched, double slowdown) {
   pfs::PfsConfig cfg;
   cfg.name = "straggler-bench";
   cfg.stripe_factor = 4;
@@ -49,12 +49,6 @@ pfs::PfsConfig bench_pfs(bool sched, bool hedge, double slowdown) {
   cfg.straggler_servers = slowdown > 1.0 ? 1 : 0;
   cfg.straggler_slowdown = slowdown;
   cfg.straggler_sched = sched;
-  cfg.hedged_reads = hedge;
-  // Tightened for bench cadence: qualify windows fast so the straggler's
-  // own (sparse) sample stream still produces a steal verdict.
-  cfg.deadline_min_samples = 3;
-  cfg.sched_window = 100e-3;
-  cfg.deadline_floor = 2e-3;
   return cfg;
 }
 
@@ -118,7 +112,7 @@ std::set<DetKey> detection_keys(const std::vector<stap::Detection>& dets) {
 }
 
 std::set<DetKey> run_pipeline_mode(const std::string& label, bool sched,
-                                   bool hedge, double slowdown) {
+                                   double slowdown) {
   namespace fsys = std::filesystem;
   const auto p = stap::RadarParams::test_small();
   const auto spec = pipeline::PipelineSpec::separate_io(p, {1, 1, 1, 1, 1, 1, 1, 1});
@@ -138,9 +132,6 @@ std::set<DetKey> run_pipeline_mode(const std::string& label, bool sched,
   opt.fs_config.straggler_servers = slowdown > 1.0 ? 1 : 0;
   opt.fs_config.straggler_slowdown = slowdown;
   opt.fs_config.straggler_sched = sched;
-  opt.fs_config.hedged_reads = hedge;
-  opt.fs_config.deadline_min_samples = 3;
-  opt.fs_config.deadline_floor = 1e-3;
   pipeline::ThreadRunner runner(spec, opt);
   const auto result = runner.run();
   std::error_code ec;
@@ -206,80 +197,60 @@ int main() {
                         deg16 <= deg64 + 1e-9);
 
   // ---------------------------------------------------------------------
-  // Real pfs, one 5x straggler server: scheduler x hedging ablation grid.
-  // Clean (no straggler) baselines are taken per request shape (per-chunk
-  // vs coalesced list-I/O) so the recovery ratio isolates the straggler
-  // defense from the list-I/O win.
+  // Real pfs, one 5x straggler server: the defense (list-I/O coalescing
+  // plus replica-balanced placement) off and on. Clean (no straggler)
+  // baselines are taken per request shape (per-chunk vs coalesced list
+  // I/O) so the recovery ratio isolates the straggler defense from the
+  // list-I/O win.
   std::printf("\n== Straggler defense on the real pfs (1 of 4 servers 5x slow) ==\n\n");
   const double kSlow = 5.0;
   const IoModeResult clean_off = run_io_mode("straggler-io-clean-off",
-                                             bench_pfs(false, false, 1.0));
+                                             bench_pfs(false, 1.0));
   const IoModeResult clean_sched = run_io_mode("straggler-io-clean-sched",
-                                               bench_pfs(true, true, 1.0));
-  const IoModeResult off = run_io_mode("straggler-io-off",
-                                       bench_pfs(false, false, kSlow));
-  const IoModeResult off_hedge = run_io_mode("straggler-io-off-hedgeknob",
-                                             bench_pfs(false, true, kSlow));
-  const IoModeResult sched = run_io_mode("straggler-io-sched",
-                                         bench_pfs(true, false, kSlow));
-  const IoModeResult hedged = run_io_mode("straggler-io-sched-hedged",
-                                          bench_pfs(true, true, kSlow));
+                                               bench_pfs(true, 1.0));
+  const IoModeResult off = run_io_mode("straggler-io-off", bench_pfs(false, kSlow));
+  const IoModeResult sched = run_io_mode("straggler-io-sched", bench_pfs(true, kSlow));
 
-  BarSeries grid{"wall time of 10 whole-file reads, 5x straggler — "
-                 "scheduler x hedging",
+  BarSeries grid{"wall time of 10 whole-file reads, 5x straggler",
                  "seconds",
-                 {{"sched OFF hedge OFF", off.wall},
-                  {"sched OFF hedge ON (inert)", off_hedge.wall},
-                  {"sched ON hedge OFF", sched.wall},
-                  {"sched ON hedge ON", hedged.wall}}};
+                 {{"sched OFF", off.wall}, {"sched ON", sched.wall}}};
   print_bars(grid);
   std::printf("clean baselines: per-chunk %.3fs, coalesced %.3fs\n", clean_off.wall,
               clean_sched.wall);
-  std::printf("defense counters (sched+hedge): hedges=%llu wins=%llu stolen=%llu "
-              "deadline_expired=%llu\n\n",
-              static_cast<unsigned long long>(hedged.io.hedges_launched),
-              static_cast<unsigned long long>(hedged.io.hedge_wins),
-              static_cast<unsigned long long>(hedged.io.chunks_stolen),
-              static_cast<unsigned long long>(hedged.io.deadline_expired));
+  std::printf("defense counters (sched): stolen=%llu\n\n",
+              static_cast<unsigned long long>(sched.io.chunks_stolen));
 
-  // Scheduler OFF reproduces the baseline: no hedges, no steals, and the
-  // hedged_reads knob alone (scheduler off) is inert.
-  all_ok &= shape_check("sched OFF: no hedges/steals fire",
-                        off.io.hedges_launched == 0 && off.io.chunks_stolen == 0 &&
-                            off_hedge.io.hedges_launched == 0 &&
-                            off_hedge.io.chunks_stolen == 0);
+  // Scheduler OFF reproduces the baseline: every piece stays on its primary.
+  all_ok &= shape_check("sched OFF: no pieces diverted", off.io.chunks_stolen == 0);
   // The straggler must actually hurt the undefended configuration.
   all_ok &= shape_check("5x straggler slows the undefended read path",
                         off.wall > clean_off.wall * 1.5);
-  // Defense engaged: the scheduler observed expirations and acted.
-  all_ok &= shape_check("sched+hedge: defense engaged (hedges or steals > 0)",
-                        hedged.io.hedges_launched + hedged.io.chunks_stolen > 0);
-  // The tentpole claim: scheduler+hedging recovers at least 2x of the
-  // straggler-induced excess time over the matching clean baseline.
+  // Defense engaged: placement diverted the straggler's pieces.
+  all_ok &= shape_check("sched: defense engaged (pieces diverted > 0)",
+                        sched.io.chunks_stolen > 0);
+  // The defense recovers at least 2x of the straggler-induced excess time
+  // over the matching clean baseline.
   const double excess_off = off.wall - clean_off.wall;
-  const double excess_hedged = hedged.wall - clean_sched.wall;
-  std::printf("straggler-induced excess: undefended %.3fs, sched+hedge %.3fs\n",
-              excess_off, excess_hedged);
-  all_ok &= shape_check("sched+hedging recovers >= 2x of the straggler excess",
-                        excess_hedged > 0
-                            ? excess_off >= 2.0 * excess_hedged
-                            : true);
-  all_ok &= shape_check("defended straggler run beats undefended",
-                        hedged.wall < off.wall);
+  const double excess_sched = sched.wall - clean_sched.wall;
+  std::printf("straggler-induced excess: undefended %.3fs, sched %.3fs\n", excess_off,
+              excess_sched);
+  all_ok &= shape_check("sched recovers >= 2x of the straggler excess",
+                        excess_sched > 0 ? excess_off >= 2.0 * excess_sched : true);
+  all_ok &= shape_check("defended straggler run beats undefended", sched.wall < off.wall);
 
   // ---------------------------------------------------------------------
   // Result integrity: detections are bit-identical with the defense on and
   // off — adaptive I/O may change timing, never results.
   std::printf("\n== Detection identity under the straggler (pipeline runs) ==\n\n");
-  const auto det_clean = run_pipeline_mode("straggler-pipe-clean", false, false, 1.0);
-  const auto det_off = run_pipeline_mode("straggler-pipe-off", false, false, kSlow);
-  const auto det_hedged = run_pipeline_mode("straggler-pipe-hedged", true, true, kSlow);
-  std::printf("detections: clean %zu, straggler sched-off %zu, sched+hedge %zu\n",
-              det_clean.size(), det_off.size(), det_hedged.size());
+  const auto det_clean = run_pipeline_mode("straggler-pipe-clean", false, 1.0);
+  const auto det_off = run_pipeline_mode("straggler-pipe-off", false, kSlow);
+  const auto det_sched = run_pipeline_mode("straggler-pipe-sched", true, kSlow);
+  std::printf("detections: clean %zu, straggler sched-off %zu, sched-on %zu\n",
+              det_clean.size(), det_off.size(), det_sched.size());
   all_ok &= shape_check("detections identical: clean vs straggler sched OFF",
                         det_clean == det_off);
-  all_ok &= shape_check("detections identical: clean vs straggler sched+hedge",
-                        det_clean == det_hedged);
+  all_ok &= shape_check("detections identical: clean vs straggler sched ON",
+                        det_clean == det_sched);
 
   std::printf("\nStraggler ablation shape checks: %s\n", all_ok ? "ALL PASS" : "FAILURES");
   return all_ok ? 0 : 1;

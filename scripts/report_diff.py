@@ -14,7 +14,7 @@ servers) that moved — output like:
       io server 3: service p50 2.10x
 
 Every integer counter of the io and recovery sections that moved is
-printed by name on a "counters:" line (e.g. io.hedges_launched 0->9);
+printed by name on a "counters:" line (e.g. io.chunks_stolen 0->9);
 the keys come from the document, so a new counter needs no change here.
 
 Exit codes: 0 = within threshold (or valid), 1 = regression above

@@ -32,11 +32,10 @@ struct IoStats {
   Histogram service_time;    ///< per-job service seconds
   Histogram submit_latency;  ///< per-logical-request submit seconds
   /// service_time split per stripe directory (index = server id): the
-  /// straggler signal, persisted into RunReports for the scheduler.
+  /// straggler signal, persisted into RunReports.
   std::vector<Histogram> server_service_time;
 
-  /// Bytes serviced (reads + writes). Hedge losers are excluded: a chunk's
-  /// bytes count exactly once.
+  /// Bytes serviced (reads + writes); a chunk's bytes count exactly once.
   std::uint64_t bytes_serviced = 0;
   std::uint64_t retries = 0;          ///< retry sleeps during the run
   std::uint64_t injected_delays = 0;  ///< from the run's fault plan
@@ -46,13 +45,13 @@ struct IoStats {
   std::uint64_t corrupt_chunks = 0;       ///< CRC32C mismatches caught
   std::uint64_t quarantined_servers = 0;  ///< circuit-breaker trips
   // Straggler-defense counters (zero unless straggler_sched is on):
-  std::uint64_t hedges_launched = 0;   ///< speculative backup reads issued
-  std::uint64_t hedge_wins = 0;        ///< backups that beat the original
-  std::uint64_t hedge_cancels = 0;     ///< losing twins discarded unserviced
-  /// Read pieces moved off a slow primary onto its replica, at submit
-  /// (replica-balanced placement) or from the queue (stealing).
+  std::uint64_t hedges_launched = 0;  ///< retired with hedged reads, always 0
+  std::uint64_t hedge_wins = 0;       ///< retired with hedged reads, always 0
+  std::uint64_t hedge_cancels = 0;    ///< retired with hedged reads, always 0
+  /// Read pieces replica-balanced placement moved off a slow primary onto
+  /// its replica at submit.
   std::uint64_t chunks_stolen = 0;
-  std::uint64_t deadline_expired = 0;  ///< in-flight jobs past their deadline
+  std::uint64_t deadline_expired = 0;  ///< retired with deadlines, always 0
   std::uint64_t breaker_reopened = 0;  ///< quarantined servers re-admitted
 
   static constexpr std::array<CounterField<IoStats>, 14> kCounters{{

@@ -58,38 +58,17 @@ struct PfsConfig {
   Seconds breaker_probe_interval = 0;
 
   // ----------------------- straggler defense (DESIGN.md §12) -------------
-  // The adaptive client-side scheduler: per-server quantile deadlines,
-  // queue reordering/stealing, hedged replica reads, and per-server
-  // list-I/O coalescing. OFF by default so the paper's baseline shapes
-  // (stripe-sweep bottleneck, straggler degradation curve) are preserved;
-  // the environment variable PSTAP_STRAGGLER_SCHED overrides this flag at
-  // mount time ("0"/"off" forces it off, anything else forces it on).
+  // List-I/O coalescing plus replica-balanced read placement, both decided
+  // at submit time; the circuit breaker's failover runs either way. OFF by
+  // default so the paper's baseline shapes (stripe-sweep bottleneck,
+  // straggler degradation curve) are preserved; the environment variable
+  // PSTAP_STRAGGLER_SCHED overrides this flag at mount time ("0"/"off"
+  // forces it off, anything else forces it on).
 
-  /// Master switch for the straggler-aware scheduler (deadlines, queue
-  /// reorder/steal, list-I/O coalescing of multi-chunk requests, and
-  /// replica-balanced placement of replicated reads).
+  /// Master switch for the straggler defense: list-I/O coalescing of
+  /// multi-chunk requests, and replica-balanced placement of replicated
+  /// reads while some server is slow.
   bool straggler_sched = false;
-
-  /// Hedged (speculative) reads: when a chunk outlives its quantile
-  /// deadline and a replica exists, launch a backup read against the
-  /// replica server and take the first completion. Only effective with
-  /// straggler_sched on and replicas == 2.
-  bool hedged_reads = true;
-
-  /// Deadline floor while histograms warm up (and the minimum hedge wait).
-  Seconds deadline_floor = 2e-3;
-
-  /// Per-server samples inside the rolling window before its quantiles are
-  /// trusted; cold servers fall back to the floor.
-  std::size_t deadline_min_samples = 16;
-
-  /// Scheduler scan period (hedge launches, queue reorder, stealing).
-  Seconds sched_tick = 5e-4;
-
-  /// Rolling-quantile window: the scheduler re-baselines its per-server
-  /// histogram deltas this often, so a recovered server sheds its slow
-  /// history instead of dragging it forever.
-  Seconds sched_window = 250e-3;
 
   // Built-in straggler *emulation* for benches/tests — the functional twin
   // of sim::MachineModel::straggler_{servers,slowdown}: the first

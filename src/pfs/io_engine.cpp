@@ -12,7 +12,6 @@
 #include "common/fault.hpp"
 #include "common/wall_clock.hpp"
 #include "obs/trace.hpp"
-#include "pfs/straggler_scheduler.hpp"
 
 namespace pstap::pfs {
 
@@ -51,15 +50,9 @@ IoEngine::IoEngine(const PfsConfig& config)
   for (std::size_t s = 0; s < servers; ++s) {
     threads_.emplace_back([this, s] { service_loop(s); });
   }
-  if (config.straggler_sched) {
-    scheduler_ = std::make_unique<StragglerScheduler>(*this, config);
-  }
 }
 
 IoEngine::~IoEngine() {
-  // The scheduler reorders/steals inside queue locks and submits hedge
-  // jobs — join it before the queues start draining toward shutdown.
-  scheduler_.reset();
   for (auto& q : queues_) {
     {
       std::lock_guard lock(q->mu);
@@ -76,31 +69,16 @@ IoRequest IoEngine::make_request(std::size_t chunks) {
   return IoRequest(std::move(state));
 }
 
-void IoEngine::submit(std::size_t server, Job job, bool front) {
-  if (scheduler_ && !job.is_hedge) {
-    job.server = server;
-    job.deadline = scheduler_->assign_deadline(server);
-    // Hedge-capable read: the scheduler watches it and may race a replica
-    // copy against it once it outlives its quantile deadline.
-    if (job.chunk && job.replica_fd >= 0) scheduler_->track(job);
-  }
-  enqueue(server, std::move(job), front);
-}
-
-void IoEngine::enqueue(std::size_t server, Job job, bool front) {
+void IoEngine::submit(Job job) {
+  const std::size_t server = job.server;
   PSTAP_REQUIRE(server < queues_.size(), "server index out of range");
   PSTAP_REQUIRE(job.state != nullptr, "job has no request state");
-  job.server = server;
   Queue& q = *queues_[server];
   std::size_t depth = 0;
   {
     std::lock_guard lock(q.mu);
     q.queued_bytes.fetch_add(job.total_len(), std::memory_order_relaxed);
-    if (front) {
-      q.jobs.push_front(std::move(job));
-    } else {
-      q.jobs.push_back(std::move(job));
-    }
+    q.jobs.push_back(std::move(job));
     depth = q.jobs.size();
   }
   // Depth sampled at submit time: with a small stripe factor the same
@@ -158,7 +136,7 @@ std::vector<bool> IoEngine::slow_servers() const {
   const double median = lower_median(sorted);
   std::vector<bool> slow(rates.size(), false);
   for (std::size_t s = 0; s < rates.size(); ++s) {
-    slow[s] = median > 0 && rates[s] > kStealFactor * median;
+    slow[s] = median > 0 && rates[s] > kSlowFactor * median;
   }
   return slow;
 }
@@ -180,11 +158,8 @@ bool IoEngine::quarantined(std::size_t server) const {
   return state == Breaker::kOpen;
 }
 
-// Transfer the job's pieces between disk and memory. Hedge-capable reads
-// land in `hedge_scratch` (one flat buffer, pieces packed in order) so the
-// caller's buffer is only written by the twin that wins the claim.
-void IoEngine::service_job(std::size_t server, Job& job, std::byte* hedge_scratch,
-                           Scratch& unit_scratch) {
+// Transfer the job's pieces between disk and memory.
+void IoEngine::service_job(std::size_t server, Job& job, Scratch& unit_scratch) {
   // Fault injection: armed delays sleep here (inside the service thread, so
   // they occupy this stripe directory exactly like a slow disk); armed
   // errors throw and are captured as the job's error; a partial-read
@@ -222,14 +197,7 @@ void IoEngine::service_job(std::size_t server, Job& job, std::byte* hedge_scratc
   };
 
   bool corrupt_pending = decision.corrupt;
-  std::size_t scratch_off = 0;
   for (const Piece& piece : job.pieces) {
-    // A twin claimed the chunk mid-service: the rest of this job's work is
-    // dead — stop transferring. The completion path discards the result.
-    if (job.chunk && job.chunk->claimed.load(std::memory_order_acquire)) return;
-
-    std::byte* dest = job.chunk ? hedge_scratch + scratch_off : piece.buf;
-    scratch_off += piece.len;
     const std::size_t piece_len = std::min(piece.len, budget);
     budget -= piece_len;
 
@@ -244,11 +212,8 @@ void IoEngine::service_job(std::size_t server, Job& job, std::byte* hedge_scratc
       // Verified read: serve the unit's whole checksummed prefix into a
       // scratch buffer, check it end-to-end against the CRC recorded at
       // write time, then hand only the requested sub-range over — a
-      // corrupted payload never lands in the consumer's buffer. A
-      // hedge-capable job's dest is itself scratch, so a piece spanning the
-      // whole prefix is served and checked in place.
-      const bool in_place = job.chunk && in_unit == 0 && piece.len == entry->valid_len;
-      std::byte* unit = in_place ? dest : unit_scratch.get(entry->valid_len);
+      // corrupted payload never lands in the consumer's buffer.
+      std::byte* const unit = unit_scratch.get(entry->valid_len);
       transfer(unit, piece.unit_seg_offset, entry->valid_len, /*is_write=*/false);
       if (corrupt_pending && piece.len > 0) {
         unit[in_unit + piece.len / 2] ^= std::byte{0xFF};
@@ -266,19 +231,19 @@ void IoEngine::service_job(std::size_t server, Job& job, std::byte* hedge_scratc
                             std::to_string(piece.unit_index) + " served by " +
                             read_sites_[server]);
       }
-      if (!in_place) std::copy_n(unit + in_unit, piece.len, dest);
+      std::copy_n(unit + in_unit, piece.len, piece.buf);
     } else {
-      transfer(dest, piece.offset, piece_len, job.is_write);
+      transfer(piece.buf, piece.offset, piece_len, job.is_write);
       if (!job.is_write && corrupt_pending && piece.len > 0) {
         // No checksum recorded for this unit: the flip is silent, which
         // is exactly the exposure the catalog exists to close.
-        dest[piece.len / 2] ^= std::byte{0xFF};
+        piece.buf[piece.len / 2] ^= std::byte{0xFF};
         corrupt_pending = false;
       }
       if (job.is_write && job.checksums != nullptr) {
         if (in_unit == 0) {
           job.checksums->store(job.file_id, piece.unit_index,
-                               {crc32c(dest, piece.len), piece.len});
+                               {crc32c(piece.buf, piece.len), piece.len});
         } else {
           // A rewrite not aligned to the unit start leaves the recorded
           // CRC stale — drop it rather than verify against garbage.
@@ -287,7 +252,7 @@ void IoEngine::service_job(std::size_t server, Job& job, std::byte* hedge_scratc
         if (corrupt_pending && piece.len > 0) {
           // Persistent media corruption: flip one byte on disk *after*
           // recording the intent CRC, so the next read detects it.
-          std::byte flipped = dest[piece.len / 2] ^ std::byte{0xFF};
+          std::byte flipped = piece.buf[piece.len / 2] ^ std::byte{0xFF};
           transfer(&flipped, piece.offset + piece.len / 2, 1, /*is_write=*/true);
           corrupt_pending = false;
         }
@@ -304,7 +269,6 @@ void IoEngine::service_job(std::size_t server, Job& job, std::byte* hedge_scratc
 
 void IoEngine::service_loop(std::size_t server) {
   Queue& q = *queues_[server];
-  Scratch hedge_scratch;
   Scratch unit_scratch;
   for (;;) {
     Job job;
@@ -317,28 +281,12 @@ void IoEngine::service_loop(std::size_t server) {
       q.queued_bytes.fetch_sub(job.total_len(), std::memory_order_relaxed);
     }
 
-    // A hedged twin already claimed this chunk: discard unserviced — no
-    // completion (the claimant completed), no bytes/histogram samples (the
-    // chunk is serviced once), no breaker outcome (nothing was attempted).
-    if (job.chunk && job.chunk->claimed.load(std::memory_order_acquire)) {
-      hedge_cancels_.fetch_add(1, std::memory_order_relaxed);
-      job.chunk->outstanding.fetch_sub(1, std::memory_order_acq_rel);
-      continue;
-    }
-    if (job.chunk && !job.is_hedge) {
-      // The scheduler's hedge clock starts at first service, so a hedge
-      // races the straggler's service time, not its queue (queued work is
-      // the steal path's problem).
-      job.chunk->started_at.store(monotonic_now(), std::memory_order_release);
-    }
-
     const std::int64_t started_ns = obs::trace_now_ns();
     const Seconds started = monotonic_now();
     const std::size_t total = job.total_len();
     std::exception_ptr error;
-    std::byte* const scratch = job.chunk ? hedge_scratch.get(total) : nullptr;
     try {
-      service_job(server, job, scratch, unit_scratch);
+      service_job(server, job, unit_scratch);
     } catch (...) {
       error = std::current_exception();
     }
@@ -376,37 +324,8 @@ void IoEngine::service_loop(std::size_t server) {
           error ? "failed" : std::string_view{});
     }
 
-    if (!job.chunk) {
-      // Plain (unhedged) job: sole owner of its completion.
-      if (!error) bytes_serviced_.fetch_add(total, std::memory_order_relaxed);
-      job.state->complete_one(error);
-      continue;
-    }
-
-    // Hedge-capable job: exactly one twin claims the chunk. The claimant
-    // copies its scratch bytes into the caller's buffer and completes; a
-    // serviced loser discards everything. An error completes the chunk
-    // only from the LAST outstanding twin (claim() still guards against a
-    // racing success).
-    if (!error) {
-      if (job.chunk->claim()) {
-        std::size_t off = 0;
-        for (const Piece& piece : job.pieces) {
-          std::copy_n(scratch + off, piece.len, piece.buf);
-          off += piece.len;
-        }
-        bytes_serviced_.fetch_add(total, std::memory_order_relaxed);
-        if (job.is_hedge) hedge_wins_.fetch_add(1, std::memory_order_relaxed);
-        job.state->complete_one(nullptr);
-      } else {
-        hedge_cancels_.fetch_add(1, std::memory_order_relaxed);
-      }
-      job.chunk->outstanding.fetch_sub(1, std::memory_order_acq_rel);
-    } else {
-      const int left =
-          job.chunk->outstanding.fetch_sub(1, std::memory_order_acq_rel) - 1;
-      if (left == 0 && job.chunk->claim()) job.state->complete_one(error);
-    }
+    if (!error) bytes_serviced_.fetch_add(total, std::memory_order_relaxed);
+    job.state->complete_one(std::move(error));
   }
 }
 
@@ -464,11 +383,7 @@ obs::IoStats IoEngine::stats() const {
   out.bytes_serviced = bytes_serviced_.load(std::memory_order_relaxed);
   out.corrupt_chunks = corrupt_chunks_.load(std::memory_order_relaxed);
   out.quarantined_servers = quarantined_count_.load(std::memory_order_relaxed);
-  out.hedges_launched = hedges_launched_.load(std::memory_order_relaxed);
-  out.hedge_wins = hedge_wins_.load(std::memory_order_relaxed);
-  out.hedge_cancels = hedge_cancels_.load(std::memory_order_relaxed);
   out.chunks_stolen = chunks_stolen_.load(std::memory_order_relaxed);
-  out.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
   out.breaker_reopened = breaker_reopened_.load(std::memory_order_relaxed);
   return out;
 }

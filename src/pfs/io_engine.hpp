@@ -31,13 +31,11 @@
 
 namespace pstap::pfs {
 
-class StragglerScheduler;
-
 /// A server is "slow" when its seconds-per-byte service estimate exceeds
-/// kStealFactor x the median across servers. While any server is slow,
+/// kSlowFactor x the median across servers. While any server is slow,
 /// replicated reads are placed per stripe unit on whichever copy should
-/// finish first, and queued reads may be stolen off the slow server.
-inline constexpr double kStealFactor = 2.0;
+/// finish first.
+inline constexpr double kSlowFactor = 2.0;
 
 /// Raised when a serviced chunk fails CRC32C verification. Derives IoError
 /// (and is not permanent), so retry layers re-read the chunk — corruption
@@ -97,6 +95,12 @@ class ChecksumCatalog {
 
 namespace detail {
 /// Completion state shared between an IoRequest and its queued chunks.
+///
+/// The first error is moved in by the failing service thread and moved
+/// out by the waiter, both under `mu`, so the waiter drops the last
+/// reference to the exception it rethrows. A service thread that later
+/// releases the last reference to this state frees nothing the waiter
+/// touched.
 struct RequestState {
   std::mutex mu;
   std::condition_variable cv;
@@ -108,27 +112,10 @@ struct RequestState {
     std::lock_guard lock(mu);
     if (e) {
       ++errors;
-      if (!error) error = e;
+      if (!error) error = std::move(e);
     }
     if (--pending == 0) cv.notify_all();
   }
-};
-
-/// Completion state shared between the (up to two) jobs racing to serve one
-/// hedged chunk. Exactly one job "claims" the chunk: the claimant copies
-/// its bytes into the caller's buffer and calls complete_one; every other
-/// job discards its result without touching user memory, metrics, or the
-/// checksum catalog. An error only completes the chunk when it comes from
-/// the LAST outstanding job (an earlier loser's failure must not preempt a
-/// twin that may still succeed).
-struct ChunkState {
-  std::atomic<bool> claimed{false};
-  std::atomic<int> outstanding{1};  ///< jobs that may still serve this chunk
-  std::atomic<bool> hedged{false};  ///< a backup job was (or will be) issued
-  std::atomic<double> started_at{0.0};  ///< monotonic start of first service
-
-  /// True for the caller that wins the exclusive right to complete.
-  bool claim() { return !claimed.exchange(true, std::memory_order_acq_rel); }
 };
 }  // namespace detail
 
@@ -162,7 +149,7 @@ class IoRequest {
     {
       std::unique_lock lock(state_->mu);
       state_->cv.wait(lock, [&] { return state_->pending == 0; });
-      error = state_->error;
+      error = std::move(state_->error);
       failed_chunks_ = state_->errors;
     }
     state_.reset();
@@ -240,9 +227,9 @@ class IoEngine {
     std::uint64_t unit_seg_offset = 0;
   };
 
-  /// One job serviced by one stripe-directory thread. With the straggler
-  /// scheduler OFF a job is one stripe-unit chunk (`pieces` holds exactly
-  /// one entry). With it ON, a logical request is coalesced into one
+  /// One job serviced by one stripe-directory thread. With `straggler_sched`
+  /// OFF a job is one stripe-unit chunk (`pieces` holds exactly one
+  /// entry). With it ON, a logical request is coalesced into one
   /// list-I/O job per (server, segment fd): `pieces` carries every
   /// noncontiguous range that server serves from that segment, serviced in
   /// one dequeue (the per-job fixed latency is paid once — the Ching et al.
@@ -254,14 +241,7 @@ class IoEngine {
     std::shared_ptr<detail::RequestState> state;
     ChecksumCatalog* checksums = nullptr;
     std::uint64_t file_id = 0;
-
-    // --- straggler-scheduler fields (inert when the scheduler is off) ---
-    std::shared_ptr<detail::ChunkState> chunk;  ///< hedge-capable jobs only
-    int replica_fd = -1;             ///< fd of the replica copy, or -1
-    std::size_t replica_server = 0;  ///< queue holding the replica copy
-    std::size_t server = 0;          ///< queue this job was submitted to
-    Seconds deadline = 0;            ///< absolute monotonic deadline (0 = none)
-    bool is_hedge = false;           ///< this is the speculative backup job
+    std::size_t server = 0;  ///< queue the job is submitted to
 
     std::size_t total_len() const {
       std::size_t n = 0;
@@ -273,8 +253,7 @@ class IoEngine {
   /// One service thread per stripe directory (`config.stripe_factor`);
   /// each services its queue at `config.server_bandwidth` bytes/s (0 =
   /// unthrottled) plus `config.server_latency` seconds fixed cost per job.
-  /// `config.quarantine_threshold` > 0 arms the circuit breaker;
-  /// `config.straggler_sched` starts the StragglerScheduler thread.
+  /// `config.quarantine_threshold` > 0 arms the circuit breaker.
   explicit IoEngine(const PfsConfig& config);
   ~IoEngine();
 
@@ -286,10 +265,8 @@ class IoEngine {
   /// Create a request expecting `chunks` completions.
   IoRequest make_request(std::size_t chunks);
 
-  /// Enqueue one job on stripe-directory `server`'s queue. `front` pushes
-  /// to the head of the queue (hedge backups jump the line so the race is
-  /// against service time, not queue depth).
-  void submit(std::size_t server, Job job, bool front = false);
+  /// Enqueue `job` on stripe-directory `job.server`'s queue.
+  void submit(Job job);
 
   /// Snapshot of this engine's histograms and counters (see obs::IoStats;
   /// the retry and fault-plan fields stay 0 — the engine does not see them).
@@ -303,8 +280,8 @@ class IoEngine {
   /// `breaker_reopened` bumps) or re-opens it for another interval.
   bool quarantined(std::size_t server) const;
 
-  /// Read pieces StripedFile placed on a replica at submit; they count
-  /// toward stats().chunks_stolen with the pieces the scheduler steals.
+  /// Read pieces StripedFile placed on a replica at submit; they are what
+  /// stats().chunks_stolen counts.
   void record_chunks_stolen(std::uint64_t pieces) {
     chunks_stolen_.fetch_add(pieces, std::memory_order_relaxed);
   }
@@ -319,13 +296,6 @@ class IoEngine {
   /// Wall seconds from dequeue to completion per chunk, including the
   /// modeled service rate — what a client's wait is made of.
   const obs::Histogram& service_time() const noexcept { return service_time_; }
-
-  /// Same distribution, split per stripe directory — the straggler-aware
-  /// scheduler's input: one slow server shows up here long before it moves
-  /// the aggregate. Index < servers().
-  const obs::Histogram& server_service_time(std::size_t server) const noexcept {
-    return *server_service_time_[server];
-  }
 
   /// Wall seconds a logical StripedFile submit spent splitting and
   /// enqueueing chunks (client-side cost before any service happens).
@@ -343,19 +313,17 @@ class IoEngine {
   std::vector<double> sec_per_byte() const;
 
   /// Bytes waiting in `server`'s queue (added at enqueue, removed at
-  /// dequeue or steal; the job in service is no longer counted).
+  /// dequeue; the job in service is no longer counted).
   std::uint64_t queued_bytes(std::size_t server) const {
     return queues_[server]->queued_bytes.load(std::memory_order_relaxed);
   }
 
   /// Slowness verdict per server: its seconds-per-byte estimate exceeds
-  /// kStealFactor x the median across warm servers. The one
-  /// signal behind replica-balanced read placement and queue stealing.
+  /// kSlowFactor x the median across warm servers. The one signal behind
+  /// replica-balanced read placement.
   std::vector<bool> slow_servers() const;
 
  private:
-  friend class StragglerScheduler;  // reorders/steals inside queue locks
-
   struct Queue {
     std::mutex mu;
     std::condition_variable cv;
@@ -397,14 +365,8 @@ class IoEngine {
     std::atomic<double> opened_at{0.0};  ///< monotonic seconds when opened
   };
 
-  /// submit() minus deadline assignment and hedge tracking — the raw
-  /// enqueue used by the scheduler for hedge twins and stolen jobs (which
-  /// must not be re-tracked or re-deadlined).
-  void enqueue(std::size_t server, Job job, bool front);
-
   void service_loop(std::size_t server);
-  void service_job(std::size_t server, Job& job, std::byte* hedge_scratch,
-                   Scratch& unit_scratch);
+  void service_job(std::size_t server, Job& job, Scratch& unit_scratch);
   void note_outcome(std::size_t server, bool failed);
   void note_rate(Queue& q, double seconds, std::size_t bytes);
 
@@ -420,11 +382,7 @@ class IoEngine {
   std::atomic<std::uint64_t> bytes_serviced_{0};
   std::atomic<std::uint64_t> corrupt_chunks_{0};
   std::atomic<std::uint64_t> quarantined_count_{0};
-  std::atomic<std::uint64_t> hedges_launched_{0};
-  std::atomic<std::uint64_t> hedge_wins_{0};
-  std::atomic<std::uint64_t> hedge_cancels_{0};
   std::atomic<std::uint64_t> chunks_stolen_{0};
-  std::atomic<std::uint64_t> deadline_expired_{0};
   std::atomic<std::uint64_t> breaker_reopened_{0};
   obs::Histogram queue_depth_;
   obs::Histogram service_time_;
@@ -435,9 +393,6 @@ class IoEngine {
   std::vector<std::string> read_sites_;   // "pfs.server.read.sdNNN"
   std::vector<std::string> write_sites_;  // "pfs.server.write.sdNNN"
   std::vector<std::string> depth_names_;  // "queue_depth.sdNNN"
-  // Declared last: the scheduler thread touches the members above, so it
-  // must be destroyed (joined) first.
-  std::unique_ptr<StragglerScheduler> scheduler_;
 };
 
 }  // namespace pstap::pfs

@@ -23,6 +23,11 @@ struct ReadUnit {
   std::size_t bytes = 0;
 };
 
+/// Placement reshapes a request only when the plan is expected to finish
+/// at least this much sooner than all-primary, so timing noise on a healthy
+/// mount never splits a request's jobs.
+inline constexpr Seconds kMinPlacementGain = 2e-3;
+
 /// Replica-balanced read placement (DESIGN.md §12). For each unit, in
 /// order, pick the copy expected to finish first: the primary on `dir` or
 /// the replica on (dir + 1) % F, with F = sec_per_byte.size(). A copy's
@@ -101,14 +106,14 @@ class StripedFile {
               std::vector<int> segment_fds, std::vector<int> replica_fds);
 
   /// Jobs for one logical request, accumulated before dispatch. With
-  /// `coalesce` set (straggler scheduler on) chunks landing on the same
+  /// `coalesce` set (`straggler_sched` on) chunks landing on the same
   /// (server, segment fd) merge into ONE list-I/O job — pieces of every
   /// gather segment included — so a strided slab becomes one request per
   /// server instead of one per chunk; otherwise one single-piece job per
   /// chunk (the paper's baseline shape).
   ///
   /// `balance` arms replica-balanced placement for a read batch (some
-  /// server is slow, scheduler on, file replicated): pieces wait in
+  /// server is slow, `straggler_sched` on, file replicated): pieces wait in
   /// `unplaced`, `units` holding their primary directories, until dispatch
   /// places them all at once.
   struct Batch {
@@ -120,14 +125,11 @@ class StripedFile {
     std::vector<IoEngine::Piece> unplaced;
   };
 
-  /// Where one piece goes: the queue, the segment it is served from, the
-  /// other copy a hedge or steal may fall back to (-1: none), and the
-  /// checksum catalog to verify or record against (nullptr: none).
+  /// Where one piece goes: the queue, the segment it is served from, and
+  /// the checksum catalog to verify or record against (nullptr: none).
   struct Route {
     std::size_t server = 0;
     int fd = -1;
-    int replica_fd = -1;
-    std::size_t replica_server = 0;
     ChecksumCatalog* checksums = nullptr;
   };
 
@@ -143,12 +145,12 @@ class StripedFile {
                     bool is_write) const;
   /// Route for reading a unit whose primary directory is `dir` from
   /// `server` (the primary, or the replica one directory over).
-  Route read_route(std::size_t dir, std::size_t server, bool primary_down);
+  Route read_route(std::size_t dir, std::size_t server);
 
   /// Replica-balanced placement of the batch's held read pieces.
   void place_reads(Batch& batch);
 
-  /// Create the request, attach state (and hedge chunk states), submit.
+  /// Create the request, attach its state to every job, submit.
   IoRequest dispatch(Batch&& batch);
 
   IoRequest submit(std::uint64_t offset, std::byte* buf, std::size_t len, bool is_write);

@@ -309,26 +309,14 @@ void StripedFile::append_piece(Batch& batch, const Route& route,
   job.checksums = route.checksums;
   job.file_id = file_id_;
   job.server = route.server;
-  job.replica_fd = route.replica_fd;
-  job.replica_server = route.replica_server;
   batch.jobs.push_back(std::move(job));
 }
 
-StripedFile::Route StripedFile::read_route(std::size_t dir, std::size_t server,
-                                           bool primary_down) {
+StripedFile::Route StripedFile::read_route(std::size_t dir, std::size_t server) {
   // The checksum catalog applies to either copy — both carry identical
   // unit contents.
-  const std::size_t replica_dir = (dir + 1) % segment_fds_.size();
-  ChecksumCatalog* checksums = &fs_->checksums_;
-  if (server == dir) {
-    return {dir, segment_fds_[dir], replicated() ? replica_fds_[dir] : -1,
-            replica_dir, checksums};
-  }
-  // Failover (the primary's breaker is open): no hedge target — the other
-  // copy is exactly the quarantined server.
-  if (primary_down) return {replica_dir, replica_fds_[dir], -1, 0, checksums};
-  // Placed on the replica: the primary stays the hedge/steal target.
-  return {replica_dir, replica_fds_[dir], segment_fds_[dir], dir, checksums};
+  return {server, server == dir ? segment_fds_[dir] : replica_fds_[dir],
+          &fs_->checksums_};
 }
 
 void StripedFile::append_jobs(Batch& batch, std::uint64_t offset, std::byte* buf,
@@ -353,17 +341,14 @@ void StripedFile::append_jobs(Batch& batch, std::uint64_t offset, std::byte* buf
       batch.units.push_back({dir, piece.len});
       batch.unplaced.push_back(piece);
     } else if (is_write) {
-      append_piece(batch, {dir, segment_fds_[dir], -1, replica_dir, &fs_->checksums_},
-                   piece, is_write);
+      append_piece(batch, {dir, segment_fds_[dir], &fs_->checksums_}, piece, is_write);
       if (replicated()) {
         // The primary write records the CRC; the mirror only lands bytes.
-        append_piece(batch, {replica_dir, replica_fds_[dir], -1, 0, nullptr}, piece,
-                     is_write);
+        append_piece(batch, {replica_dir, replica_fds_[dir], nullptr}, piece, is_write);
       }
     } else {
       const bool down = replicated() && fs_->engine().quarantined(dir);
-      append_piece(batch, read_route(dir, down ? replica_dir : dir, down), piece,
-                   is_write);
+      append_piece(batch, read_route(dir, down ? replica_dir : dir), piece, is_write);
     }
   }
 }
@@ -425,10 +410,7 @@ void StripedFile::place_reads(Batch& batch) {
     }
     return latest;
   };
-  // Reshape only for a gain of at least the hedge floor, so timing noise
-  // on a healthy mount never splits a request's jobs.
-  const bool balance =
-      finish(primary) - finish(balanced) >= fs_->config().deadline_floor;
+  const bool balance = finish(primary) - finish(balanced) >= kMinPlacementGain;
 
   std::uint64_t diverted = 0;
   for (std::size_t i = 0; i < batch.units.size(); ++i) {
@@ -436,8 +418,7 @@ void StripedFile::place_reads(Batch& batch) {
     const bool down = !available[dir];
     const std::size_t server = balance ? servers[i] : (down ? (dir + 1) % n : dir);
     if (server != dir && !down) ++diverted;
-    append_piece(batch, read_route(dir, server, down), batch.unplaced[i],
-                 /*is_write=*/false);
+    append_piece(batch, read_route(dir, server), batch.unplaced[i], /*is_write=*/false);
   }
   engine.record_chunks_stolen(diverted);
 }
@@ -448,16 +429,9 @@ IoRequest StripedFile::dispatch(Batch&& batch) {
   // Pending completions = jobs (with coalescing, one per touched server),
   // not chunks: a list job completes its request slot once.
   IoRequest req = fs_->engine().make_request(batch.jobs.size());
-  const bool hedgeable = fs_->config().straggler_sched && fs_->config().hedged_reads;
   for (IoEngine::Job& job : batch.jobs) {
     job.state = req.state_;
-    if (hedgeable && !job.is_write && job.replica_fd >= 0) {
-      // Hedge-capable: served through scratch + claim so a speculative
-      // twin can race it without double-writing the caller's buffer.
-      job.chunk = std::make_shared<detail::ChunkState>();
-    }
-    const std::size_t server = job.server;
-    fs_->engine().submit(server, std::move(job));
+    fs_->engine().submit(std::move(job));
   }
   return req;
 }

@@ -107,9 +107,9 @@ TEST(ChaosSoak, SeededCrashSchedulesAllRecover) {
 }
 
 // Combined-fault leg: a modeled straggler I/O server AND injected delays
-// AND a rank crash, with the straggler scheduler (hedged reads on) active.
-// Defense layers must compose: supervision recovers the crash, the
-// scheduler routes around the slow server, and the detections still match
+// AND a rank crash, with the straggler defense (straggler_sched) on.
+// Defense layers must compose: supervision recovers the crash, read
+// placement routes around the slow server, and the detections still match
 // a fault-free run exactly — adaptive I/O must never change results.
 TEST(ChaosSoak, StragglerPlusCrashWithSchedulerRecovers) {
   const fsys::path root =
@@ -133,9 +133,6 @@ TEST(ChaosSoak, StragglerPlusCrashWithSchedulerRecovers) {
   opt.fs_config = pfs::paragon_pfs(4);
   opt.fs_config.replicas = 2;
   opt.fs_config.straggler_sched = true;
-  opt.fs_config.hedged_reads = true;
-  opt.fs_config.deadline_min_samples = 8;
-  opt.fs_config.deadline_floor = 1e-3;
   opt.fs_config.server_latency = 2e-4;
   opt.fs_config.straggler_servers = 1;
   opt.fs_config.straggler_slowdown = 4.0;

@@ -1007,7 +1007,7 @@ TEST(ReportDiff, AttributesSyntheticSlowdownToTheSlowedStage) {
   std::vector<obs::RunReport> cur{synthetic_report(2.0)};  // 2x compute
   base[0].io.emplace();
   cur[0].io.emplace();
-  cur[0].io->hedges_launched = 7;  // a moved counter, reported by name
+  cur[0].io->chunks_stolen = 7;  // a moved counter, reported by name
   obs::write_report_document(base_path, base);
   obs::write_report_document(cur_path, cur);
 
@@ -1039,8 +1039,8 @@ TEST(ReportDiff, AttributesSyntheticSlowdownToTheSlowedStage) {
     EXPECT_LT(slow_at, fast_at) << out;
   }
   EXPECT_NE(out.find("compute p95"), std::string::npos) << out;
-  EXPECT_NE(out.find("io.hedges_launched 0->7"), std::string::npos) << out;
-  EXPECT_EQ(out.find("hedge_wins"), std::string::npos)
+  EXPECT_NE(out.find("io.chunks_stolen 0->7"), std::string::npos) << out;
+  EXPECT_EQ(out.find("corrupt_chunks"), std::string::npos)
       << "only counters that moved are listed\n" << out;
 
   fsys::remove_all(dir);
@@ -1060,7 +1060,7 @@ TEST(ReportDiff, ValidateRejectsNonNumericOrNegativeCounters) {
 
   std::vector<obs::RunReport> reports{synthetic_report(1.0)};
   reports[0].io.emplace();
-  reports[0].io->hedges_launched = 7;
+  reports[0].io->chunks_stolen = 7;
   reports[0].recovery.emplace();
   reports[0].recovery->crashes_detected = 2;
   std::ostringstream doc;
@@ -1093,15 +1093,15 @@ TEST(ReportDiff, ValidateRejectsNonNumericOrNegativeCounters) {
   std::string out;
   EXPECT_EQ(validate("good", doc.str(), out), 0) << out;
   for (const auto& [name, text] : std::vector<std::pair<std::string, std::string>>{
-           {"io_string", replaced("\"hedges_launched\":7", "\"hedges_launched\":\"7\"")},
-           {"io_negative", replaced("\"hedges_launched\":7", "\"hedges_launched\":-7")},
+           {"io_string", replaced("\"chunks_stolen\":7", "\"chunks_stolen\":\"7\"")},
+           {"io_negative", replaced("\"chunks_stolen\":7", "\"chunks_stolen\":-7")},
            {"recovery_string",
             replaced("\"crashes_detected\":2", "\"crashes_detected\":\"two\"")},
            {"recovery_negative",
             replaced("\"crashes_detected\":2", "\"crashes_detected\":-2")}}) {
     EXPECT_EQ(validate(name, text, out), 1) << name << "\n" << out;
     const char* counter =
-        name.starts_with("io") ? "io.hedges_launched" : "recovery.crashes_detected";
+        name.starts_with("io") ? "io.chunks_stolen" : "recovery.crashes_detected";
     EXPECT_NE(out.find(counter), std::string::npos) << name << "\n" << out;
     EXPECT_EQ(out.find("Traceback"), std::string::npos) << name << "\n" << out;
   }
