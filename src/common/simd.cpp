@@ -142,6 +142,9 @@ void norm_interleaved(double* power, const float* x, std::size_t n) {
   }
 }
 
+// fp-contract pinned off: this is also the reference (and the ragged-edge
+// path) of the FMA-free cgemm_planar_exact entry.
+PSTAP_NO_CONTRACT
 void cgemm_planar(float* c, std::size_t ldc, const float* ar, const float* ai,
                   std::size_t m, std::size_t k, const float* b, std::size_t ldb,
                   std::size_t n) {
@@ -242,6 +245,7 @@ constexpr Ops kOps = {
     .interleave = interleave,
     .norm_interleaved = norm_interleaved,
     .cgemm_planar = cgemm_planar,
+    .cgemm_planar_exact = cgemm_planar,
     .zherk_cf_lower = zherk_cf_lower,
     .zmac = zmac,
     .zmac_conj = zmac_conj,
@@ -496,6 +500,7 @@ constexpr Ops kOps = {
     .interleave = interleave,
     .norm_interleaved = norm_interleaved,
     .cgemm_planar = cgemm_planar,
+    .cgemm_planar_exact = cgemm_planar,
     .zherk_cf_lower = zherk_cf_lower,
     .zmac = zmac,
     .zmac_conj = zmac_conj,
@@ -1055,6 +1060,75 @@ PSTAP_AVX2_NOFMA void zmac_conj(double* y, const double* x, double cr,
   if (i < n) sse2_impl::zmac_conj(y + 2 * i, x + 2 * i, cr, ci, n - i);
 }
 
+// FMA-free blocked GEMM (scene clutter synthesis): 4 C rows x 8 complex
+// columns stay in ymm registers across the k loop, so each B chunk is
+// loaded once per 4 rows and C once per call. Per element it computes
+// exactly the scalar cgemm_planar tree, y + (wr*x + wp*swap(x)) with
+// wp = (-wi, +wi), terms added in ascending p. Covers the whole 4 x 8
+// blocks only; cgemm_planar_exact runs the ragged edges.
+PSTAP_AVX2_NOFMA void cgemm_exact_blocks(float* c, std::size_t ldc,
+                                         const float* ar, const float* ai,
+                                         std::size_t m4, std::size_t k,
+                                         const float* b, std::size_t ldb,
+                                         std::size_t n8) {
+  const __m256 signs = _mm256_setr_ps(-0.0f, 0.0f, -0.0f, 0.0f,  //
+                                      -0.0f, 0.0f, -0.0f, 0.0f);
+  for (std::size_t i = 0; i < m4; i += 4) {
+    float* c0 = c + 2 * i * ldc;
+    const float* ar0 = ar + i * k;
+    const float* ai0 = ai + i * k;
+    for (std::size_t l = 0; l < n8; l += 8) {
+      __m256 acc[4][2];
+      for (std::size_t r = 0; r < 4; ++r) {
+        acc[r][0] = _mm256_loadu_ps(c0 + 2 * (r * ldc + l));
+        acc[r][1] = _mm256_loadu_ps(c0 + 2 * (r * ldc + l) + 8);
+      }
+      for (std::size_t p = 0; p < k; ++p) {
+        const float* brow = b + 2 * (p * ldb + l);
+        const __m256 x0 = _mm256_loadu_ps(brow);
+        const __m256 x1 = _mm256_loadu_ps(brow + 8);
+        const __m256 s0 = _mm256_permute_ps(x0, 0xB1);
+        const __m256 s1 = _mm256_permute_ps(x1, 0xB1);
+        for (std::size_t r = 0; r < 4; ++r) {
+          const __m256 wr = _mm256_broadcast_ss(ar0 + r * k + p);
+          const __m256 wp =
+              _mm256_xor_ps(_mm256_broadcast_ss(ai0 + r * k + p), signs);
+          acc[r][0] = _mm256_add_ps(
+              acc[r][0],
+              _mm256_add_ps(_mm256_mul_ps(wr, x0), _mm256_mul_ps(wp, s0)));
+          acc[r][1] = _mm256_add_ps(
+              acc[r][1],
+              _mm256_add_ps(_mm256_mul_ps(wr, x1), _mm256_mul_ps(wp, s1)));
+        }
+      }
+      for (std::size_t r = 0; r < 4; ++r) {
+        _mm256_storeu_ps(c0 + 2 * (r * ldc + l), acc[r][0]);
+        _mm256_storeu_ps(c0 + 2 * (r * ldc + l) + 8, acc[r][1]);
+      }
+    }
+  }
+}
+
+// Baseline-ISA wrapper, so no SSE code runs with dirty ymm upper halves.
+// With the edge calls inside the AVX body, GCC 12 emitted no vzeroupper
+// before them (the fp-contract-off scalar kernel is not inlined), and the
+// edges plus every later libm call paid the AVX-SSE transition penalty: a
+// test_small scene took 5x longer than with the patch-outer loop.
+void cgemm_planar_exact(float* c, std::size_t ldc, const float* ar,
+                        const float* ai, std::size_t m, std::size_t k,
+                        const float* b, std::size_t ldb, std::size_t n) {
+  const std::size_t m4 = m - m % 4, n8 = n - n % 8;
+  cgemm_exact_blocks(c, ldc, ar, ai, m4, k, b, ldb, n8);
+  if (n8 < n) {
+    scalar_impl::cgemm_planar(c + 2 * n8, ldc, ar, ai, m4, k, b + 2 * n8, ldb,
+                              n - n8);
+  }
+  if (m4 < m) {
+    scalar_impl::cgemm_planar(c + 2 * m4 * ldc, ldc, ar + m4 * k, ai + m4 * k,
+                              m - m4, k, b, ldb, n);
+  }
+}
+
 #undef PSTAP_AVX2_NOFMA
 
 // SSE4.2 `crc32` computes the same reflected CRC32C step in hardware: one
@@ -1085,6 +1159,7 @@ constexpr Ops kOps = {
     .interleave = interleave,
     .norm_interleaved = norm_interleaved,
     .cgemm_planar = cgemm_planar,
+    .cgemm_planar_exact = cgemm_planar_exact,
     .zherk_cf_lower = zherk_cf_lower,
     .zmac = zmac,
     .zmac_conj = zmac_conj,

@@ -23,7 +23,8 @@
 // Every field has a production caller: the FFT (the *_rows kernels and
 // `scale`), the Doppler filter (`deinterleave_scale`, `interleave`), CFAR
 // (`norm_interleaved`), the weight and beamform GEMMs (`cgemm_planar`,
-// `zherk_cf_lower`), the QR solve (`zmac`, `zmac_conj`) and the pfs
+// `zherk_cf_lower`), the QR solve (`zmac`, `zmac_conj`), the scene
+// generator's clutter synthesis (`cgemm_planar_exact`) and the pfs
 // checksum (`crc32c`, through common/crc32c.hpp).
 //
 // Numerical contract: every backend computes the same per-element
@@ -35,10 +36,11 @@
 // kernels, which keeps those rows (every row of a single-series FFT)
 // bit-exact with scalar; SSE2 never contracts, so its four complex row
 // kernels are bit-exact with scalar at every width. `norm_interleaved`,
-// `scale`, `deinterleave_scale`, `interleave`, `zmac` and `zmac_conj` are
-// FMA-free and bit-exact with the scalar path on every backend — CFAR
-// threshold comparisons see identical powers and the QR weight solve
-// computes identical weights no matter which backend ran. `crc32c` is
+// `scale`, `deinterleave_scale`, `interleave`, `cgemm_planar_exact`, `zmac`
+// and `zmac_conj` are FMA-free and bit-exact with the scalar path on every
+// backend — CFAR threshold comparisons see identical powers, synthesized
+// scenes have identical bytes and the QR weight solve computes identical
+// weights no matter which backend ran. `crc32c` is
 // integer arithmetic and returns the same value on every backend.
 //
 // Hot callers hoist `const simd::Ops& o = simd::ops();` outside their loops
@@ -137,6 +139,16 @@ struct Ops {
   void (*cgemm_planar)(float* c, std::size_t ldc, const float* ar,
                        const float* ai, std::size_t m, std::size_t k,
                        const float* b, std::size_t ldb, std::size_t n);
+  /// cgemm_planar with the contract of zmac: FMA-free, every C element
+  /// accumulates its k terms in ascending p onto its existing value, so the
+  /// result is bit-exact with the scalar cgemm_planar on every backend. The
+  /// scene generator's clutter synthesis (a rank-patches update of the
+  /// cube) runs on it, which keeps the synthesized bytes host-independent.
+  /// Scalar and SSE2 point at their cgemm_planar; AVX2 register-blocks 4 C
+  /// rows x 8 complex columns without FMA.
+  void (*cgemm_planar_exact)(float* c, std::size_t ldc, const float* ar,
+                             const float* ai, std::size_t m, std::size_t k,
+                             const float* b, std::size_t ldb, std::size_t n);
   /// Hermitian rank-k update of a double-precision lower triangle from
   /// cfloat snapshot rows (STAP covariance formation): for 0 <= j <= i <
   /// dof,

@@ -992,12 +992,19 @@ RunResult ThreadRunner::run() {
   if (options_.fault_plan) fault_scope.emplace(options_.fault_plan);
 
   // --- The radar side: write the round-robin CPI files. ---
+  // "setup" spans split this part of setup time into synthesis and write.
   pfs::StripedFileSystem fs(options_.fs_root, options_.fs_config);
   {
     stap::SceneGenerator gen(p, options_.scene, options_.seed);
     for (std::size_t f = 0; f < options_.round_robin_files; ++f) {
+      const auto cpi = static_cast<std::int64_t>(f);
+      const stap::DataCube cube = [&] {
+        obs::ScopedSpan span("setup", "scene", obs::kLibraryPid, nullptr, cpi);
+        return gen.generate(f);
+      }();
+      obs::ScopedSpan write("setup", "write", obs::kLibraryPid, nullptr, cpi);
       stap::write_cpi(fs, stap::round_robin_name(f, options_.round_robin_files),
-                      gen.generate(f), options_.file_layout);
+                      cube, options_.file_layout);
     }
   }
 

@@ -2,9 +2,10 @@
 //
 // Every vector backend must reproduce the scalar reference: bit-exactly for
 // the FMA-free primitives (scale, deinterleave_scale, interleave,
-// norm_interleaved, zmac*), for every SSE2 complex row kernel and for AVX2
-// rows narrower than 8 lanes; within tolerance for the FMA-contracted AVX2
-// rows of 8 lanes or more and the GEMM family. On top of the primitives,
+// norm_interleaved, zmac*, cgemm_planar_exact), for every SSE2 complex row
+// kernel and for AVX2 rows narrower than 8 lanes; within tolerance for the
+// FMA-contracted AVX2 rows of 8 lanes or more and the rest of the GEMM
+// family. On top of the primitives,
 // the whole STAP chain is checked end to end: FFT batch and single-series
 // paths against a naive DFT (including Bluestein sizes and odd lane
 // counts) and — the contract that matters operationally — CFAR detections
@@ -16,6 +17,7 @@
 #include <complex>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <numbers>
 #include <span>
 #include <string>
@@ -612,6 +614,48 @@ TEST(GemmEquivalence, CgemmAccumulatesIntoExistingOutput) {
       EXPECT_NEAR(once[i].real(), base[i].real() + zero[i].real(), 1e-4f)
           << simd::backend_name(bk);
       EXPECT_NEAR(once[i].imag(), base[i].imag() + zero[i].imag(), 1e-4f);
+    }
+  }
+}
+
+TEST(GemmEquivalence, ExactCgemmBitExactAcrossBackends) {
+  // cgemm_planar_exact carries the zmac contract: FMA-free, terms added in
+  // ascending p onto the existing C, so every backend must reproduce the
+  // plain std::complex<float> MAC loop byte for byte, at every ragged edge
+  // of the AVX2 4 x 8 register block, with padded leading dimensions, and
+  // without touching the padding.
+  for (std::size_t m : {1, 2, 3, 4, 5, 17}) {
+    for (std::size_t n : {1, 7, 8, 9, 17, 128}) {
+      for (std::size_t k : {1, 3, 64}) {
+        const std::size_t ldb = n + 3, ldc = n + 5;
+        const auto a = random_cfloats(m * k, 3000 + m * k);
+        const auto b = random_cfloats(k * ldb, 4000 + n * k);
+        const auto c0 = random_cfloats(m * ldc, 5000 + m * n);
+        std::vector<float> ar(m * k), ai(m * k);
+        for (std::size_t i = 0; i < m * k; ++i) {
+          ar[i] = a[i].real();
+          ai[i] = a[i].imag();
+        }
+        std::vector<cfloat> ref = c0;
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t p = 0; p < k; ++p) {
+            for (std::size_t l = 0; l < n; ++l) {
+              ref[i * ldc + l] += a[i * k + p] * b[p * ldb + l];
+            }
+          }
+        }
+        for (Backend bk : supported_backends()) {
+          std::vector<cfloat> got = c0;
+          simd::ops(bk).cgemm_planar_exact(
+              reinterpret_cast<float*>(got.data()), ldc, ar.data(), ai.data(),
+              m, k, reinterpret_cast<const float*>(b.data()), ldb, n);
+          EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                                ref.size() * sizeof(cfloat)),
+                    0)
+              << simd::backend_name(bk) << " m=" << m << " n=" << n
+              << " k=" << k;
+        }
+      }
     }
   }
 }

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <filesystem>
 #include <numbers>
 
+#include "common/crc32c.hpp"
 #include "common/error.hpp"
 #include "common/simd.hpp"
 #include "linalg/cholesky.hpp"
@@ -187,6 +189,23 @@ TEST(DataCubeTest, RejectsBadSlab) {
 
 // ----------------------------------------------------------------- scene --
 
+// Restores the auto-detected SIMD backend even if a test fails mid-way.
+struct SimdBackendGuard {
+  ~SimdBackendGuard() { simd::force_backend(simd::detect_best()); }
+};
+
+std::vector<simd::Backend> simd_backends() {
+  std::vector<simd::Backend> out{simd::Backend::kScalar};
+  const simd::Backend best = simd::detect_best();
+  if (static_cast<int>(best) >= static_cast<int>(simd::Backend::kSse2)) {
+    out.push_back(simd::Backend::kSse2);
+  }
+  if (static_cast<int>(best) >= static_cast<int>(simd::Backend::kAvx2)) {
+    out.push_back(simd::Backend::kAvx2);
+  }
+  return out;
+}
+
 TEST(Scene, DeterministicPerSeedAndCpi) {
   const RadarParams p = RadarParams::test_small();
   SceneConfig cfg;
@@ -255,6 +274,45 @@ TEST(Scene, ClutterConcentratesInHardBins) {
   hard_power /= static_cast<double>(out.hard.samples());
   easy_power /= static_cast<double>(out.easy.samples());
   EXPECT_GT(hard_power, 20.0 * easy_power);
+}
+
+TEST(Scene, BytesPinnedOnEveryBackend) {
+  // Scenes are the input of every detection-equality oracle, so their bytes
+  // are pinned: the CRC32C of cubes 0..4 at test_small and at the paper
+  // geometry, recorded from the patch-outer clutter loop that preceded the
+  // GEMM kernel, must come out of every backend.
+  struct Case {
+    RadarParams params;
+    std::array<std::uint32_t, 5> crc;
+  };
+  const Case cases[] = {
+      {RadarParams::test_small(),
+       {0x62eb4273u, 0xf2d7482eu, 0x3eb2e2efu, 0xc518d787u, 0x8cee8264u}},
+      {RadarParams{},
+       {0x6c05d842u, 0x5a7658f5u, 0x349202c6u, 0x7fecc196u, 0x361b5deau}},
+  };
+  SimdBackendGuard guard;
+  for (simd::Backend b : simd_backends()) {
+    simd::force_backend(b);
+    for (const Case& c : cases) {
+      const RadarParams& p = c.params;
+      SceneConfig cfg;
+      cfg.clutter_patches = 64;
+      cfg.cnr_db = 40.0;
+      const double easy_bin = static_cast<double>(p.doppler_bins() / 2);
+      cfg.targets = {{p.ranges * 3 / 10, easy_bin, 0.0, 18.0, 1.5},
+                     {p.ranges * 7 / 10, 1.0, -0.35, 25.0}};
+      const SceneGenerator gen(p, cfg, 7);
+      for (std::uint64_t cpi = 0; cpi < c.crc.size(); ++cpi) {
+        const DataCube cube = gen.generate(cpi);
+        const std::uint32_t crc =
+            crc32c(cube.flat().data(), cube.flat().size_bytes());
+        EXPECT_EQ(crc, c.crc[cpi])
+            << simd::backend_name(b) << " " << p.channels << "x" << p.pulses
+            << "x" << p.ranges << " cpi=" << cpi << std::hex << " crc=0x" << crc;
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------- doppler --
@@ -984,23 +1042,6 @@ TEST(StapChain, DetectsInjectedTargetsEndToEnd) {
 }
 
 // ------------------------------------------- GEMM kernel-layer contracts --
-
-// Restores the auto-detected SIMD backend even if a test fails mid-way.
-struct SimdBackendGuard {
-  ~SimdBackendGuard() { simd::force_backend(simd::detect_best()); }
-};
-
-std::vector<simd::Backend> simd_backends() {
-  std::vector<simd::Backend> out{simd::Backend::kScalar};
-  const simd::Backend best = simd::detect_best();
-  if (static_cast<int>(best) >= static_cast<int>(simd::Backend::kSse2)) {
-    out.push_back(simd::Backend::kSse2);
-  }
-  if (static_cast<int>(best) >= static_cast<int>(simd::Backend::kAvx2)) {
-    out.push_back(simd::Backend::kAvx2);
-  }
-  return out;
-}
 
 TEST(Weights, CholeskyWeightsMatchPreKernelScalarReference) {
   // Under the forced scalar backend, the cherk-based covariance + hoisted
