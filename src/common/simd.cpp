@@ -191,28 +191,6 @@ void zherk_cf_lower(double* r, std::size_t ldr, const float* s, std::size_t lds,
   }
 }
 
-// fp-contract pinned off for the zmac pair: these are the FMA-free
-// bit-exact-across-backends kernels feeding the QR weight solve, and a
-// contracted mul+add in any one backend would break the contract.
-PSTAP_NO_CONTRACT
-void zmac(double* y, const double* x, double cr, double ci, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xr = x[2 * i], xi = x[2 * i + 1];
-    y[2 * i] += cr * xr - ci * xi;
-    y[2 * i + 1] += cr * xi + ci * xr;
-  }
-}
-
-PSTAP_NO_CONTRACT
-void zmac_conj(double* y, const double* x, double cr, double ci,
-               std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xr = x[2 * i], xi = x[2 * i + 1];
-    y[2 * i] += cr * xr + ci * xi;
-    y[2 * i + 1] += cr * xi - ci * xr;
-  }
-}
-
 // Byte-at-a-time CRC32C over the reflected Castagnoli polynomial.
 constexpr std::array<std::uint32_t, 256> kCrc32cTable = [] {
   std::array<std::uint32_t, 256> t{};
@@ -247,8 +225,6 @@ constexpr Ops kOps = {
     .cgemm_planar = cgemm_planar,
     .cgemm_planar_exact = cgemm_planar,
     .zherk_cf_lower = zherk_cf_lower,
-    .zmac = zmac,
-    .zmac_conj = zmac_conj,
     .crc32c = crc32c,
 };
 
@@ -463,33 +439,6 @@ void zherk_cf_lower(double* r, std::size_t ldr, const float* s, std::size_t lds,
   }
 }
 
-void zmac(double* y, const double* x, double cr, double ci, std::size_t n) {
-  // One complex per __m128d; per-element trees identical to scalar (the
-  // lane negation of ci is exact), so this stays bit-exact with scalar.
-  const __m128d vcr = _mm_set1_pd(cr);
-  const __m128d vcp = _mm_set_pd(ci, -ci);
-  for (std::size_t i = 0; i < n; ++i) {
-    const __m128d vx = _mm_loadu_pd(x + 2 * i);
-    const __m128d vy = _mm_loadu_pd(y + 2 * i);
-    const __m128d xsw = _mm_shuffle_pd(vx, vx, 0x1);
-    const __m128d t = _mm_add_pd(_mm_mul_pd(vcr, vx), _mm_mul_pd(vcp, xsw));
-    _mm_storeu_pd(y + 2 * i, _mm_add_pd(vy, t));
-  }
-}
-
-void zmac_conj(double* y, const double* x, double cr, double ci,
-               std::size_t n) {
-  const __m128d vcr = _mm_set1_pd(cr);
-  const __m128d vcp = _mm_set_pd(-ci, ci);
-  for (std::size_t i = 0; i < n; ++i) {
-    const __m128d vx = _mm_loadu_pd(x + 2 * i);
-    const __m128d vy = _mm_loadu_pd(y + 2 * i);
-    const __m128d xsw = _mm_shuffle_pd(vx, vx, 0x1);
-    const __m128d t = _mm_add_pd(_mm_mul_pd(vcr, vx), _mm_mul_pd(vcp, xsw));
-    _mm_storeu_pd(y + 2 * i, _mm_add_pd(vy, t));
-  }
-}
-
 constexpr Ops kOps = {
     .butterfly_rows = butterfly_rows,
     .butterfly2_rows = butterfly2_rows,
@@ -502,8 +451,6 @@ constexpr Ops kOps = {
     .cgemm_planar = cgemm_planar,
     .cgemm_planar_exact = cgemm_planar,
     .zherk_cf_lower = zherk_cf_lower,
-    .zmac = zmac,
-    .zmac_conj = zmac_conj,
     .crc32c = scalar_impl::crc32c,
 };
 
@@ -1022,43 +969,11 @@ PSTAP_AVX2 void zherk_cf_lower(double* r, std::size_t ldr, const float* s,
 
 #undef PSTAP_AVX2
 
-// avx2 WITHOUT fma in the target set: the zmac pair must stay FMA-free so
-// results are bit-exact with the scalar reference on every backend, and a
-// target that lacks FMA makes it impossible for fp-contract to fuse the
+// avx2 WITHOUT fma in the target set: cgemm_planar_exact must stay FMA-free
+// so results are bit-exact with the scalar reference on every backend, and
+// a target that lacks FMA makes it impossible for fp-contract to fuse the
 // mul+add intrinsic pairs below.
 #define PSTAP_AVX2_NOFMA __attribute__((target("avx2")))
-
-PSTAP_AVX2_NOFMA void zmac(double* y, const double* x, double cr, double ci,
-                           std::size_t n) {
-  const __m256d vcr = _mm256_set1_pd(cr);
-  const __m256d vcp = _mm256_setr_pd(-ci, ci, -ci, ci);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m256d vx = _mm256_loadu_pd(x + 2 * i);
-    const __m256d vy = _mm256_loadu_pd(y + 2 * i);
-    const __m256d xsw = _mm256_permute_pd(vx, 0x5);
-    const __m256d t =
-        _mm256_add_pd(_mm256_mul_pd(vcr, vx), _mm256_mul_pd(vcp, xsw));
-    _mm256_storeu_pd(y + 2 * i, _mm256_add_pd(vy, t));
-  }
-  if (i < n) sse2_impl::zmac(y + 2 * i, x + 2 * i, cr, ci, n - i);
-}
-
-PSTAP_AVX2_NOFMA void zmac_conj(double* y, const double* x, double cr,
-                                double ci, std::size_t n) {
-  const __m256d vcr = _mm256_set1_pd(cr);
-  const __m256d vcp = _mm256_setr_pd(ci, -ci, ci, -ci);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m256d vx = _mm256_loadu_pd(x + 2 * i);
-    const __m256d vy = _mm256_loadu_pd(y + 2 * i);
-    const __m256d xsw = _mm256_permute_pd(vx, 0x5);
-    const __m256d t =
-        _mm256_add_pd(_mm256_mul_pd(vcr, vx), _mm256_mul_pd(vcp, xsw));
-    _mm256_storeu_pd(y + 2 * i, _mm256_add_pd(vy, t));
-  }
-  if (i < n) sse2_impl::zmac_conj(y + 2 * i, x + 2 * i, cr, ci, n - i);
-}
 
 // FMA-free blocked GEMM (scene clutter synthesis): 4 C rows x 8 complex
 // columns stay in ymm registers across the k loop, so each B chunk is
@@ -1161,8 +1076,6 @@ constexpr Ops kOps = {
     .cgemm_planar = cgemm_planar,
     .cgemm_planar_exact = cgemm_planar_exact,
     .zherk_cf_lower = zherk_cf_lower,
-    .zmac = zmac,
-    .zmac_conj = zmac_conj,
     .crc32c = crc32c,
 };
 

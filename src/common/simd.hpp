@@ -23,9 +23,9 @@
 // Every field has a production caller: the FFT (the *_rows kernels and
 // `scale`), the Doppler filter (`deinterleave_scale`, `interleave`), CFAR
 // (`norm_interleaved`), the weight and beamform GEMMs (`cgemm_planar`,
-// `zherk_cf_lower`), the QR solve (`zmac`, `zmac_conj`), the scene
-// generator's clutter synthesis (`cgemm_planar_exact`) and the pfs
-// checksum (`crc32c`, through common/crc32c.hpp).
+// `zherk_cf_lower`), the scene generator's clutter synthesis
+// (`cgemm_planar_exact`) and the pfs checksum (`crc32c`, through
+// common/crc32c.hpp).
 //
 // Numerical contract: every backend computes the same per-element
 // expression trees as the scalar reference. The AVX2 tier contracts
@@ -36,12 +36,11 @@
 // kernels, which keeps those rows (every row of a single-series FFT)
 // bit-exact with scalar; SSE2 never contracts, so its four complex row
 // kernels are bit-exact with scalar at every width. `norm_interleaved`,
-// `scale`, `deinterleave_scale`, `interleave`, `cgemm_planar_exact`, `zmac`
-// and `zmac_conj` are FMA-free and bit-exact with the scalar path on every
-// backend — CFAR threshold comparisons see identical powers, synthesized
-// scenes have identical bytes and the QR weight solve computes identical
-// weights no matter which backend ran. `crc32c` is
-// integer arithmetic and returns the same value on every backend.
+// `scale`, `deinterleave_scale`, `interleave` and `cgemm_planar_exact` are
+// FMA-free and bit-exact with the scalar path on every backend — CFAR
+// threshold comparisons see identical powers and synthesized scenes have
+// identical bytes no matter which backend ran. `crc32c` is integer
+// arithmetic and returns the same value on every backend.
 //
 // Hot callers hoist `const simd::Ops& o = simd::ops();` outside their loops
 // so dispatch costs one indirect call per row, not per element.
@@ -139,13 +138,13 @@ struct Ops {
   void (*cgemm_planar)(float* c, std::size_t ldc, const float* ar,
                        const float* ai, std::size_t m, std::size_t k,
                        const float* b, std::size_t ldb, std::size_t n);
-  /// cgemm_planar with the contract of zmac: FMA-free, every C element
-  /// accumulates its k terms in ascending p onto its existing value, so the
-  /// result is bit-exact with the scalar cgemm_planar on every backend. The
-  /// scene generator's clutter synthesis (a rank-patches update of the
-  /// cube) runs on it, which keeps the synthesized bytes host-independent.
-  /// Scalar and SSE2 point at their cgemm_planar; AVX2 register-blocks 4 C
-  /// rows x 8 complex columns without FMA.
+  /// cgemm_planar without FMA contraction: every C element accumulates its
+  /// k terms in ascending p onto its existing value, so the result is
+  /// bit-exact with the scalar cgemm_planar on every backend. The scene
+  /// generator's clutter synthesis (a rank-patches update of the cube) runs
+  /// on it, which keeps the synthesized bytes host-independent. Scalar and
+  /// SSE2 point at their cgemm_planar; AVX2 register-blocks 4 C rows x 8
+  /// complex columns without FMA.
   void (*cgemm_planar_exact)(float* c, std::size_t ldc, const float* ar,
                              const float* ai, std::size_t m, std::size_t k,
                              const float* b, std::size_t ldb, std::size_t n);
@@ -163,17 +162,6 @@ struct Ops {
   void (*zherk_cf_lower)(double* r, std::size_t ldr, const float* s,
                          std::size_t lds, std::size_t dof, std::size_t t,
                          double alpha);
-  /// Double-precision MAC: y[i] += c * x[i] over interleaved complex
-  /// arrays, c = cr + i*ci broadcast. Deliberately FMA-free on every
-  /// backend: the QR Householder row sweeps feed the weight solve, and
-  /// keeping them bit-exact keeps the computed weights — and therefore the
-  /// CFAR inputs — identical across backends.
-  void (*zmac)(double* y, const double* x, double cr, double ci,
-               std::size_t n);
-  /// Double-precision conjugate MAC: y[i] += conj(c) * x[i]. FMA-free and
-  /// bit-exact across backends, like zmac.
-  void (*zmac_conj)(double* y, const double* x, double cr, double ci,
-                    std::size_t n);
 
   // ------------------------------------------------------------ checksum --
 

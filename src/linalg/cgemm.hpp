@@ -2,9 +2,8 @@
 // beamform path.
 //
 // The raw loops live on the runtime-dispatched simd::Ops table
-// (common/simd.hpp: cgemm_planar / zherk_cf_lower; the QR solve uses zmac /
-// zmac_conj); this layer owns the packing, shape checking and the
-// 64-byte-aligned split-re/im tile buffers:
+// (common/simd.hpp: cgemm_planar / zherk_cf_lower); this layer owns the
+// packing, shape checking and the 64-byte-aligned split-re/im tile buffers:
 //
 //   * cgemm       — C(m x n) += op(A)(m x k) * B(k x n), op = identity or
 //                   elementwise conjugate. A is packed once into planar

@@ -90,4 +90,7 @@ PfsConfig paragon_pfs(std::size_t stripe_factor);
 /// PIOFS-like preset (no async support).
 PfsConfig piofs(std::size_t stripe_factor = 80);
 
+/// Name of stripe directory (and I/O server) `dir`: "sd000", "sd001", ...
+std::string stripe_dir_name(std::size_t dir);
+
 }  // namespace pstap::pfs

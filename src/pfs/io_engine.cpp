@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 
 #include "common/crc32c.hpp"
 #include "common/error.hpp"
@@ -37,14 +36,12 @@ IoEngine::IoEngine(const PfsConfig& config)
   depth_names_.reserve(servers);
   auto& recorder = obs::TraceRecorder::global();
   for (std::size_t s = 0; s < servers; ++s) {
-    char dir[32];
-    std::snprintf(dir, sizeof dir, "sd%03zu", s);
-    read_sites_.push_back(std::string("pfs.server.read.") + dir);
-    write_sites_.push_back(std::string("pfs.server.write.") + dir);
-    depth_names_.push_back(std::string("queue_depth.") + dir);
+    const std::string dir = stripe_dir_name(s);
+    read_sites_.push_back("pfs.server.read." + dir);
+    write_sites_.push_back("pfs.server.write." + dir);
+    depth_names_.push_back("queue_depth." + dir);
     recorder.set_process_name(
-        obs::kIoServerPidBase + static_cast<std::int32_t>(s),
-        std::string("pfs server ") + dir);
+        obs::kIoServerPidBase + static_cast<std::int32_t>(s), "pfs server " + dir);
   }
   threads_.reserve(servers);
   for (std::size_t s = 0; s < servers; ++s) {

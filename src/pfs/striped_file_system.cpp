@@ -41,6 +41,12 @@ PfsConfig piofs(std::size_t stripe_factor) {
   return cfg;
 }
 
+std::string stripe_dir_name(std::size_t dir) {
+  std::string digits = std::to_string(dir);
+  if (digits.size() < 3) digits.insert(0, 3 - digits.size(), '0');
+  return "sd" + digits;
+}
+
 StripedFileSystem::StripedFileSystem(fs::path root, PfsConfig config)
     : root_(std::move(root)), config_(std::move(config)) {
   apply_env_overrides(config_);
@@ -77,9 +83,7 @@ StripedFileSystem::StripedFileSystem(fs::path root, PfsConfig config)
   }
 
   for (std::size_t d = 0; d < config_.stripe_factor; ++d) {
-    char dir[32];
-    std::snprintf(dir, sizeof dir, "sd%03zu", d);
-    fs::create_directories(root_ / dir, ec);
+    fs::create_directories(root_ / stripe_dir_name(d), ec);
     if (ec) PSTAP_IO_FAIL("cannot create stripe directory", ec.value());
   }
   engine_ = std::make_unique<IoEngine>(config_);
@@ -101,17 +105,14 @@ void StripedFileSystem::validate_name(const std::string& name) const {
 }
 
 fs::path StripedFileSystem::segment_path(const std::string& name, std::size_t dir) const {
-  char d[16];
-  std::snprintf(d, sizeof d, "sd%03zu", dir);
-  return root_ / d / (name + ".seg");
+  return root_ / stripe_dir_name(dir) / (name + ".seg");
 }
 
 fs::path StripedFileSystem::replica_path(const std::string& name, std::size_t dir) const {
   // Replica of the units whose primary is `dir` lives one directory over,
   // so losing a single stripe directory never loses both copies of a unit.
-  char d[16];
-  std::snprintf(d, sizeof d, "sd%03zu", (dir + 1) % config_.stripe_factor);
-  return root_ / d / (name + ".r1.seg");
+  return root_ / stripe_dir_name((dir + 1) % config_.stripe_factor) /
+         (name + ".r1.seg");
 }
 
 fs::path StripedFileSystem::meta_path(const std::string& name) const {

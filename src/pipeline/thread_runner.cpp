@@ -276,25 +276,6 @@ void unpack_bin_slab(stap::BinArray& dst, std::size_t r_lo, std::size_t r_hi,
   }
 }
 
-/// Conventional (steering-only) weights used at CPI 0 before the first
-/// adaptive weights arrive over the temporal edge.
-stap::WeightSet default_weights(const stap::WeightComputer& wc,
-                                const std::vector<std::size_t>& bins,
-                                const stap::RadarParams& params, std::size_t dof) {
-  stap::WeightSet ws(bins.size(), params.beams, dof);
-  for (std::size_t bi = 0; bi < bins.size(); ++bi) {
-    for (std::size_t beam = 0; beam < params.beams; ++beam) {
-      const auto s = wc.steering(bins[bi], beam);
-      double s2 = 0;
-      for (const auto& v : s) s2 += std::norm(v);
-      auto out = ws.at(bi, beam);
-      for (std::size_t d = 0; d < dof; ++d)
-        out[d] = s[d] * static_cast<float>(1.0 / s2);
-    }
-  }
-  return ws;
-}
-
 // ------------------------------------------------------------- I/O nodes --
 
 /// Open the round-robin CPI files (file f holds CPIs f, f + n, ...).
@@ -625,7 +606,7 @@ void run_weights_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
   const BlockPartition ranges(p.ranges, static_cast<std::size_t>(dops));
 
   std::vector<std::size_t> my_ids(ids.begin() + b_lo, ids.begin() + b_hi);
-  stap::WeightComputer wc(p, my_ids, dof, ctx.opt.weight_solver);
+  stap::WeightComputer wc(p, my_ids, dof);
   stap::BinArray training(my_ids.size(), dof, p.training_ranges);
 
   for (int cpi = ctx.resume_cpi(); cpi < ctx.opt.cpis; ++cpi) {
@@ -737,8 +718,7 @@ void run_beamform_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
   // (`current`) is fully overwritten by the weight messages consumed each
   // CPI >= 1 — so a respawn rebuilds it from the replayed messages alone
   // and needs no separate snapshot.
-  stap::WeightSet current =
-      my_ids.empty() ? stap::WeightSet{} : default_weights(wc, my_ids, p, dof);
+  stap::WeightSet current = wc.conventional();
   stap::BinArray spectra(my_ids.size(), dof, p.ranges);
 
   for (int cpi = ctx.resume_cpi(); cpi < ctx.opt.cpis; ++cpi) {
@@ -1128,10 +1108,14 @@ RunResult ThreadRunner::run() {
   // Union the per-rank dropped-CPI sets and suppress those CPIs'
   // detections: a degraded read zero-fills only one node's slab, so the
   // rest of the CPI's detections are real but the product is incomplete —
-  // report the CPI as dropped rather than silently thinner.
+  // report the CPI as dropped rather than silently thinner. CPI k's
+  // zero-filled training gates also set the weights the beamformers apply
+  // to CPI k + 1 (the temporal edge), so k + 1 is dropped with it.
   for (const auto& per_rank : results.dropped) {
-    result.dropped_cpis.insert(result.dropped_cpis.end(), per_rank.begin(),
-                               per_rank.end());
+    for (const int cpi : per_rank) {
+      result.dropped_cpis.push_back(cpi);
+      if (cpi + 1 < options_.cpis) result.dropped_cpis.push_back(cpi + 1);
+    }
   }
   std::sort(result.dropped_cpis.begin(), result.dropped_cpis.end());
   result.dropped_cpis.erase(

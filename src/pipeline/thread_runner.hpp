@@ -55,9 +55,6 @@ struct RunOptions {
   /// CPI; see stap::DetectionLogWriter) — the pipeline's output side.
   std::string detection_log;
 
-  /// Numerical route used by the weight-computation tasks.
-  stap::WeightSolver weight_solver = stap::WeightSolver::kCholeskySmi;
-
   /// Retry policy for every per-CPI slab read — embedded, separate-task,
   /// collective and failover. Transient I/O faults are retried up to
   /// max_attempts times with exponential backoff from initial_backoff,
@@ -112,8 +109,10 @@ struct RunResult {
   std::vector<stap::Detection> detections;  ///< all CPIs, cpi field filled
   int timed_cpis = 0;
 
-  /// CPIs dropped by graceful degradation (ascending, deduplicated).
-  /// Their detections are suppressed; metrics.dropped_cpis is the count.
+  /// CPIs dropped by graceful degradation (ascending, deduplicated): each
+  /// CPI with a failed slab read, and the CPI after it, whose weights were
+  /// trained on the zero-filled slab. Their detections are suppressed;
+  /// metrics.dropped_cpis is the count.
   std::vector<int> dropped_cpis;
 };
 

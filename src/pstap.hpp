@@ -18,7 +18,6 @@
 #include "fft/fft.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/cmatrix.hpp"
-#include "linalg/qr.hpp"
 
 // Message passing (threads as ranks).
 #include "mp/comm.hpp"

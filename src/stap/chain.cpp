@@ -2,25 +2,6 @@
 
 namespace pstap::stap {
 
-namespace {
-WeightSet conventional_weights(const WeightComputer& wc,
-                               const std::vector<std::size_t>& bins,
-                               const RadarParams& params, std::size_t dof) {
-  WeightSet ws(bins.size(), params.beams, dof);
-  for (std::size_t bi = 0; bi < bins.size(); ++bi) {
-    for (std::size_t beam = 0; beam < params.beams; ++beam) {
-      const auto s = wc.steering(bins[bi], beam);
-      double s2 = 0;
-      for (const auto& v : s) s2 += std::norm(v);
-      auto out = ws.at(bi, beam);
-      for (std::size_t d = 0; d < dof; ++d)
-        out[d] = s[d] * static_cast<float>(1.0 / s2);
-    }
-  }
-  return ws;
-}
-}  // namespace
-
 StapChain::StapChain(const RadarParams& params)
     : params_(params),
       doppler_(params_),
@@ -29,10 +10,8 @@ StapChain::StapChain(const RadarParams& params)
       beamformer_(params_),
       compressor_(params_),
       cfar_(params_),
-      conventional_easy_(conventional_weights(wc_easy_, params_.easy_bins(), params_,
-                                              params_.easy_dof())),
-      conventional_hard_(conventional_weights(wc_hard_, params_.hard_bins(), params_,
-                                              params_.hard_dof())) {}
+      conventional_easy_(wc_easy_.conventional()),
+      conventional_hard_(wc_hard_.conventional()) {}
 
 std::vector<Detection> StapChain::push(const DataCube& cube) {
   const DopplerOutput out = doppler_.process(cube);

@@ -6,15 +6,13 @@
 #include "linalg/cgemm.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/cmatrix.hpp"
-#include "linalg/qr.hpp"
 #include "stap/steering.hpp"
 
 namespace pstap::stap {
 
 WeightComputer::WeightComputer(const RadarParams& params,
-                               std::vector<std::size_t> bin_ids, std::size_t dof,
-                               WeightSolver solver)
-    : params_(params), bin_ids_(std::move(bin_ids)), dof_(dof), solver_(solver) {
+                               std::vector<std::size_t> bin_ids, std::size_t dof)
+    : params_(params), bin_ids_(std::move(bin_ids)), dof_(dof) {
   params_.validate();
   PSTAP_REQUIRE(dof_ == params_.easy_dof() || dof_ == params_.hard_dof(),
                 "dof must be easy_dof() or hard_dof()");
@@ -31,13 +29,28 @@ std::vector<cfloat> WeightComputer::steering(std::size_t bin, std::size_t beam) 
   return stacked_steering(spatial, doppler_phase(bin, params_.doppler_bins()));
 }
 
+WeightSet WeightComputer::conventional() const {
+  WeightSet ws(bin_ids_.size(), params_.beams, dof_);
+  for (std::size_t bi = 0; bi < bin_ids_.size(); ++bi) {
+    for (std::size_t beam = 0; beam < params_.beams; ++beam) {
+      const auto s = steering(bin_ids_[bi], beam);
+      double s2 = 0;
+      for (const auto& v : s) s2 += std::norm(v);
+      auto out = ws.at(bi, beam);
+      for (std::size_t d = 0; d < dof_; ++d)
+        out[d] = s[d] * static_cast<float>(1.0 / s2);
+    }
+  }
+  return ws;
+}
+
 namespace {
 
 /// MVDR normalization: w <- w / (s^H w), making the response toward the
 /// steering vector exactly one. Falls back to unit scale for degenerate
-/// denominators. Scale-invariant in w, so solver-specific scalings cancel.
+/// denominators. Scale-invariant in w.
 /// `sd` is the steering vector already widened to double — the widening is
-/// hoisted out of the per-bin loops by the callers.
+/// hoisted out of the per-bin loop by the caller.
 void normalize_and_store(std::span<const cdouble> sd, std::span<cdouble> w,
                          std::span<cfloat> out) {
   cdouble denom{};
@@ -99,8 +112,14 @@ cfloat stagger_shift(double psi) {
 
 }  // namespace
 
-WeightSet WeightComputer::compute_cholesky(const BinArray& spectra,
-                                           std::size_t training) const {
+WeightSet WeightComputer::compute(const BinArray& spectra) const {
+  PSTAP_REQUIRE(spectra.bins() == bin_ids_.size(),
+                "spectra bin count does not match assignment");
+  PSTAP_REQUIRE(spectra.dof() == dof_, "spectra dof mismatch");
+  const std::size_t training = std::min<std::size_t>(params_.training_ranges,
+                                                     spectra.ranges());
+  PSTAP_REQUIRE(training >= dof_,
+                "not enough training range gates for the requested DOF");
   WeightSet weights(bin_ids_.size(), params_.beams, dof_);
   const bool stacked = dof_ != params_.easy_dof();
   const auto beams = hoist_beam_steering(params_);
@@ -142,69 +161,6 @@ WeightSet WeightComputer::compute_cholesky(const BinArray& spectra,
     }
   }
   return weights;
-}
-
-WeightSet WeightComputer::compute_qr(const BinArray& spectra,
-                                     std::size_t training) const {
-  WeightSet weights(bin_ids_.size(), params_.beams, dof_);
-  const double t = static_cast<double>(training);
-  const bool stacked = dof_ != params_.easy_dof();
-  const auto beams = hoist_beam_steering(params_);
-  std::vector<cdouble> sd(dof_);
-  std::vector<cdouble> w(dof_);
-
-  for (std::size_t bi = 0; bi < bin_ids_.size(); ++bi) {
-    // Average per-DOF training power, for the loading rows.
-    double power = 0.0;
-    for (std::size_t tt = 0; tt < training; ++tt) {
-      for (std::size_t d = 0; d < dof_; ++d) power += std::norm(spectra.at(bi, d, tt));
-    }
-    const double load =
-        params_.diagonal_loading * (power / (t * static_cast<double>(dof_))) + 1e-12;
-
-    // Augmented data matrix: rows are conjugated snapshots, then
-    // sqrt(T * load) * I — so A^H A = T (R_hat + load I).
-    linalg::CMatrix<double> a(training + dof_, dof_);
-    for (std::size_t tt = 0; tt < training; ++tt) {
-      for (std::size_t d = 0; d < dof_; ++d) {
-        const cfloat v = spectra.at(bi, d, tt);
-        a(tt, d) = {v.real(), -v.imag()};
-      }
-    }
-    const double sigma = std::sqrt(t * load);
-    for (std::size_t d = 0; d < dof_; ++d) a(training + d, d) = {sigma, 0.0};
-
-    linalg::QrFactorization<double> qr;
-    const bool ok = qr.factor(std::move(a));
-
-    const cfloat shift =
-        stacked ? stagger_shift(doppler_phase(bin_ids_[bi], params_.doppler_bins()))
-                : cfloat{1.0f, 0.0f};
-    for (std::size_t beam = 0; beam < params_.beams; ++beam) {
-      build_steering_d(beams[beam], stacked, shift, sd);
-      std::copy(sd.begin(), sd.end(), w.begin());
-      if (ok) {
-        // (R^H R) w = s through two triangular solves; the T scaling
-        // cancels in the MVDR normalization.
-        qr.solve_upper_herm(std::span<cdouble>(w));
-        qr.solve_upper(std::span<cdouble>(w));
-      }
-      normalize_and_store(sd, w, weights.at(bi, beam));
-    }
-  }
-  return weights;
-}
-
-WeightSet WeightComputer::compute(const BinArray& spectra) const {
-  PSTAP_REQUIRE(spectra.bins() == bin_ids_.size(),
-                "spectra bin count does not match assignment");
-  PSTAP_REQUIRE(spectra.dof() == dof_, "spectra dof mismatch");
-  const std::size_t training = std::min<std::size_t>(params_.training_ranges,
-                                                     spectra.ranges());
-  PSTAP_REQUIRE(training >= dof_,
-                "not enough training range gates for the requested DOF");
-  return solver_ == WeightSolver::kCholeskySmi ? compute_cholesky(spectra, training)
-                                               : compute_qr(spectra, training);
 }
 
 }  // namespace pstap::stap

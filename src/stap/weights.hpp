@@ -2,8 +2,9 @@
 //
 // For each assigned Doppler bin: estimate the sample covariance from the
 // training range gates of the *previous* CPI's Doppler output (the temporal
-// dependency TD in the paper's pipeline), apply diagonal loading, and solve
-// R w = s for each beam steering vector (MVDR normalization). The easy task
+// dependency TD in the paper's pipeline), apply diagonal loading, factor it
+// by Cholesky and solve R w = s for each beam steering vector (sample-matrix
+// inversion, SMI, with MVDR normalization). The easy task
 // runs with channels DOF on easy bins; the hard task with 2*channels DOF on
 // the clutter-ridge bins — roughly 8x the per-bin work, which is why the
 // paper assigns the hard tasks more nodes.
@@ -43,27 +44,15 @@ class WeightSet {
   std::vector<cfloat> w_;
 };
 
-/// Numerical route from training snapshots to adaptive weights.
-enum class WeightSolver {
-  /// Sample covariance + diagonal loading + Cholesky (the classic SMI
-  /// route; what the paper's implementation ran).
-  kCholeskySmi,
-  /// QR of the (loading-augmented) training data matrix; solves the normal
-  /// equations through the triangular factor without forming the
-  /// covariance — half the condition-number exponent.
-  kQrSmi,
-};
-
 class WeightComputer {
  public:
   /// Compute weights for `bin_ids` (absolute bins on the M-point grid) at
   /// `dof` degrees of freedom (easy_dof() or hard_dof()).
   WeightComputer(const RadarParams& params, std::vector<std::size_t> bin_ids,
-                 std::size_t dof, WeightSolver solver = WeightSolver::kCholeskySmi);
+                 std::size_t dof);
 
   const std::vector<std::size_t>& bin_ids() const noexcept { return bin_ids_; }
   std::size_t dof() const noexcept { return dof_; }
-  WeightSolver solver() const noexcept { return solver_; }
 
   /// `spectra` must cover the same bins in the same order with matching
   /// dof; normally the previous CPI's DopplerOutput easy/hard array. Falls
@@ -71,17 +60,18 @@ class WeightComputer {
   /// when a bin's covariance is numerically singular.
   WeightSet compute(const BinArray& spectra) const;
 
+  /// Conventional (steering-only) weights s / |s|^2 for every assigned
+  /// (bin, beam): what the beamformers apply at CPI 0, before the first
+  /// adaptive weights arrive over the temporal edge.
+  WeightSet conventional() const;
+
   /// Steering vector for (bin, beam) at this task's DOF.
   std::vector<cfloat> steering(std::size_t bin, std::size_t beam) const;
 
  private:
-  WeightSet compute_cholesky(const BinArray& spectra, std::size_t training) const;
-  WeightSet compute_qr(const BinArray& spectra, std::size_t training) const;
-
   RadarParams params_;
   std::vector<std::size_t> bin_ids_;
   std::size_t dof_;
-  WeightSolver solver_;
 };
 
 }  // namespace pstap::stap

@@ -1,7 +1,7 @@
 // Plain std::complex reference kernels used as oracles by the tests: the
-// textbook loops the production GEMM / rank-k / QR paths are checked
-// against. No SIMD path and no library caller — the STAP kernels run
-// through linalg/cgemm.hpp and the factorizations.
+// textbook loops the production GEMM / rank-k paths are checked against.
+// No SIMD path and no library caller — the STAP kernels run through
+// linalg/cgemm.hpp and the factorizations.
 #pragma once
 
 #include <complex>

@@ -1,6 +1,6 @@
 // Tests for the complex linear-algebra substrate: matrix storage and the
-// reference kernels other suites use as oracles, Cholesky factor/solve on random HPD systems, QR least squares, and cross-checks
-// between the two solvers (the STAP weight path uses both).
+// reference kernels other suites use as oracles, and Cholesky factor/solve
+// on random HPD systems (the STAP weight path's solver).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 #include "common/rng.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/cmatrix.hpp"
-#include "linalg/qr.hpp"
 #include "linalg_reference.hpp"
 
 namespace pstap::linalg {
@@ -219,124 +218,6 @@ TEST(Cholesky, FloatPrecisionVariantWorks) {
   const cf ax1 = cf{0, -1} * b[0] + cf{3, 0} * b[1];
   EXPECT_NEAR(std::abs(ax0 - cf{1, 0}), 0.0, 1e-5);
   EXPECT_NEAR(std::abs(ax1 - cf{0, 1}), 0.0, 1e-5);
-}
-
-// -------------------------------------------------------------------- qr --
-
-class QrShapes : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
-
-TEST_P(QrShapes, SquareOrTallLeastSquaresResidualOrthogonal) {
-  const auto [m, n] = GetParam();
-  auto a = random_matrix(m, n, 100 * m + n);
-  auto b = random_vector(m, 200 * m + n);
-  QrFactorization<double> qr;
-  ASSERT_TRUE(qr.factor(a));
-  const auto x = qr.solve_ls(b);
-  ASSERT_EQ(x.size(), n);
-  // Normal equations: A^H (A x - b) == 0 for the least-squares minimizer.
-  std::vector<cd> ax(m);
-  ref::matvec(a, x, ax);
-  for (std::size_t i = 0; i < m; ++i) ax[i] -= b[i];
-  std::vector<cd> ahr(n);
-  ref::matvec_herm(a, ax, ahr);
-  for (std::size_t j = 0; j < n; ++j) {
-    EXPECT_NEAR(std::abs(ahr[j]), 0.0, 1e-9) << "m=" << m << " n=" << n;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, QrShapes,
-                         ::testing::Values(std::pair<std::size_t, std::size_t>{1, 1},
-                                           std::pair<std::size_t, std::size_t>{4, 4},
-                                           std::pair<std::size_t, std::size_t>{8, 3},
-                                           std::pair<std::size_t, std::size_t>{16, 16},
-                                           std::pair<std::size_t, std::size_t>{40, 8},
-                                           std::pair<std::size_t, std::size_t>{64, 32}));
-
-TEST(Qr, ExactSolveMatchesCholeskyOnHpd) {
-  const std::size_t n = 12;
-  auto a = random_hpd(n, 555);
-  auto b = random_vector(n, 556);
-
-  auto a_chol = a;
-  std::vector<cd> x_chol = b;
-  ASSERT_TRUE(solve_hpd(a_chol, std::span<cd>(x_chol)));
-
-  QrFactorization<double> qr;
-  ASSERT_TRUE(qr.factor(a));
-  const auto x_qr = qr.solve_ls(b);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(std::abs(x_qr[i] - x_chol[i]), 0.0, 1e-8);
-  }
-}
-
-TEST(Qr, DetectsRankDeficiency) {
-  CMatrix<double> a(3, 2);  // second column zero
-  a(0, 0) = {1, 0};
-  a(1, 0) = {2, 0};
-  a(2, 0) = {3, 0};
-  QrFactorization<double> qr;
-  EXPECT_FALSE(qr.factor(a));
-}
-
-TEST(Qr, RejectsWideMatrix) {
-  CMatrix<double> a(2, 3);
-  QrFactorization<double> qr;
-  EXPECT_THROW((void)qr.factor(a), PreconditionError);
-}
-
-TEST(Qr, QhPreservesNorm) {
-  auto a = random_matrix(10, 4, 777);
-  QrFactorization<double> qr;
-  ASSERT_TRUE(qr.factor(a));
-  auto b = random_vector(10, 778);
-  const double before = ref::norm2_sq<double>(b);
-  std::vector<cd> y = b;
-  qr.apply_qh(y);
-  EXPECT_NEAR(ref::norm2_sq<double>(y), before, 1e-9 * before);
-}
-
-TEST(Qr, NormalEquationsViaTriangularSolves) {
-  // (A^H A) x = b solved as R^H (R x) = b must match forming A^H A and
-  // using Cholesky.
-  const std::size_t m = 20, n = 6;
-  auto a = random_matrix(m, n, 901);
-  auto b = random_vector(n, 902);
-
-  QrFactorization<double> qr;
-  ASSERT_TRUE(qr.factor(a));
-  std::vector<cd> x_qr = b;
-  qr.solve_upper_herm(std::span<cd>(x_qr));
-  qr.solve_upper(std::span<cd>(x_qr));
-
-  // Reference: form A^H A explicitly.
-  CMatrix<double> ata(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      cd acc{};
-      for (std::size_t k = 0; k < m; ++k) acc += std::conj(a(k, i)) * a(k, j);
-      ata(i, j) = acc;
-    }
-  std::vector<cd> x_chol = b;
-  ASSERT_TRUE(solve_hpd(ata, std::span<cd>(x_chol)));
-
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(std::abs(x_qr[i] - x_chol[i]), 0.0, 1e-9);
-  }
-}
-
-TEST(Qr, FloatVariantSolves) {
-  using cf = std::complex<float>;
-  CMatrix<float> a(3, 2);
-  a(0, 0) = {1, 0}; a(0, 1) = {0, 0};
-  a(1, 0) = {0, 0}; a(1, 1) = {1, 0};
-  a(2, 0) = {0, 0}; a(2, 1) = {0, 0};
-  QrFactorization<float> qr;
-  ASSERT_TRUE(qr.factor(a));
-  std::vector<cf> b{{2, 0}, {3, 0}, {0, 0}};
-  const auto x = qr.solve_ls(b);
-  EXPECT_NEAR(std::abs(x[0] - cf{2, 0}), 0.0, 1e-5);
-  EXPECT_NEAR(std::abs(x[1] - cf{3, 0}), 0.0, 1e-5);
 }
 
 }  // namespace

@@ -62,6 +62,9 @@ TEST(Pfs, MountCreatesStripeDirectories) {
   EXPECT_TRUE(fs::is_directory(tmp.path() / "sd000"));
   EXPECT_TRUE(fs::is_directory(tmp.path() / "sd003"));
   EXPECT_FALSE(fs::exists(tmp.path() / "sd004"));
+  // Wider stripe factors keep the "sd%03zu" names of earlier layouts.
+  EXPECT_EQ(stripe_dir_name(42), "sd042");
+  EXPECT_EQ(stripe_dir_name(1000), "sd1000");
 }
 
 TEST(Pfs, PresetsMatchPaperSystems) {

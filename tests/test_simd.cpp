@@ -2,7 +2,7 @@
 //
 // Every vector backend must reproduce the scalar reference: bit-exactly for
 // the FMA-free primitives (scale, deinterleave_scale, interleave,
-// norm_interleaved, zmac*, cgemm_planar_exact), for every SSE2 complex row
+// norm_interleaved, cgemm_planar_exact), for every SSE2 complex row
 // kernel and for AVX2 rows narrower than 8 lanes; within tolerance for the
 // FMA-contracted AVX2 rows of 8 lanes or more and the rest of the GEMM
 // family. On top of the primitives,
@@ -619,8 +619,8 @@ TEST(GemmEquivalence, CgemmAccumulatesIntoExistingOutput) {
 }
 
 TEST(GemmEquivalence, ExactCgemmBitExactAcrossBackends) {
-  // cgemm_planar_exact carries the zmac contract: FMA-free, terms added in
-  // ascending p onto the existing C, so every backend must reproduce the
+  // cgemm_planar_exact is FMA-free, with terms added in ascending p onto
+  // the existing C, so every backend must reproduce the
   // plain std::complex<float> MAC loop byte for byte, at every ragged edge
   // of the AVX2 4 x 8 register block, with padded leading dimensions, and
   // without touching the padding.
@@ -746,50 +746,6 @@ TEST(GemmEquivalence, CherkBackendsMatchScalarWithinTolerance) {
             EXPECT_NEAR(got(i, j).imag(), ref(i, j).imag(), 1e-12 * t);
           }
         }
-      }
-    }
-  }
-}
-
-TEST(GemmEquivalence, ZmacPairBitExactAcrossBackends) {
-  // zmac / zmac_conj are the QR Householder row sweeps: FMA-free on every
-  // backend by contract, so the results must be bit-identical — this is
-  // what keeps the QR weight solve backend-invariant.
-  const simd::Ops& ref_ops = simd::ops(Backend::kScalar);
-  for (std::size_t n : kSizes) {
-    std::vector<double> x(2 * n), y0(2 * n);
-    Rng rng(70 + n);
-    for (auto& v : x) v = rng.normal();
-    for (auto& v : y0) v = rng.normal();
-    const double cr = 0.37, ci = -1.19;
-    for (const bool conj : {false, true}) {
-      std::vector<double> ref = y0;
-      if (conj) {
-        ref_ops.zmac_conj(ref.data(), x.data(), cr, ci, n);
-      } else {
-        ref_ops.zmac(ref.data(), x.data(), cr, ci, n);
-      }
-      // The scalar kernel itself must match the std::complex MAC trees.
-      std::vector<cdouble> expect(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        expect[i] = {y0[2 * i], y0[2 * i + 1]};
-        const cdouble xi{x[2 * i], x[2 * i + 1]};
-        const cdouble c = conj ? cdouble{cr, -ci} : cdouble{cr, ci};
-        expect[i] += c * xi;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(ref[2 * i], expect[i].real()) << "conj=" << conj;
-        EXPECT_EQ(ref[2 * i + 1], expect[i].imag());
-      }
-      for (Backend b : supported_backends()) {
-        std::vector<double> got = y0;
-        if (conj) {
-          simd::ops(b).zmac_conj(got.data(), x.data(), cr, ci, n);
-        } else {
-          simd::ops(b).zmac(got.data(), x.data(), cr, ci, n);
-        }
-        EXPECT_EQ(got, ref)
-            << simd::backend_name(b) << " n=" << n << " conj=" << conj;
       }
     }
   }
