@@ -54,7 +54,7 @@ int main() {
     table.add_row({"merged", "-", TableCell(merged_latency, 4), TableCell(0.0, 1)});
     std::puts(table.to_string().c_str());
 
-    all_ok &= shape_check("@" + std::to_string(total) +
+    all_ok &= shape_check(std::string("@") + std::to_string(total) +
                               " nodes: merged beats the best split",
                           merged_latency < best_split);
   }

@@ -72,7 +72,9 @@ void BM_FftBatchPow2(benchmark::State& state) {
 }
 BENCHMARK(BM_FftBatchPow2)->Arg(16)->Arg(64);
 
-void BM_FftBatchBluestein(benchmark::State& state) {
+// 127 (the paper's Doppler length) is a Rader prime over a 126-point
+// mixed-radix convolution.
+void BM_FftBatchNonPow2(benchmark::State& state) {
   const std::size_t n = 127;
   const std::size_t count = static_cast<std::size_t>(state.range(0));
   fft::FftPlan plan(n);
@@ -89,9 +91,10 @@ void BM_FftBatchBluestein(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * count * sizeof(cfloat)));
 }
-BENCHMARK(BM_FftBatchBluestein)->Arg(16)->Arg(64);
+BENCHMARK(BM_FftBatchNonPow2)->Arg(16)->Arg(64);
 
-void BM_FftBluestein(benchmark::State& state) {
+// 126 is mixed radix (2 3 3 7), 127 Rader, 1000 mixed radix (2^3 5^3).
+void BM_FftNonPow2(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   fft::FftPlan plan(n);
   Rng rng(2);
@@ -106,7 +109,7 @@ void BM_FftBluestein(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * sizeof(cfloat)));
 }
-BENCHMARK(BM_FftBluestein)->Arg(127)->Arg(1000);
+BENCHMARK(BM_FftNonPow2)->Arg(126)->Arg(127)->Arg(1000);
 
 void BM_DopplerFilter(benchmark::State& state) {
   const RadarParams p = bench_params();
@@ -123,6 +126,27 @@ void BM_DopplerFilter(benchmark::State& state) {
                           static_cast<std::int64_t>(cube.samples() * sizeof(cfloat)));
 }
 BENCHMARK(BM_DopplerFilter);
+
+// The paper geometry (16 channels x 128 pulses x 1024 ranges, 127 Doppler
+// bins): the stage that sets the paper-embedded pipeline period.
+void BM_DopplerFilterPaper(benchmark::State& state) {
+  const RadarParams p;
+  SceneGenerator gen(p, SceneConfig{}, 1);
+  const DataCube cube = gen.generate(0);
+  DopplerFilter filter(p);
+  DopplerOutput out;
+  for (auto _ : state) {
+    filter.process_into(cube, out);
+    benchmark::DoNotOptimize(out.easy.flat().data());
+    benchmark::DoNotOptimize(out.hard.flat().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cube.samples()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cube.samples() * sizeof(cfloat)));
+}
+BENCHMARK(BM_DopplerFilterPaper);
 
 void BM_WeightsEasy(benchmark::State& state) {
   const RadarParams p = bench_params();

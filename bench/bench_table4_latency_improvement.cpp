@@ -37,7 +37,7 @@ int main() {
       improvement.push_back(100.0 * (lat7 - lat6) / lat7);
     }
     std::vector<TableCell> row{machine.name};
-    for (const double v : improvement) row.push_back(TableCell(v, 1));
+    for (const double v : improvement) row.emplace_back(v, 1);
     table.add_row(row);
 
     for (std::size_t i = 0; i < improvement.size(); ++i) {

@@ -27,6 +27,206 @@
 
 namespace pstap::simd {
 
+// ------------------------------------------------------- radix stages ----
+// The mixed-radix FFT stage is written once, over a lane type V: float for
+// the scalar backend, a 4-float vector for SSE2 and an 8-float vector for
+// AVX2 (GCC vector extensions, so each backend's entry point compiles the
+// same expression trees for its own target). The avx2,fma entry lets the
+// compiler contract mul+add pairs into FMAs; the scalar and SSE2 entries pin
+// contraction off, which keeps those two bit-exact with each other.
+namespace radix {
+
+typedef float f32x4 __attribute__((vector_size(16)));
+typedef float f32x8 __attribute__((vector_size(32)));
+
+// A V at any float address: plane rows are only float-aligned.
+template <class V>
+struct [[gnu::packed, gnu::may_alias]] Unaligned {
+  V v;
+};
+
+// cos and sin of 2 pi m / P, m in [0, P), for the odd radices.
+template <std::size_t P>
+struct Trig;
+template <>
+struct Trig<3> {
+  static constexpr float c[] = {1.0f, -0.5f, -0.5f};
+  static constexpr float s[] = {0.0f, 0.866025404f, -0.866025404f};
+};
+template <>
+struct Trig<5> {
+  static constexpr float c[] = {1.0f, 0.309016994f, -0.809016994f, -0.809016994f,
+                                0.309016994f};
+  static constexpr float s[] = {0.0f, 0.951056516f, 0.587785252f, -0.587785252f,
+                                -0.951056516f};
+};
+template <>
+struct Trig<7> {
+  static constexpr float c[] = {1.0f,         0.623489802f,  -0.222520934f,
+                                -0.900968868f, -0.900968868f, -0.222520934f,
+                                0.623489802f};
+  static constexpr float s[] = {0.0f,         0.781831482f,  0.974927912f,
+                                0.433883739f,  -0.433883739f, -0.974927912f,
+                                -0.781831482f};
+};
+
+// Forward P-point DFT of one lane chunk, in registers.
+template <class V, std::size_t P>
+[[gnu::always_inline]] inline void dft(V (&xr)[P], V (&xi)[P]) {
+  if constexpr (P == 2) {
+    const V ar = xr[0], ai = xi[0];
+    xr[0] = ar + xr[1];
+    xi[0] = ai + xi[1];
+    xr[1] = ar - xr[1];
+    xi[1] = ai - xi[1];
+  } else if constexpr (P == 4) {
+    const V t0r = xr[0] + xr[2], t0i = xi[0] + xi[2];
+    const V t1r = xr[0] - xr[2], t1i = xi[0] - xi[2];
+    const V t2r = xr[1] + xr[3], t2i = xi[1] + xi[3];
+    const V t3r = xr[1] - xr[3], t3i = xi[1] - xi[3];
+    xr[0] = t0r + t2r;
+    xi[0] = t0i + t2i;
+    xr[2] = t0r - t2r;
+    xi[2] = t0i - t2i;
+    xr[1] = t1r + t3i;  // t1 - i t3
+    xi[1] = t1i - t3r;
+    xr[3] = t1r - t3i;  // t1 + i t3
+    xi[3] = t1i + t3r;
+  } else {
+    // Symmetric pairs: with s_j = x_j + x_{P-j} and d_j = x_j - x_{P-j},
+    // y_k = a_k - i b_k and y_{P-k} = a_k + i b_k, where
+    // a_k = x_0 + sum_j cos(2 pi jk/P) s_j and b_k = sum_j sin(2 pi jk/P) d_j.
+    constexpr std::size_t H = (P - 1) / 2;
+    V sr[H], si[H], dr[H], di[H];
+    for (std::size_t j = 0; j < H; ++j) {
+      sr[j] = xr[j + 1] + xr[P - 1 - j];
+      si[j] = xi[j + 1] + xi[P - 1 - j];
+      dr[j] = xr[j + 1] - xr[P - 1 - j];
+      di[j] = xi[j + 1] - xi[P - 1 - j];
+    }
+    const V x0r = xr[0], x0i = xi[0];
+    for (std::size_t k = 1; k <= H; ++k) {
+      V ar = x0r + Trig<P>::c[k] * sr[0];
+      V ai = x0i + Trig<P>::c[k] * si[0];
+      V br = Trig<P>::s[k] * dr[0];
+      V bi = Trig<P>::s[k] * di[0];
+      for (std::size_t j = 2; j <= H; ++j) {
+        const std::size_t m = j * k % P;
+        ar += Trig<P>::c[m] * sr[j - 1];
+        ai += Trig<P>::c[m] * si[j - 1];
+        br += Trig<P>::s[m] * dr[j - 1];
+        bi += Trig<P>::s[m] * di[j - 1];
+      }
+      xr[k] = ar + bi;
+      xi[k] = ai - br;
+      xr[P - k] = ar - bi;
+      xi[P - k] = ai + br;
+    }
+    V y0r = x0r + sr[0], y0i = x0i + si[0];
+    for (std::size_t j = 1; j < H; ++j) {
+      y0r += sr[j];
+      y0i += si[j];
+    }
+    xr[0] = y0r;
+    xi[0] = y0i;
+  }
+}
+
+// Rows q >= 1 times the twiddles w[2(q-1)] + i w[2(q-1)+1] (cscale's tree).
+template <class V, std::size_t P>
+[[gnu::always_inline]] inline void twiddle(V (&xr)[P], V (&xi)[P], const float* w) {
+  for (std::size_t q = 1; q < P; ++q) {
+    const float wr = w[2 * (q - 1)], wi = w[2 * (q - 1) + 1];
+    const V tr = xr[q] * wr - xi[q] * wi;
+    xi[q] = xr[q] * wi + xi[q] * wr;
+    xr[q] = tr;
+  }
+}
+
+// Lanes [l, lanes) of one row set, in chunks of V; returns the first lane
+// left over (fewer than one V remain). kTw: the set takes twiddles w.
+template <class V, std::size_t P, bool kDif, bool kTw>
+[[gnu::always_inline]] inline std::size_t run_lanes(float* re, float* im,
+                                                    std::size_t stride,
+                                                    const float* w, std::size_t l,
+                                                    std::size_t lanes) {
+  constexpr std::size_t kWidth = sizeof(V) / sizeof(float);
+  // The p rows are disjoint lane ranges of the planes, so no iteration
+  // reads what another writes: with V = float the compiler may vectorize
+  // across lanes without alias checks.
+#pragma GCC ivdep
+  for (; l + kWidth <= lanes; l += kWidth) {
+    V xr[P], xi[P];
+    for (std::size_t q = 0; q < P; ++q) {
+      xr[q] = reinterpret_cast<const Unaligned<V>*>(re + q * stride + l)->v;
+      xi[q] = reinterpret_cast<const Unaligned<V>*>(im + q * stride + l)->v;
+    }
+    if (!kDif && kTw) twiddle<V, P>(xr, xi, w);
+    dft<V, P>(xr, xi);
+    if (kDif && kTw) twiddle<V, P>(xr, xi, w);
+    for (std::size_t q = 0; q < P; ++q) {
+      reinterpret_cast<Unaligned<V>*>(re + q * stride + l)->v = xr[q];
+      reinterpret_cast<Unaligned<V>*>(im + q * stride + l)->v = xi[q];
+    }
+  }
+  return l;
+}
+
+// One row set; the lane types Vs run widest first, each taking what the
+// previous one left.
+template <std::size_t P, bool kDif, bool kTw, class... Vs>
+[[gnu::always_inline]] inline void row_set(float* re, float* im,
+                                           std::size_t stride, const float* w,
+                                           std::size_t lanes) {
+  std::size_t l = 0;
+  ((l = run_lanes<Vs, P, kDif, kTw>(re, im, stride, w, l, lanes)), ...);
+}
+
+template <std::size_t P, bool kDif, class... Vs>
+[[gnu::always_inline]] inline void stage(float* re, float* im, const float* tw,
+                                         std::size_t span, std::size_t blocks,
+                                         std::size_t lanes) {
+  const std::size_t stride = span * lanes;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    float* r = re + b * P * span * lanes;
+    float* i = im + b * P * span * lanes;
+    row_set<P, kDif, false, Vs...>(r, i, stride, nullptr, lanes);
+    for (std::size_t j = 1; j < span; ++j) {
+      row_set<P, kDif, true, Vs...>(r + j * lanes, i + j * lanes, stride,
+                                    tw + 2 * (P - 1) * j, lanes);
+    }
+  }
+}
+
+template <std::size_t P, class... Vs>
+[[gnu::always_inline]] inline void stage_dir(float* re, float* im,
+                                             const float* tw, std::size_t span,
+                                             std::size_t blocks,
+                                             std::size_t lanes, bool dif) {
+  if (dif) {
+    stage<P, true, Vs...>(re, im, tw, span, blocks, lanes);
+  } else {
+    stage<P, false, Vs...>(re, im, tw, span, blocks, lanes);
+  }
+}
+
+template <class... Vs>
+[[gnu::always_inline]] inline void rows(float* re, float* im, const float* tw,
+                                        std::size_t p, std::size_t span,
+                                        std::size_t blocks, std::size_t lanes,
+                                        bool dif) {
+  switch (p) {
+    case 2: return stage_dir<2, Vs...>(re, im, tw, span, blocks, lanes, dif);
+    case 3: return stage_dir<3, Vs...>(re, im, tw, span, blocks, lanes, dif);
+    case 4: return stage_dir<4, Vs...>(re, im, tw, span, blocks, lanes, dif);
+    case 5: return stage_dir<5, Vs...>(re, im, tw, span, blocks, lanes, dif);
+    case 7: return stage_dir<7, Vs...>(re, im, tw, span, blocks, lanes, dif);
+    default: return;  // the FFT plan emits no other radix
+  }
+}
+
+}  // namespace radix
+
 // ------------------------------------------------------------- scalar ----
 // Reference semantics. Every vector backend mirrors these expression trees
 // exactly (modulo FMA contraction and reduction order where documented).
@@ -94,22 +294,11 @@ void cscale_rows(float* re, float* im, const float* w, std::size_t rows,
   }
 }
 
-PSTAP_NO_CONTRACT
-void cscale_to(float* yr, float* yi, const float* xr, const float* xi, float wr,
-               float wi, std::size_t n) {
-  for (std::size_t l = 0; l < n; ++l) {
-    yr[l] = xr[l] * wr - xi[l] * wi;
-    yi[l] = xr[l] * wi + xi[l] * wr;
-  }
-}
-
 __attribute__((noinline)) PSTAP_NO_CONTRACT
-void cscale_rows_to(float* yr, float* yi, const float* xr, const float* xi,
-                    const float* w, std::size_t rows, std::size_t lanes) {
-  for (std::size_t j = 0; j < rows; ++j) {
-    cscale_to(yr + j * lanes, yi + j * lanes, xr + j * lanes, xi + j * lanes,
-              w[2 * j], w[2 * j + 1], lanes);
-  }
+void radix_rows(float* re, float* im, const float* tw, std::size_t p,
+                std::size_t span, std::size_t blocks, std::size_t lanes,
+                bool dif) {
+  radix::rows<float>(re, im, tw, p, span, blocks, lanes, dif);
 }
 
 void scale(float* x, float s, std::size_t n) {
@@ -217,7 +406,7 @@ constexpr Ops kOps = {
     .butterfly_rows = butterfly_rows,
     .butterfly2_rows = butterfly2_rows,
     .cscale_rows = cscale_rows,
-    .cscale_rows_to = cscale_rows_to,
+    .radix_rows = radix_rows,
     .scale = scale,
     .deinterleave_scale = deinterleave_scale,
     .interleave = interleave,
@@ -229,8 +418,6 @@ constexpr Ops kOps = {
 };
 
 }  // namespace scalar_impl
-
-#undef PSTAP_NO_CONTRACT
 
 #if PSTAP_SIMD_X86
 
@@ -304,26 +491,14 @@ void cscale_rows(float* re, float* im, const float* w, std::size_t rows,
   }
 }
 
-void cscale_to(float* yr, float* yi, const float* xr, const float* xi, float wr,
-               float wi, std::size_t n) {
-  const __m128 vwr = _mm_set1_ps(wr);
-  const __m128 vwi = _mm_set1_ps(wi);
-  std::size_t l = 0;
-  for (; l + 4 <= n; l += 4) {
-    const __m128 vr = _mm_loadu_ps(xr + l);
-    const __m128 vi = _mm_loadu_ps(xi + l);
-    _mm_storeu_ps(yr + l, _mm_sub_ps(_mm_mul_ps(vr, vwr), _mm_mul_ps(vi, vwi)));
-    _mm_storeu_ps(yi + l, _mm_add_ps(_mm_mul_ps(vr, vwi), _mm_mul_ps(vi, vwr)));
-  }
-  if (l < n) scalar_impl::cscale_to(yr + l, yi + l, xr + l, xi + l, wr, wi, n - l);
-}
-
-void cscale_rows_to(float* yr, float* yi, const float* xr, const float* xi,
-                    const float* w, std::size_t rows, std::size_t lanes) {
-  for (std::size_t j = 0; j < rows; ++j) {
-    cscale_to(yr + j * lanes, yi + j * lanes, xr + j * lanes, xi + j * lanes,
-              w[2 * j], w[2 * j + 1], lanes);
-  }
+// Contraction pinned off like the scalar reference: SSE2 has no FMA, but a
+// build for an FMA-capable -march would otherwise fuse the vector
+// extension's mul+add pairs.
+PSTAP_NO_CONTRACT
+void radix_rows(float* re, float* im, const float* tw, std::size_t p,
+                std::size_t span, std::size_t blocks, std::size_t lanes,
+                bool dif) {
+  radix::rows<radix::f32x4, float>(re, im, tw, p, span, blocks, lanes, dif);
 }
 
 void scale(float* x, float s, std::size_t n) {
@@ -443,7 +618,7 @@ constexpr Ops kOps = {
     .butterfly_rows = butterfly_rows,
     .butterfly2_rows = butterfly2_rows,
     .cscale_rows = cscale_rows,
-    .cscale_rows_to = cscale_rows_to,
+    .radix_rows = radix_rows,
     .scale = scale,
     .deinterleave_scale = deinterleave_scale,
     .interleave = interleave,
@@ -455,6 +630,8 @@ constexpr Ops kOps = {
 };
 
 }  // namespace sse2_impl
+
+#undef PSTAP_NO_CONTRACT
 
 // --------------------------------------------------------------- avx2 ----
 // 8-wide __m256 kernels with FMA. Compiled via per-function target
@@ -620,20 +797,6 @@ PSTAP_AVX2 void cscale(float* re, float* im, float wr, float wi, std::size_t n) 
   if (l < n) sse2_impl::cscale(re + l, im + l, wr, wi, n - l);
 }
 
-PSTAP_AVX2 void cscale_to(float* yr, float* yi, const float* xr, const float* xi,
-                          float wr, float wi, std::size_t n) {
-  const __m256 vwr = _mm256_set1_ps(wr);
-  const __m256 vwi = _mm256_set1_ps(wi);
-  std::size_t l = 0;
-  for (; l + 8 <= n; l += 8) {
-    const __m256 vr = _mm256_loadu_ps(xr + l);
-    const __m256 vi = _mm256_loadu_ps(xi + l);
-    _mm256_storeu_ps(yr + l, _mm256_fmsub_ps(vr, vwr, _mm256_mul_ps(vi, vwi)));
-    _mm256_storeu_ps(yi + l, _mm256_fmadd_ps(vr, vwi, _mm256_mul_ps(vi, vwr)));
-  }
-  if (l < n) sse2_impl::cscale_to(yr + l, yi + l, xr + l, xi + l, wr, wi, n - l);
-}
-
 PSTAP_AVX2 void cscale_rows(float* re, float* im, const float* w,
                             std::size_t rows, std::size_t lanes) {
   if (lanes < 8) {
@@ -663,34 +826,15 @@ PSTAP_AVX2 void cscale_rows(float* re, float* im, const float* w,
   }
 }
 
-PSTAP_AVX2 void cscale_rows_to(float* yr, float* yi, const float* xr,
-                               const float* xi, const float* w,
-                               std::size_t rows, std::size_t lanes) {
+PSTAP_AVX2 void radix_rows(float* re, float* im, const float* tw,
+                           std::size_t p, std::size_t span, std::size_t blocks,
+                           std::size_t lanes, bool dif) {
   if (lanes < 8) {
-    scalar_impl::cscale_rows_to(yr, yi, xr, xi, w, rows, lanes);
+    scalar_impl::radix_rows(re, im, tw, p, span, blocks, lanes, dif);
     return;
   }
-  if (lanes == 16) {
-    for (std::size_t j = 0; j < rows; ++j) {
-      const __m256 vwr = _mm256_set1_ps(w[2 * j]);
-      const __m256 vwi = _mm256_set1_ps(w[2 * j + 1]);
-      const std::size_t base = j * 16;
-      for (int half = 0; half < 2; ++half) {
-        const std::size_t o = base + static_cast<std::size_t>(half) * 8;
-        const __m256 vr = _mm256_loadu_ps(xr + o);
-        const __m256 vi = _mm256_loadu_ps(xi + o);
-        _mm256_storeu_ps(yr + o,
-                         _mm256_fmsub_ps(vr, vwr, _mm256_mul_ps(vi, vwi)));
-        _mm256_storeu_ps(yi + o,
-                         _mm256_fmadd_ps(vr, vwi, _mm256_mul_ps(vi, vwr)));
-      }
-    }
-    return;
-  }
-  for (std::size_t j = 0; j < rows; ++j) {
-    cscale_to(yr + j * lanes, yi + j * lanes, xr + j * lanes, xi + j * lanes,
-              w[2 * j], w[2 * j + 1], lanes);
-  }
+  radix::rows<radix::f32x8, radix::f32x4, float>(re, im, tw, p, span, blocks,
+                                                 lanes, dif);
 }
 
 PSTAP_AVX2 void scale(float* x, float s, std::size_t n) {
@@ -1068,7 +1212,7 @@ constexpr Ops kOps = {
     .butterfly_rows = butterfly_rows,
     .butterfly2_rows = butterfly2_rows,
     .cscale_rows = cscale_rows,
-    .cscale_rows_to = cscale_rows_to,
+    .radix_rows = radix_rows,
     .scale = scale,
     .deinterleave_scale = deinterleave_scale,
     .interleave = interleave,

@@ -20,17 +20,19 @@
 // "simd.backend" (0 = scalar, 1 = sse2, 2 = avx2) so benches and CI can
 // assert the dispatch actually engaged.
 //
-// Every field has a production caller: the FFT (the *_rows kernels and
-// `scale`), the Doppler filter (`deinterleave_scale`, `interleave`), CFAR
-// (`norm_interleaved`), the weight and beamform GEMMs (`cgemm_planar`,
-// `zherk_cf_lower`), the scene generator's clutter synthesis
-// (`cgemm_planar_exact`) and the pfs checksum (`crc32c`, through
+// Every field has a production caller: the FFT (`butterfly_rows`,
+// `butterfly2_rows` and `scale` for powers of two, `radix_rows` and
+// `cscale_rows` for every other length, `cscale_rows` again for the
+// matched-filter multiply), the Doppler filter (`deinterleave_scale`,
+// `interleave`), CFAR (`norm_interleaved`), the weight and beamform GEMMs
+// (`cgemm_planar`, `zherk_cf_lower`), the scene generator's clutter
+// synthesis (`cgemm_planar_exact`) and the pfs checksum (`crc32c`, through
 // common/crc32c.hpp).
 //
 // Numerical contract: every backend computes the same per-element
 // expression trees as the scalar reference. The AVX2 tier contracts
 // mul+add pairs into FMAs inside `butterfly_rows`, `butterfly2_rows`,
-// `cscale_rows`, `cscale_rows_to`, `cgemm_planar` and `zherk_cf_lower`, so
+// `cscale_rows`, `radix_rows`, `cgemm_planar` and `zherk_cf_lower`, so
 // those results may differ from scalar in the last bits (tests compare
 // within tolerance). AVX2 hands rows narrower than 8 lanes to the scalar row
 // kernels, which keeps those rows (every row of a single-series FFT)
@@ -103,14 +105,22 @@ struct Ops {
                           const float* w2, std::size_t h, std::size_t lanes);
   /// Row-batched in-place complex scale of split planes: row j (lanes wide,
   /// at offset j*lanes) scaled by the interleaved pair w[2j] + i*w[2j+1].
-  /// Used for the fused matched-filter spectral multiply and Bluestein
-  /// kernel rows.
+  /// Used for the fused matched-filter spectral multiply, the Rader kernel
+  /// spectrum and the twiddles of the FFT's prime sub-plan stages.
   void (*cscale_rows)(float* re, float* im, const float* w, std::size_t rows,
                       std::size_t lanes);
-  /// Row-batched out-of-place complex scale, (yr, yi) = (xr, xi) * w_j per
-  /// row (Bluestein chirp pre/post).
-  void (*cscale_rows_to)(float* yr, float* yi, const float* xr, const float* xi,
-                         const float* w, std::size_t rows, std::size_t lanes);
+  /// One radix-p stage of the mixed-radix FFT, p in {2, 3, 4, 5, 7}, in
+  /// place over split planes of `lanes`-wide rows. The planes hold `blocks`
+  /// blocks of p*span rows; in block b, for each j in [0, span), the p rows
+  /// b*p*span + j + q*span (q in [0, p)) go through a forward p-point DFT.
+  /// Decimation in time (dif == false) first scales input row q >= 1 by the
+  /// twiddle w(j, q) = tw[2i] + i*tw[2i+1], i = j*(p-1) + q-1; decimation in
+  /// frequency scales output row q >= 1 by it after the DFT. Rows with
+  /// j == 0 take no twiddle. Odd radices use the symmetric-pair form:
+  /// outputs k and p-k share the sums and differences x_j +- x_{p-j}.
+  void (*radix_rows)(float* re, float* im, const float* tw, std::size_t p,
+                     std::size_t span, std::size_t blocks, std::size_t lanes,
+                     bool dif);
   /// x[i] *= s.
   void (*scale)(float* x, float s, std::size_t n);
   /// Windowed deinterleave: re[i] = w * src[2i], im[i] = w * src[2i+1].

@@ -1,10 +1,20 @@
 // Complex FFT library built from scratch for the STAP kernels.
 //
-// Provides a planned, reusable transform:
-//   * power-of-two lengths: iterative radix-2 Cooley–Tukey with precomputed
+// Provides a planned, reusable transform with one engine per kind of
+// length:
+//   * powers of two: iterative radix-2 Cooley–Tukey with precomputed
 //     twiddle tables and bit-reversal permutation;
-//   * arbitrary lengths: Bluestein's chirp-z algorithm layered on a
-//     power-of-two plan.
+//   * other composite lengths: an in-place mixed-radix pass over radices
+//     2, 3, 4, 5 and 7 (one simd::Ops::radix_rows dispatch per stage), in
+//     decimation-in-time order behind a digit-reversal row permutation;
+//     a prime factor above 7 is one stage run through that prime's plan;
+//   * primes above 7: Rader's algorithm, a cyclic convolution of length
+//     n - 1 through a mixed-radix (or radix-2) sub-plan. Its kernel
+//     spectrum is computed in double at plan time with 1/(n-1) folded in;
+//     the input and output permutations are fused with the sub-plan's
+//     digit reversal (forward in DIT order, inverse in DIF order).
+// Inverse transforms of non-power-of-two lengths run the forward engine on
+// swapped re/im planes (IDFT(x) = swap(DFT(swap(x))) / n).
 //
 // Batched entry points process many independent series per call by
 // transposing lane blocks into structure-of-arrays (SoA) planes: element k
@@ -48,8 +58,8 @@ class BatchScratch {
   friend class FftPlan;
   // 64-byte-aligned planes: the SIMD butterflies and twiddle kernels run
   // straight over these, so rows never straddle cache lines gratuitously.
-  AlignedVector<float> re_, im_;    // primary SoA planes (n × lanes)
-  AlignedVector<float> re2_, im2_;  // Bluestein convolution planes (m × lanes)
+  AlignedVector<float> re_, im_;            // primary SoA planes (n × lanes)
+  AlignedVector<float> work_re_, work_im_;  // non-pow2 work rows (× lanes)
 };
 
 /// A planned complex-to-complex FFT of fixed length.
@@ -59,7 +69,9 @@ class FftPlan {
   /// groups of up to this many, wide enough to fill SIMD registers.
   static constexpr std::size_t kBatchLanes = 16;
 
-  /// Build a plan for length n (n >= 1). Arbitrary n supported.
+  /// Build a plan for length n (n >= 1). Arbitrary n supported; for a
+  /// prime n above 7 construction costs O(n^2) double operations (the
+  /// Rader kernel spectrum).
   explicit FftPlan(std::size_t n);
 
   std::size_t size() const noexcept { return n_; }
@@ -100,30 +112,56 @@ class FftPlan {
   /// at re/im[k * lanes + l]; planes hold size() * lanes floats. This is
   /// the batched kernel itself — callers that already gather into SoA form
   /// (e.g. the Doppler filter) use it directly and skip the AoS transpose.
-  /// Thread-safe with per-caller scratch (used only for non-pow2 lengths).
+  /// Thread-safe with per-caller scratch (work rows for non-pow2 lengths,
+  /// grown once and then reused allocation-free).
   void transform_soa(std::span<float> re, std::span<float> im, std::size_t lanes,
                      Direction dir, BatchScratch& scratch) const;
 
  private:
+  // One stage of the mixed-radix pass: blocks of radix * span rows. A radix
+  // above 7 (a prime factor) runs through `sub`, its own plan.
+  struct Stage {
+    std::size_t radix;
+    std::size_t span;
+    std::size_t tw;                // first twiddle of this stage in stage_tw_
+    std::unique_ptr<FftPlan> sub;  // prime radix above 7 only
+  };
+
   void soa_pow2(float* re, float* im, std::size_t lanes, Direction dir) const;
-  void soa_bluestein(float* re, float* im, std::size_t lanes, Direction dir,
-                     BatchScratch& scratch) const;
+
+  // Forward, unscaled transforms in place on `lanes`-wide rows. `wr`/`wi`
+  // point at work_rows_ * lanes floats of scratch per plane.
+  // dft: natural order in and out.
+  void dft(float* re, float* im, std::size_t lanes, float* wr, float* wi) const;
+  // dit: rows in order_ in, natural order out. dif: natural order in, rows
+  // in order_ out. (A power-of-two plan runs soa_pow2 for both, in natural
+  // order.)
+  void dit(float* re, float* im, std::size_t lanes, float* wr, float* wi) const;
+  void dif(float* re, float* im, std::size_t lanes, float* wr, float* wi) const;
+  void run_stage(const Stage& s, float* re, float* im, std::size_t lanes,
+                 float* wr, float* wi, bool dif) const;
+  void rader(float* re, float* im, std::size_t lanes, float* wr, float* wi) const;
 
   std::size_t n_;
   bool pow2_;
 
-  // Radix-2 machinery (for pow2_ == true, and inside Bluestein's helper plan).
+  // Radix-2 machinery (pow2_ == true).
   std::vector<std::uint32_t> bitrev_;
   std::vector<cfloat> twiddle_fwd_;  // per-stage packed twiddles
   std::vector<cfloat> twiddle_inv_;
 
-  // Bluestein machinery (for pow2_ == false).
-  std::size_t m_ = 0;                    // convolution length (power of two >= 2n-1)
-  std::vector<cfloat> chirp_;            // a_k = exp(-i pi k^2 / n)
-  std::vector<cfloat> chirp_conj_;       // conj(a_k): inverse-direction chirp
-  std::vector<cfloat> chirp_fft_fwd_;    // FFT of zero-padded conjugate chirp
-  std::vector<cfloat> chirp_fft_inv_;
-  std::unique_ptr<FftPlan> helper_;      // pow2 plan of length m_
+  // Mixed-radix machinery (composite n, not a power of two).
+  std::vector<Stage> stages_;        // decimation-in-time order
+  std::vector<cfloat> stage_tw_;     // per stage: span x (radix - 1) twiddles
+  std::vector<std::uint32_t> order_; // DIT input row order = DIF output order
+
+  // Rader machinery (prime n above 7).
+  std::unique_ptr<FftPlan> conv_;          // cyclic convolution plan, n - 1
+  std::vector<std::uint32_t> rader_in_;    // conv input row i <- x[rader_in_[i]]
+  std::vector<std::uint32_t> rader_out_;   // X[rader_out_[i]] <- conv output row i
+  std::vector<cfloat> rader_kernel_;       // DFT of the root sequence / (n - 1)
+
+  std::size_t work_rows_ = 0;  // scratch rows per plane (× lanes floats)
 };
 
 }  // namespace pstap::fft

@@ -57,7 +57,7 @@ class DopplerFilter {
 
   // Per-instance transform workspace (grown once, then reused). Aligned so
   // the SIMD butterflies never split cache lines.
-  mutable AlignedVector<float> re_, im_;  // SoA planes, M x kBatchLanes
+  mutable AlignedVector<float> re_, im_;  // SoA planes, M x 64 lanes
   mutable fft::BatchScratch scratch_;
 };
 

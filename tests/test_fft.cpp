@@ -1,16 +1,21 @@
 // Tests for the FFT substrate: analytic spot checks, round-trip and
-// Parseval properties (parameterized over lengths, incl. non-power-of-two
-// Bluestein paths), linearity, shift theorem, strided/batched interfaces.
+// Parseval properties (parameterized over lengths, incl. the mixed-radix
+// and Rader paths), a double-precision DFT oracle on every SIMD backend,
+// linearity, shift theorem, strided/batched interfaces.
 // transform() is a batch of one through the SoA engine, so every case
 // below runs the same kernels as the batched paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <span>
 #include <vector>
 
+#include "common/aligned_buffer.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "common/types.hpp"
 #include "fft/fft.hpp"
 
@@ -178,6 +183,92 @@ INSTANTIATE_TEST_SUITE_P(Lengths, FftRoundTrip,
                          ::testing::Values(1, 2, 4, 8, 16, 64, 128, 256, 1024,
                                            3, 5, 10, 12, 30, 100, 127, 130, 384));
 
+// ---------------------------------------------------- accuracy oracle --
+
+std::vector<simd::Backend> simd_backends() {
+  std::vector<simd::Backend> out{simd::Backend::kScalar};
+  const simd::Backend best = simd::detect_best();
+  if (static_cast<int>(best) >= static_cast<int>(simd::Backend::kSse2)) {
+    out.push_back(simd::Backend::kSse2);
+  }
+  if (static_cast<int>(best) >= static_cast<int>(simd::Backend::kAvx2)) {
+    out.push_back(simd::Backend::kAvx2);
+  }
+  return out;
+}
+
+// Restores the auto-detected SIMD backend even if a test fails mid-way.
+struct SimdBackendGuard {
+  ~SimdBackendGuard() { simd::force_backend(simd::detect_best()); }
+};
+
+// Direct DFT in double of every lane of SoA planes (element k of lane l at
+// [k * lanes + l]); the inverse is scaled by 1/n like FftPlan's.
+std::vector<cdouble> soa_dft(const AlignedVector<float>& re,
+                             const AlignedVector<float>& im, std::size_t n,
+                             std::size_t lanes, Direction dir) {
+  const double sign = dir == Direction::kInverse ? 1.0 : -1.0;
+  std::vector<cdouble> roots(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    const double ang = sign * 2.0 * std::numbers::pi * double(t) / double(n);
+    roots[t] = {std::cos(ang), std::sin(ang)};
+  }
+  const double scale = dir == Direction::kInverse ? 1.0 / double(n) : 1.0;
+  std::vector<cdouble> out(n * lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    for (std::size_t k = 0; k < n; ++k) {
+      cdouble acc{};
+      for (std::size_t t = 0; t < n; ++t) {
+        acc += cdouble(re[t * lanes + l], im[t * lanes + l]) * roots[k * t % n];
+      }
+      out[k * lanes + l] = acc * scale;
+    }
+  }
+  return out;
+}
+
+// Forward and inverse transform_soa against the double DFT, at 1 and 64
+// lanes, on every backend: max |error| <= 1e-6 * max |X|. Lengths cover
+// pure small radices, composites with a prime factor above 7 (130, 254,
+// and 143 with two), Rader primes over mixed-radix (13, 23, 47, 127, 131)
+// and radix-2 (17, 257) convolutions, and the paper's 127 Doppler bins.
+TEST(FftOracle, MatchesDoubleDftOnEveryBackend) {
+  SimdBackendGuard guard;
+  for (const std::size_t n :
+       {3u, 5u, 7u, 9u, 10u, 12u, 13u, 15u, 17u, 23u, 30u, 47u, 100u, 126u, 127u,
+        130u, 131u, 143u, 254u, 257u, 384u, 1000u}) {
+    const FftPlan plan(n);
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{64}}) {
+      Rng rng(1000 * n + lanes);
+      AlignedVector<float> re(n * lanes), im(n * lanes);
+      for (std::size_t i = 0; i < n * lanes; ++i) {
+        const cfloat v = rng.complex_normal();
+        re[i] = v.real();
+        im[i] = v.imag();
+      }
+      for (const Direction dir : {Direction::kForward, Direction::kInverse}) {
+        const std::vector<cdouble> ref = soa_dft(re, im, n, lanes, dir);
+        double peak = 0.0;
+        for (const cdouble& v : ref) peak = std::max(peak, std::abs(v));
+        for (const simd::Backend b : simd_backends()) {
+          simd::force_backend(b);
+          AlignedVector<float> got_re = re, got_im = im;
+          BatchScratch scratch;
+          plan.transform_soa(got_re, got_im, lanes, dir, scratch);
+          double err = 0.0;
+          for (std::size_t i = 0; i < n * lanes; ++i) {
+            err = std::max(err, std::abs(cdouble(got_re[i], got_im[i]) - ref[i]));
+          }
+          EXPECT_LE(err, 1e-6 * peak)
+              << simd::backend_name(b) << " n=" << n << " lanes=" << lanes
+              << (dir == Direction::kForward ? " forward" : " inverse")
+              << " rel=" << err / peak;
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------ interfaces --
 
 // transform_strided_batch with a single series: the strided view of one
@@ -227,7 +318,7 @@ TEST(Fft, BatchTransformsEachSegment) {
   }
 }
 
-TEST(Fft, BatchMatchesSingleForBluesteinLength) {
+TEST(Fft, BatchMatchesSingleForRaderLength) {
   const std::size_t n = 17, count = 37;  // more lanes than one SoA block
   auto data = random_signal(n * count, 47);
   const auto copy = data;

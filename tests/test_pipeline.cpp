@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "pipeline/metrics.hpp"
 #include "pipeline/partition.hpp"
 #include "pipeline/task_spec.hpp"
@@ -316,51 +319,68 @@ class ThreadRunnerTest : public ::testing::Test {
     return opt;
   }
 
+  // Runs the spec `make_spec` builds for every Doppler geometry under every
+  // SIMD backend, and checks each CPI's detections against the sequential
+  // reference computed under the same backend. The geometries: test_small's
+  // 16 bins (radix 2), 15 bins (3 x 5 mixed radix) and 23 bins (Rader over a
+  // 22-point mixed-radix convolution, whose factor 11 is Rader again).
+  void expect_matches_reference(
+      const std::function<PipelineSpec(const stap::RadarParams&)>& make_spec) {
+    struct BackendGuard {
+      ~BackendGuard() { simd::force_backend(simd::detect_best()); }
+    } guard;
+    std::vector<stap::RadarParams> geometries(3, stap::RadarParams::test_small());
+    geometries[1].pulses = 16;
+    geometries[2].pulses = 24;
+    int run = 0;
+    for (const stap::RadarParams& p : geometries) {
+      for (int b = 0; b <= static_cast<int>(simd::detect_best()); ++b) {
+        simd::force_backend(static_cast<simd::Backend>(b));
+        RunOptions opt = options();
+        opt.fs_root = root_ / ("run" + std::to_string(run++));
+        const PipelineSpec spec = make_spec(p);
+        ThreadRunner runner(spec, opt);
+        const RunResult result = runner.run();
+        ASSERT_EQ(result.metrics.tasks.size(), spec.tasks.size());
+        for (int cpi = 0; cpi < opt.cpis; ++cpi) {
+          const auto expect =
+              keys_of(sequential_reference(p, opt.scene, opt.seed, 4, cpi), cpi);
+          EXPECT_EQ(keys_of(result.detections, cpi), expect)
+              << p.doppler_bins() << " bins, "
+              << simd::backend_name(static_cast<simd::Backend>(b)) << ", cpi " << cpi;
+          EXPECT_FALSE(expect.empty()) << p.doppler_bins() << " bins, cpi " << cpi;
+        }
+      }
+    }
+  }
+
   static std::atomic<int> counter_;
   fs::path root_;
 };
 std::atomic<int> ThreadRunnerTest::counter_{0};
 
 TEST_F(ThreadRunnerTest, EmbeddedPipelineMatchesSequentialReference) {
-  const auto p = stap::RadarParams::test_small();
-  const auto spec = PipelineSpec::embedded_io(p, {2, 1, 1, 2, 1, 2, 1});
-  ThreadRunner runner(spec, options());
-  const RunResult result = runner.run();
-
-  ASSERT_EQ(result.metrics.tasks.size(), 7u);
-  for (int cpi = 0; cpi < 3; ++cpi) {
-    const auto expect = keys_of(
-        sequential_reference(p, options().scene, options().seed, 4, cpi), cpi);
-    const auto got = keys_of(result.detections, cpi);
-    EXPECT_EQ(got, expect) << "cpi " << cpi;
-    EXPECT_FALSE(expect.empty());
-  }
+  expect_matches_reference([](const stap::RadarParams& p) {
+    auto spec = PipelineSpec::embedded_io(p, {2, 1, 1, 2, 1, 2, 1});
+    EXPECT_EQ(spec.tasks.size(), 7u);
+    return spec;
+  });
 }
 
 TEST_F(ThreadRunnerTest, SeparateIoProducesSameDetections) {
-  const auto p = stap::RadarParams::test_small();
-  const auto spec = PipelineSpec::separate_io(p, {2, 2, 1, 1, 1, 1, 1, 1});
-  ThreadRunner runner(spec, options());
-  const RunResult result = runner.run();
-  ASSERT_EQ(result.metrics.tasks.size(), 8u);
-  for (int cpi = 0; cpi < 3; ++cpi) {
-    const auto expect = keys_of(
-        sequential_reference(p, options().scene, options().seed, 4, cpi), cpi);
-    EXPECT_EQ(keys_of(result.detections, cpi), expect) << "cpi " << cpi;
-  }
+  expect_matches_reference([](const stap::RadarParams& p) {
+    auto spec = PipelineSpec::separate_io(p, {2, 2, 1, 1, 1, 1, 1, 1});
+    EXPECT_EQ(spec.tasks.size(), 8u);
+    return spec;
+  });
 }
 
 TEST_F(ThreadRunnerTest, CombinedPipelineProducesSameDetections) {
-  const auto p = stap::RadarParams::test_small();
-  const auto spec = PipelineSpec::combined(p, {2, 1, 1, 1, 1, 2});
-  ThreadRunner runner(spec, options());
-  const RunResult result = runner.run();
-  ASSERT_EQ(result.metrics.tasks.size(), 6u);
-  for (int cpi = 0; cpi < 3; ++cpi) {
-    const auto expect = keys_of(
-        sequential_reference(p, options().scene, options().seed, 4, cpi), cpi);
-    EXPECT_EQ(keys_of(result.detections, cpi), expect) << "cpi " << cpi;
-  }
+  expect_matches_reference([](const stap::RadarParams& p) {
+    auto spec = PipelineSpec::combined(p, {2, 1, 1, 1, 1, 2});
+    EXPECT_EQ(spec.tasks.size(), 6u);
+    return spec;
+  });
 }
 
 TEST_F(ThreadRunnerTest, InjectedTargetsAreDetected) {
@@ -482,18 +502,12 @@ class AssignmentSweep : public ThreadRunnerTest,
                         public ::testing::WithParamInterface<std::vector<int>> {};
 
 TEST_P(AssignmentSweep, DetectionsInvariantUnderAssignment) {
-  const auto p = stap::RadarParams::test_small();
   const std::vector<int>& nodes = GetParam();
-  const auto spec = nodes.size() == 6   ? PipelineSpec::combined(p, nodes)
-                    : nodes.size() == 8 ? PipelineSpec::separate_io(p, nodes)
-                                        : PipelineSpec::embedded_io(p, nodes);
-  ThreadRunner runner(spec, options());
-  const RunResult result = runner.run();
-  for (int cpi = 0; cpi < 3; ++cpi) {
-    const auto expect = keys_of(
-        sequential_reference(p, options().scene, options().seed, 4, cpi), cpi);
-    EXPECT_EQ(keys_of(result.detections, cpi), expect) << "cpi " << cpi;
-  }
+  expect_matches_reference([&](const stap::RadarParams& p) {
+    return nodes.size() == 6   ? PipelineSpec::combined(p, nodes)
+           : nodes.size() == 8 ? PipelineSpec::separate_io(p, nodes)
+                               : PipelineSpec::embedded_io(p, nodes);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(

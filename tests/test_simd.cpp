@@ -5,11 +5,10 @@
 // norm_interleaved, cgemm_planar_exact), for every SSE2 complex row
 // kernel and for AVX2 rows narrower than 8 lanes; within tolerance for the
 // FMA-contracted AVX2 rows of 8 lanes or more and the rest of the GEMM
-// family. On top of the primitives,
-// the whole STAP chain is checked end to end: FFT batch and single-series
-// paths against a naive DFT (including Bluestein sizes and odd lane
-// counts) and — the contract that matters operationally — CFAR detections
-// identical across backends.
+// family. On top of the primitives, the whole STAP chain is checked end to
+// end: FFT batch and single-series paths against a naive DFT (including
+// mixed-radix and Rader sizes and odd lane counts) and — the contract that
+// matters operationally — CFAR detections identical across backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -228,16 +227,6 @@ TEST(SimdPrimitives, CscaleFamilyMatchesScalar) {
       vec.cscale_rows(re1.data(), im1.data(), w.data(), rows, lanes);
       expect_rows_match(re0, re1, b, lanes);
       expect_rows_match(im0, im1, b, lanes);
-
-      auto xr = random_floats(rows * lanes, 8), xi = random_floats(rows * lanes, 9);
-      std::vector<float> yr0(rows * lanes), yi0(rows * lanes);
-      std::vector<float> yr1(rows * lanes), yi1(rows * lanes);
-      ref.cscale_rows_to(yr0.data(), yi0.data(), xr.data(), xi.data(), w.data(),
-                         rows, lanes);
-      vec.cscale_rows_to(yr1.data(), yi1.data(), xr.data(), xi.data(), w.data(),
-                         rows, lanes);
-      expect_rows_match(yr0, yr1, b, lanes);
-      expect_rows_match(yi0, yi1, b, lanes);
     }
   }
 }
@@ -258,20 +247,71 @@ TEST(SimdPrimitives, CscaleRowsMatchesPerRow) {
       vec.cscale_rows(re1.data(), im1.data(), w.data(), rows, lanes);
       EXPECT_EQ(re0, re1) << simd::backend_name(b) << " lanes=" << lanes;
       EXPECT_EQ(im0, im1);
+    }
+  }
+}
 
-      auto xr = random_floats(rows * lanes, 34);
-      auto xi = random_floats(rows * lanes, 35);
-      std::vector<float> yr0(rows * lanes), yi0(rows * lanes);
-      std::vector<float> yr1(rows * lanes), yi1(rows * lanes);
-      for (std::size_t j = 0; j < rows; ++j) {
-        vec.cscale_rows_to(yr0.data() + j * lanes, yi0.data() + j * lanes,
-                           xr.data() + j * lanes, xi.data() + j * lanes,
-                           w.data() + 2 * j, 1, lanes);
+// radix_rows for every radix and direction: SSE2 (and AVX2 below 8 lanes)
+// bit-exact with scalar, AVX2 within tolerance; spans and blocks > 1 so
+// the twiddled rows and the block stride are both exercised.
+TEST(SimdPrimitives, RadixRowsMatchesScalar) {
+  const simd::Ops& ref = simd::ops(Backend::kScalar);
+  for (Backend b : supported_backends()) {
+    const simd::Ops& vec = simd::ops(b);
+    for (std::size_t p : {2u, 3u, 4u, 5u, 7u}) {
+      for (bool dif : {false, true}) {
+        for (std::size_t lanes : kSizes) {
+          const std::size_t span = 3, blocks = 2, rows = blocks * p * span;
+          auto tw = random_floats(2 * span * (p - 1), 50 + p);
+          auto re0 = random_floats(rows * lanes, 51), im0 = random_floats(rows * lanes, 52);
+          auto re1 = re0, im1 = im0;
+          ref.radix_rows(re0.data(), im0.data(), tw.data(), p, span, blocks, lanes, dif);
+          vec.radix_rows(re1.data(), im1.data(), tw.data(), p, span, blocks, lanes, dif);
+          SCOPED_TRACE("p=" + std::to_string(p) + (dif ? " dif" : " dit"));
+          expect_rows_match(re0, re1, b, lanes);
+          expect_rows_match(im0, im1, b, lanes);
+        }
       }
-      vec.cscale_rows_to(yr1.data(), yi1.data(), xr.data(), xi.data(), w.data(),
-                         rows, lanes);
-      EXPECT_EQ(yr0, yr1);
-      EXPECT_EQ(yi0, yi1);
+    }
+  }
+}
+
+// The scalar radix_rows against its definition, in double: each row set
+// is a forward p-point DFT, with the twiddles on the inputs (DIT) or on
+// the outputs (DIF), and none on the j == 0 set.
+TEST(SimdPrimitives, RadixRowsIsTwiddledDft) {
+  const simd::Ops& ref = simd::ops(Backend::kScalar);
+  const std::size_t span = 2, blocks = 2, lanes = 3;
+  for (std::size_t p : {2u, 3u, 4u, 5u, 7u}) {
+    for (bool dif : {false, true}) {
+      const std::size_t rows = blocks * p * span;
+      auto tw = random_floats(2 * span * (p - 1), 60 + p);
+      auto re = random_floats(rows * lanes, 61), im = random_floats(rows * lanes, 62);
+      const auto re0 = re, im0 = im;
+      ref.radix_rows(re.data(), im.data(), tw.data(), p, span, blocks, lanes, dif);
+      for (std::size_t blk = 0; blk < blocks; ++blk) {
+        for (std::size_t j = 0; j < span; ++j) {
+          auto w = [&](std::size_t q) {
+            if (j == 0 || q == 0) return cdouble(1.0, 0.0);
+            const std::size_t i = 2 * (j * (p - 1) + q - 1);
+            return cdouble(tw[i], tw[i + 1]);
+          };
+          for (std::size_t l = 0; l < lanes; ++l) {
+            auto at = [&](std::size_t q) { return (blk * p * span + j + q * span) * lanes + l; };
+            for (std::size_t k = 0; k < p; ++k) {
+              cdouble acc{};
+              for (std::size_t q = 0; q < p; ++q) {
+                const cdouble x(re0[at(q)], im0[at(q)]);
+                const double ang = -2.0 * std::numbers::pi * double(q * k % p) / double(p);
+                acc += (dif ? x : x * w(q)) * cdouble(std::cos(ang), std::sin(ang));
+              }
+              if (dif) acc *= w(k);
+              EXPECT_NEAR(re[at(k)], acc.real(), 1e-5) << "p=" << p << " dif=" << dif;
+              EXPECT_NEAR(im[at(k)], acc.imag(), 1e-5) << "p=" << p << " dif=" << dif;
+            }
+          }
+        }
+      }
     }
   }
 }
@@ -343,8 +383,8 @@ double rel_error(std::span<const cfloat> got, const std::vector<cdouble>& ref) {
 
 TEST(SimdKernels, BatchFftMatchesReferenceAcrossBackends) {
   BackendGuard guard;
-  // Pow2, Bluestein (127 prime, 96 even composite), and sizes around the
-  // lane width; batch counts hitting full and partial lane blocks.
+  // Pow2, Rader (127 prime), mixed radix (96 even composite), and sizes
+  // around the lane width; batch counts hitting full and partial lane blocks.
   for (std::size_t n : {std::size_t{8}, std::size_t{64}, std::size_t{127},
                         std::size_t{96}}) {
     for (std::size_t count : {std::size_t{1}, std::size_t{5}, std::size_t{16},
