@@ -148,6 +148,51 @@ void BM_DopplerFilterPaper(benchmark::State& state) {
 }
 BENCHMARK(BM_DopplerFilterPaper);
 
+// The paper geometry through the raw-slab entry on a range-major slab, as
+// the embedded pipeline's Doppler node runs it: each 32-gate block of the
+// file-order buffer is transposed into the filter's tile, then filtered.
+void BM_DopplerFilterPaperRaw(benchmark::State& state) {
+  const RadarParams p;
+  SceneGenerator gen(p, SceneConfig{}, 1);
+  const DataCube cube = gen.generate(0);
+  std::vector<cfloat> raw(cube.samples());
+  cube.pack_file_order(0, p.ranges, raw);
+  DopplerFilter filter(p);
+  DopplerOutput out;
+  for (auto _ : state) {
+    filter.process_into(raw, p.ranges, FileLayout::kRangeMajor, out);
+    benchmark::DoNotOptimize(out.easy.flat().data());
+    benchmark::DoNotOptimize(out.hard.flat().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cube.samples()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cube.samples() * sizeof(cfloat)));
+}
+BENCHMARK(BM_DopplerFilterPaperRaw);
+
+// The whole-cube file-order transpose at the paper geometry (16.8 MB), the
+// decode read_cpi_slab runs after every slab read.
+void BM_UnpackFileOrderPaper(benchmark::State& state) {
+  const RadarParams p;
+  SceneGenerator gen(p, SceneConfig{}, 1);
+  const DataCube src = gen.generate(0);
+  std::vector<cfloat> raw(src.samples());
+  src.pack_file_order(0, p.ranges, raw);
+  DataCube cube(p.channels, p.pulses, p.ranges);
+  for (auto _ : state) {
+    cube.unpack_file_order(0, p.ranges, raw);
+    benchmark::DoNotOptimize(cube.flat().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cube.samples()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cube.bytes()));
+}
+BENCHMARK(BM_UnpackFileOrderPaper);
+
 void BM_WeightsEasy(benchmark::State& state) {
   const RadarParams p = bench_params();
   SceneGenerator gen(p, SceneConfig{}, 2);

@@ -510,10 +510,13 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
     ctx.ring->record_message(cpi, kTagRaw, src, std::move(payload));
   };
 
-  // Steady-state reuse: the cube, the Doppler output, and the pooled send
-  // payloads all reach a fixed shape after CPI 0, so the loop allocates
-  // nothing on the receive/send path from then on.
-  stap::DataCube cube;
+  // Steady-state reuse: the Doppler output and the pooled send payloads
+  // reach a fixed shape after CPI 0, so the embedded and separate-I/O loops
+  // allocate nothing on the receive/send path from then on. Those two paths
+  // filter the raw file-order slab in place (`raw`: the reader's buffer or
+  // raw_recv); only the collective read produces a cube.
+  stap::DataCube cube;  // collective reads only
+  std::span<const cfloat> raw = raw_recv;
   stap::DopplerOutput out;
   const int cpi0 = ctx.resume_cpi();
   if (reader) reader->prefetch(cpi0);
@@ -531,10 +534,10 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
     } else if (embedded) {
       clock.recv([&] {
         bool dropped = false;
-        const auto raw = reader->wait(cpi, &dropped);
+        raw = reader->wait(cpi, &dropped);
         if (dropped) ctx.mark_dropped(cpi);
-        stap::unpack_slab_into(p, r_lo, r_hi, raw, cube, ctx.opt.file_layout);
       });
+      // Fills the other slot: `raw` is untouched until prefetch(cpi + 2).
       reader->prefetch(cpi + 1);
     } else {
       clock.recv([&] {
@@ -548,11 +551,18 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
                            .subspan((lo - r_lo) * per_range, (hi - lo) * per_range);
           recv_piece(cpi, s, lo, hi, piece);
         }
-        stap::unpack_slab_into(p, r_lo, r_hi, raw_recv, cube);
       });
     }
 
-    clock.comp([&] { filter.process_into(cube, out); });
+    clock.comp([&] {
+      if (collective) {
+        filter.process_into(cube, out);
+      } else {
+        // Separate I/O runs on range-major files only, so file_layout
+        // describes raw_recv's pieces as well as the reader's slab.
+        filter.process_into(raw, r_hi - r_lo, ctx.opt.file_layout, out);
+      }
+    });
 
     clock.send([&] {
       auto ship = [&](const stap::BinArray& arr, const BlockPartition& part,

@@ -102,33 +102,21 @@ pfs::IoRequest start_read_cpi_slab(pfs::StripedFile& file, const RadarParams& pa
 
 DataCube unpack_slab(const RadarParams& params, std::size_t r0, std::size_t r1,
                      std::span<const cfloat> raw, FileLayout layout) {
-  DataCube cube;
-  unpack_slab_into(params, r0, r1, raw, cube, layout);
-  return cube;
-}
-
-void unpack_slab_into(const RadarParams& params, std::size_t r0, std::size_t r1,
-                      std::span<const cfloat> raw, DataCube& cube,
-                      FileLayout layout) {
   PSTAP_REQUIRE(raw.size() == slab_elements(params, r0, r1),
                 "raw slab buffer size mismatch");
   const std::size_t slab = r1 - r0;
-  if (cube.channels() != params.channels || cube.pulses() != params.pulses ||
-      cube.ranges() != slab) {
-    cube = DataCube(params.channels, params.pulses, slab);
-  }
+  DataCube cube(params.channels, params.pulses, slab);
   if (layout == FileLayout::kRangeMajor) {
     cube.unpack_file_order(0, slab, raw);
-    return;
+    return cube;
   }
   for (std::size_t p = 0; p < params.pulses; ++p) {
     for (std::size_t c = 0; c < params.channels; ++c) {
-      const std::size_t row = p * params.channels + c;
-      auto dst = cube.range_series(c, p);
-      const auto src = raw.subspan(row * slab, slab);
-      std::copy(src.begin(), src.end(), dst.begin());
+      const auto src = raw.subspan((p * params.channels + c) * slab, slab);
+      std::copy(src.begin(), src.end(), cube.range_series(c, p).begin());
     }
   }
+  return cube;
 }
 
 std::string round_robin_name(std::uint64_t cpi, std::size_t files) {

@@ -11,6 +11,11 @@
 //    becomes pulses*channels small strided segments. Reading it takes a
 //    gather read, or better, the two-phase collective read in
 //    pipeline/collective_read.hpp.
+//
+// (FileLayout itself lives in data_cube.hpp.) A pipeline slab read is not
+// decoded: DopplerFilter::process_into filters the raw buffer
+// start_read_cpi_slab filled, in either layout. read_cpi, read_cpi_slab
+// and unpack_slab decode into a DataCube for every other reader.
 #pragma once
 
 #include <cstdint>
@@ -23,11 +28,6 @@
 #include "stap/radar_params.hpp"
 
 namespace pstap::stap {
-
-enum class FileLayout {
-  kRangeMajor,  ///< [range][pulse][channel] — slab reads are contiguous
-  kPulseMajor,  ///< [pulse][channel][range] — slab reads are strided
-};
 
 /// Bytes of one CPI file for these parameters (layout independent).
 std::uint64_t cpi_file_bytes(const RadarParams& params);
@@ -60,7 +60,8 @@ DataCube read_cpi_slab(pfs::StripedFile& file, const RadarParams& params,
                        const RetryPolicy& retry = {});
 
 /// Asynchronous slab read: starts the transfer into `raw` (slab_elements()
-/// values; must outlive the request); call unpack_slab after completion.
+/// values; must outlive the request). After completion, hand `raw` to
+/// DopplerFilter::process_into as it is, or decode it with unpack_slab.
 pfs::IoRequest start_read_cpi_slab(pfs::StripedFile& file, const RadarParams& params,
                                    std::size_t r0, std::size_t r1,
                                    std::span<cfloat> raw,
@@ -70,12 +71,6 @@ pfs::IoRequest start_read_cpi_slab(pfs::StripedFile& file, const RadarParams& pa
 DataCube unpack_slab(const RadarParams& params, std::size_t r0, std::size_t r1,
                      std::span<const cfloat> raw,
                      FileLayout layout = FileLayout::kRangeMajor);
-
-/// Decode into an existing cube, reallocating only when the shape differs —
-/// the steady-state CPI loop reuses one cube allocation per rank.
-void unpack_slab_into(const RadarParams& params, std::size_t r0, std::size_t r1,
-                      std::span<const cfloat> raw, DataCube& cube,
-                      FileLayout layout = FileLayout::kRangeMajor);
 
 /// The paper's round-robin file naming: the radar writes 4 files cyclically
 /// and the pipeline reads them in the same order.

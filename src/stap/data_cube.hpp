@@ -8,6 +8,8 @@
 // The on-disk order (what the radar writes and the I/O task reads) is
 // range-major [range][pulse][channel], so that the range-partitioned I/O
 // nodes read contiguous byte regions — the access pattern of the paper.
+// pack_file_order / unpack_file_order are the one transpose between that
+// order and the cube's rows (see FileLayout for the other on-disk order).
 #pragma once
 
 #include <cstddef>
@@ -19,6 +21,12 @@
 #include "common/types.hpp"
 
 namespace pstap::stap {
+
+/// Element order of a CPI file or of a raw slab read from one.
+enum class FileLayout {
+  kRangeMajor,  ///< [range][pulse][channel] — slab reads are contiguous
+  kPulseMajor,  ///< [pulse][channel][range] — slab reads are strided
+};
 
 /// Raw CPI samples: channels x pulses x ranges, range contiguous.
 class DataCube {
@@ -58,7 +66,9 @@ class DataCube {
   /// `out` must hold (r1-r0)*pulses*channels elements.
   void pack_file_order(std::size_t r0, std::size_t r1, std::span<cfloat> out) const;
 
-  /// Unpack an on-disk slab of range gates [r0, r1) into this cube.
+  /// Unpack an on-disk slab of range gates [r0, r1) into this cube. Gates
+  /// outside [r0, r1) are left as they are, so a cube wider than the slab
+  /// can serve as a fixed-stride tile (the Doppler filter's range blocks).
   void unpack_file_order(std::size_t r0, std::size_t r1, std::span<const cfloat> in);
 
   /// Elements in a range slab of the on-disk representation.

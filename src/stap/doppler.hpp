@@ -10,8 +10,15 @@
 // one plane — and run through FftPlan::transform_soa, so the butterflies
 // vectorize across range gates instead of dispatching one strided FFT per
 // (channel, range).
+//
+// The gather reads each block's range-contiguous pulse rows wherever they
+// already are: in a DataCube, or in place in the raw slab buffer a pfs read
+// filled (pulse-major files). A range-major slab has no such rows, so each
+// block of it is first transposed into a small per-instance tile; no
+// whole-cube reorganisation sits between the read and the filter.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
@@ -42,10 +49,25 @@ class DopplerFilter {
   /// Instances keep per-call scratch: share one DopplerFilter per thread.
   void process_into(const DataCube& cube, DopplerOutput& out) const;
 
+  /// Process a raw slab of `ranges` gates straight from the buffer a slab
+  /// read filled, in its file order (cube_io's start_read_cpi_slab layout:
+  /// range-major [range][pulse][channel], or pulse-major rows in
+  /// pulse * channels + channel order). Bit-identical to process_into on
+  /// the same samples as a DataCube.
+  void process_into(std::span<const cfloat> raw, std::size_t ranges,
+                    FileLayout layout, DopplerOutput& out) const;
+
   /// The Hann window applied across each sub-aperture.
   const std::vector<float>& window() const noexcept { return window_; }
 
  private:
+  struct BlockRows;
+
+  template <typename RowsOf>
+  void filter_blocks(std::size_t ranges, DopplerOutput& out, RowsOf rows_of) const;
+  void filter_block(const BlockRows& rows, std::size_t r0, std::size_t R,
+                    DopplerOutput& out) const;
+
   RadarParams params_;
   fft::FftPlan plan_;            // length M transform
   std::vector<float> window_;    // length M
@@ -59,6 +81,9 @@ class DopplerFilter {
   // the SIMD butterflies never split cache lines.
   mutable AlignedVector<float> re_, im_;  // SoA planes, M x 64 lanes
   mutable fft::BatchScratch scratch_;
+  // One range block of a range-major raw slab, transposed into rows
+  // (channels x pulses x block gates; made on first range-major use).
+  mutable DataCube tile_;
 };
 
 }  // namespace pstap::stap

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <numbers>
 
@@ -164,6 +165,35 @@ TEST(DataCubeTest, FileOrderRoundTrip) {
     for (std::size_t p = 0; p < 4; ++p)
       for (std::size_t r = 0; r < 5; ++r)
         EXPECT_EQ(back.at(c, p, r), cube.at(c, p, r));
+
+  // Ragged slabs: a partial transpose block (3x5x37, gates [5, 37)) and
+  // several blocks with a ragged tail (2x3x150, gates [7, 141)). Every
+  // element sits at its file-order index, and unpacking leaves the gates
+  // outside the slab alone.
+  struct Shape {
+    std::size_t channels, pulses, ranges, r0, r1;
+  };
+  for (const Shape s : {Shape{3, 5, 37, 5, 37}, Shape{2, 3, 150, 7, 141}}) {
+    DataCube src(s.channels, s.pulses, s.ranges);
+    for (std::size_t i = 0; i < src.flat().size(); ++i)
+      src.flat()[i] = {float(i), -float(i)};
+    std::vector<cfloat> slab(src.slab_samples(s.r0, s.r1));
+    src.pack_file_order(s.r0, s.r1, slab);
+    DataCube dst(s.channels, s.pulses, s.ranges);
+    dst.unpack_file_order(s.r0, s.r1, slab);
+    for (std::size_t c = 0; c < s.channels; ++c)
+      for (std::size_t p = 0; p < s.pulses; ++p)
+        for (std::size_t r = 0; r < s.ranges; ++r) {
+          const bool inside = r >= s.r0 && r < s.r1;
+          if (inside) {
+            ASSERT_EQ(slab[((r - s.r0) * s.pulses + p) * s.channels + c],
+                      src.at(c, p, r))
+                << s.ranges << " gates, (c,p,r) = " << c << "," << p << "," << r;
+          }
+          ASSERT_EQ(dst.at(c, p, r), inside ? src.at(c, p, r) : cfloat{})
+              << s.ranges << " gates, (c,p,r) = " << c << "," << p << "," << r;
+        }
+  }
 }
 
 TEST(DataCubeTest, SlabPackingMatchesSubrange) {
@@ -176,6 +206,23 @@ TEST(DataCubeTest, SlabPackingMatchesSubrange) {
   const std::size_t per_range = 2 * 3;
   for (std::size_t i = 0; i < slab.size(); ++i) {
     EXPECT_EQ(slab[i], full[2 * per_range + i]);
+  }
+
+  // Ragged: 3x5x37 with slab [5, 37), and a multi-block 3x5x150 with slab
+  // [5, 137) whose window straddles the transpose blocks of the full pack.
+  for (const std::size_t ranges : {37u, 150u}) {
+    const std::size_t r0 = 5, r1 = ranges == 37 ? 37 : 137;
+    DataCube big(3, 5, ranges);
+    for (std::size_t i = 0; i < big.flat().size(); ++i)
+      big.flat()[i] = {float(i), 1.0f};
+    std::vector<cfloat> big_full(big.slab_samples(0, ranges));
+    std::vector<cfloat> big_slab(big.slab_samples(r0, r1));
+    big.pack_file_order(0, ranges, big_full);
+    big.pack_file_order(r0, r1, big_slab);
+    const std::size_t big_per_range = 3 * 5;
+    for (std::size_t i = 0; i < big_slab.size(); ++i) {
+      ASSERT_EQ(big_slab[i], big_full[r0 * big_per_range + i]) << ranges << " gates";
+    }
   }
 }
 
@@ -415,6 +462,77 @@ TEST(Doppler, ProcessIntoReusesArraysAndMatchesProcess) {
   for (std::size_t i = 0; i < rh.size(); ++i) {
     EXPECT_NEAR(std::abs(rh[i] - fh[i]), 0.0, 1e-5) << "hard element " << i;
   }
+}
+
+TEST(Doppler, RawSlabMatchesCubeOnEveryBackend) {
+  // The raw-slab entry filters a slab in the order a read left it. Its
+  // output must be bit-identical to process_into on the same samples as a
+  // DataCube, for both file layouts, for 16 (radix 2), 15 (mixed radix)
+  // and 23 (Rader) bins, on the full CPI, a ragged 45-gate slab and a
+  // ragged sub-slab window.
+  struct Window {
+    std::size_t r0, r1;
+  };
+  const Window windows[] = {{0, 128}, {0, 45}, {83, 128}, {7, 52}};
+  SimdBackendGuard guard;
+  for (const std::size_t pulses : {17u, 16u, 24u}) {
+    RadarParams p = RadarParams::test_small();
+    p.pulses = pulses;
+    SceneConfig cfg;
+    cfg.cnr_db = 40.0;
+    const DataCube cube = SceneGenerator(p, cfg, 31).generate(0);
+    for (simd::Backend b : simd_backends()) {
+      simd::force_backend(b);
+      const DopplerFilter filt(p);
+      DopplerOutput expect, got;
+      for (const Window w : windows) {
+        const std::size_t n = w.r1 - w.r0;
+        DataCube sub(p.channels, p.pulses, n);
+        std::vector<cfloat> range_major(n * p.pulses * p.channels);
+        std::vector<cfloat> pulse_major(range_major.size());
+        for (std::size_t c = 0; c < p.channels; ++c)
+          for (std::size_t pp = 0; pp < p.pulses; ++pp)
+            for (std::size_t r = 0; r < n; ++r) {
+              const cfloat v = cube.at(c, pp, w.r0 + r);
+              sub.at(c, pp, r) = v;
+              range_major[(r * p.pulses + pp) * p.channels + c] = v;
+              pulse_major[(pp * p.channels + c) * n + r] = v;
+            }
+        filt.process_into(sub, expect);
+        for (const auto& [layout, raw] :
+             {std::pair{FileLayout::kRangeMajor, &range_major},
+              std::pair{FileLayout::kPulseMajor, &pulse_major}}) {
+          filt.process_into(*raw, n, layout, got);
+          const std::string where =
+              std::string(simd::backend_name(b)) + ", " +
+              std::to_string(p.doppler_bins()) + " bins, gates [" +
+              std::to_string(w.r0) + ", " + std::to_string(w.r1) + "), " +
+              (layout == FileLayout::kRangeMajor ? "range-major" : "pulse-major");
+          EXPECT_EQ(got.easy_bin_ids, expect.easy_bin_ids) << where;
+          EXPECT_EQ(got.hard_bin_ids, expect.hard_bin_ids) << where;
+          ASSERT_EQ(got.easy.ranges(), n) << where;
+          ASSERT_EQ(got.hard.ranges(), n) << where;
+          EXPECT_EQ(std::memcmp(got.easy.flat().data(), expect.easy.flat().data(),
+                                expect.easy.flat().size_bytes()),
+                    0)
+              << where;
+          EXPECT_EQ(std::memcmp(got.hard.flat().data(), expect.hard.flat().data(),
+                                expect.hard.flat().size_bytes()),
+                    0)
+              << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(Doppler, RejectsMismatchedRawSlab) {
+  const RadarParams p = RadarParams::test_small();
+  DopplerFilter filt(p);
+  DopplerOutput out;
+  std::vector<cfloat> raw(10 * p.pulses * p.channels);
+  EXPECT_THROW(filt.process_into(raw, 11, FileLayout::kRangeMajor, out),
+               PreconditionError);
 }
 
 TEST(Doppler, RejectsMismatchedCube) {
