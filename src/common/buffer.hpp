@@ -8,12 +8,19 @@
 // held simultaneously by a mailbox envelope, a receiver, and a checkpoint
 // ring without any byte ever being copied.
 //
-// Two storage modes share one handle type:
-//   * pooled  — cache-line-aligned storage recycled through a BufferPool
+// Three storage modes share one handle type:
+//   * pooled    — cache-line-aligned storage recycled through a BufferPool
 //     (the zero-allocation fast path);
-//   * adopted — wraps a std::vector<std::byte> the caller already built
+//   * allocated — cache-line-aligned storage of its own, freed on release
+//     (Buffer::allocate: the default storage of the STAP row arrays);
+//   * adopted   — wraps a std::vector<std::byte> the caller already built
 //     (the legacy pack()/send_bytes path; keeps move semantics, one Rep
 //     allocation per message).
+//
+// A handle views a byte range of its storage: slice() hands out a
+// sub-range that shares the refcount, so one filled array can be shipped
+// to several receivers as slices, and the storage is recycled only after
+// the parent handle and every slice have dropped.
 //
 // Ownership rule: a BufferPool must outlive every Buffer acquired from it
 // (the release path walks a raw pool pointer). In the pipeline the pools
@@ -39,11 +46,11 @@ class BufferPool;
 namespace detail {
 
 /// Shared representation behind Buffer handles. Allocated by BufferPool
-/// (recycled) or by Buffer::adopt/copy_of (deleted on release).
+/// (recycled) or by Buffer::allocate/adopt/copy_of (deleted on release).
+/// The live byte range is the handle's, not the Rep's.
 struct BufferRep {
   std::atomic<std::uint32_t> refs{1};
-  std::size_t size = 0;          ///< live payload bytes
-  AlignedBuffer<std::byte> mem;  ///< pooled storage (capacity = mem.size())
+  AlignedBuffer<std::byte> mem;  ///< aligned storage (capacity = mem.size())
   std::vector<std::byte> vec;    ///< adopted storage (when mem is empty)
   BufferPool* pool = nullptr;    ///< recycle here; nullptr => delete
 
@@ -57,35 +64,47 @@ void release_rep(BufferRep* rep) noexcept;
 
 }  // namespace detail
 
-/// Refcounted handle to a byte payload. Copying shares the bytes; the
-/// storage is freed (or returned to its pool) when the last handle drops.
-/// Handles are safe to pass between threads; concurrent mutation of the
-/// *bytes* is the caller's problem (the pipeline's payloads are write-once).
+/// Refcounted handle to a byte range of shared storage. Copying (or
+/// slicing) shares the bytes; the storage is freed (or returned to its
+/// pool) when the last handle drops. Handles are safe to pass between
+/// threads; concurrent mutation of the *bytes* is the caller's problem
+/// (the pipeline's payloads are write-once; DESIGN.md §9).
 class Buffer {
  public:
   Buffer() = default;
   ~Buffer() { reset(); }
 
-  Buffer(const Buffer& other) noexcept : rep_(other.rep_) {
+  Buffer(const Buffer& other) noexcept
+      : rep_(other.rep_), offset_(other.offset_), size_(other.size_) {
     if (rep_ != nullptr) rep_->refs.fetch_add(1, std::memory_order_relaxed);
   }
-  Buffer(Buffer&& other) noexcept : rep_(std::exchange(other.rep_, nullptr)) {}
+  Buffer(Buffer&& other) noexcept
+      : rep_(std::exchange(other.rep_, nullptr)),
+        offset_(std::exchange(other.offset_, 0)),
+        size_(std::exchange(other.size_, 0)) {}
   Buffer& operator=(const Buffer& other) noexcept {
     Buffer tmp(other);
-    std::swap(rep_, tmp.rep_);
+    swap(tmp);
     return *this;
   }
   Buffer& operator=(Buffer&& other) noexcept {
-    std::swap(rep_, other.rep_);
+    swap(other);
     return *this;
+  }
+
+  /// Fresh `size` bytes (uninitialized) of aligned storage, not pooled.
+  static Buffer allocate(std::size_t size) {
+    auto* rep = new detail::BufferRep;
+    rep->mem = AlignedBuffer<std::byte>(size);
+    return Buffer(rep, size);
   }
 
   /// Wrap an existing vector without copying its bytes.
   static Buffer adopt(std::vector<std::byte> bytes) {
     auto* rep = new detail::BufferRep;
-    rep->size = bytes.size();
+    const std::size_t size = bytes.size();
     rep->vec = std::move(bytes);
-    return Buffer(rep);
+    return Buffer(rep, size);
   }
 
   /// Freshly allocated copy of `bytes` (not pooled).
@@ -94,12 +113,26 @@ class Buffer {
   }
 
   explicit operator bool() const noexcept { return rep_ != nullptr; }
-  std::size_t size() const noexcept { return rep_ == nullptr ? 0 : rep_->size; }
-  bool empty() const noexcept { return size() == 0; }
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
 
-  std::byte* data() noexcept { return rep_ == nullptr ? nullptr : rep_->data(); }
+  std::byte* data() noexcept {
+    return rep_ == nullptr ? nullptr : rep_->data() + offset_;
+  }
   const std::byte* data() const noexcept {
-    return rep_ == nullptr ? nullptr : rep_->data();
+    return rep_ == nullptr ? nullptr : rep_->data() + offset_;
+  }
+
+  /// Handle to bytes [offset, offset + size) of this one's range. It shares
+  /// the storage and its refcount: no byte is copied, and the storage stays
+  /// alive (out of its pool) while any slice of it does.
+  Buffer slice(std::size_t offset, std::size_t size) const {
+    PSTAP_REQUIRE(offset <= size_ && size <= size_ - offset,
+                  "buffer slice out of range");
+    Buffer out(*this);
+    out.offset_ += offset;
+    out.size_ = size;
+    return out;
   }
 
   std::span<std::byte> bytes() noexcept { return {data(), size()}; }
@@ -122,12 +155,14 @@ class Buffer {
   }
 
   /// Extract the payload as a vector. Zero-copy when this is the only
-  /// handle to an adopted vector; otherwise copies.
+  /// handle to an adopted vector and views it from the start; otherwise
+  /// copies.
   std::vector<std::byte> to_vector() && {
     if (rep_ == nullptr) return {};
-    if (rep_->mem.empty() && rep_->refs.load(std::memory_order_acquire) == 1) {
+    if (rep_->mem.empty() && offset_ == 0 &&
+        rep_->refs.load(std::memory_order_acquire) == 1) {
       std::vector<std::byte> out = std::move(rep_->vec);
-      out.resize(rep_->size);
+      out.resize(size_);
       reset();
       return out;
     }
@@ -138,14 +173,24 @@ class Buffer {
 
   /// Drop this handle (recycles/frees the storage if it was the last one).
   void reset() noexcept {
+    offset_ = size_ = 0;
     if (rep_ != nullptr) detail::release_rep(std::exchange(rep_, nullptr));
   }
 
  private:
   friend class BufferPool;
-  explicit Buffer(detail::BufferRep* rep) noexcept : rep_(rep) {}
+  Buffer(detail::BufferRep* rep, std::size_t size) noexcept
+      : rep_(rep), size_(size) {}
+
+  void swap(Buffer& other) noexcept {
+    std::swap(rep_, other.rep_);
+    std::swap(offset_, other.offset_);
+    std::swap(size_, other.size_);
+  }
 
   detail::BufferRep* rep_ = nullptr;
+  std::size_t offset_ = 0;  ///< start of this handle's range in the storage
+  std::size_t size_ = 0;    ///< bytes in this handle's range
 };
 
 /// Thread-safe free list of aligned payload buffers. acquire() reuses any
@@ -176,19 +221,17 @@ class BufferPool {
           free_[i] = free_.back();
           free_.pop_back();
           rep->refs.store(1, std::memory_order_relaxed);
-          rep->size = size;
           ++reuses_;
-          return Buffer(rep);
+          return Buffer(rep, size);
         }
       }
       ++allocations_;
     }
     auto* rep = new detail::BufferRep;
-    rep->size = size;
     rep->mem = AlignedBuffer<std::byte>(size, alignment_);
     rep->pool = this;
     outstanding_.fetch_add(1, std::memory_order_relaxed);
-    return Buffer(rep);
+    return Buffer(rep, size);
   }
 
   /// Typed acquire: `count` elements of T.

@@ -320,6 +320,43 @@ void interleave(float* dst, const float* re, const float* im, std::size_t n) {
   }
 }
 
+// AoS <-> SoA transposes over lanes [l0, l1) and elements [k0, k1): series
+// l's element k sits at src/dst[2 * (l * dist + k * stride)], plane row k holds
+// `lanes` floats. The vector backends run these on their tile edges.
+void gather_tile(float* re, float* im, const float* src, std::size_t k0,
+                 std::size_t k1, std::size_t l0, std::size_t l1, std::size_t dist,
+                 std::size_t stride, std::size_t lanes) {
+  for (std::size_t k = k0; k < k1; ++k) {
+    for (std::size_t l = l0; l < l1; ++l) {
+      const std::size_t idx = 2 * (l * dist + k * stride);
+      re[k * lanes + l] = src[idx];
+      im[k * lanes + l] = src[idx + 1];
+    }
+  }
+}
+
+void scatter_tile(float* dst, const float* re, const float* im, std::size_t k0,
+                  std::size_t k1, std::size_t l0, std::size_t l1, std::size_t dist,
+                  std::size_t stride, std::size_t lanes) {
+  for (std::size_t k = k0; k < k1; ++k) {
+    for (std::size_t l = l0; l < l1; ++l) {
+      const std::size_t idx = 2 * (l * dist + k * stride);
+      dst[idx] = re[k * lanes + l];
+      dst[idx + 1] = im[k * lanes + l];
+    }
+  }
+}
+
+void gather_planes(float* re, float* im, const float* src, std::size_t n,
+                   std::size_t dist, std::size_t stride, std::size_t lanes) {
+  gather_tile(re, im, src, 0, n, 0, lanes, dist, stride, lanes);
+}
+
+void scatter_planes(float* dst, const float* re, const float* im, std::size_t n,
+                    std::size_t dist, std::size_t stride, std::size_t lanes) {
+  scatter_tile(dst, re, im, 0, n, 0, lanes, dist, stride, lanes);
+}
+
 // fp-contract is pinned off: at -O3 GCC would otherwise fuse re*re + im*im
 // into an FMA here, silently breaking the bit-exactness contract between
 // this reference and the vector backends (which use separate mul and add).
@@ -410,6 +447,8 @@ constexpr Ops kOps = {
     .scale = scale,
     .deinterleave_scale = deinterleave_scale,
     .interleave = interleave,
+    .gather_planes = gather_planes,
+    .scatter_planes = scatter_planes,
     .norm_interleaved = norm_interleaved,
     .cgemm_planar = cgemm_planar,
     .cgemm_planar_exact = cgemm_planar,
@@ -536,6 +575,77 @@ void interleave(float* dst, const float* re, const float* im, std::size_t n) {
   if (i < n) scalar_impl::interleave(dst + 2 * i, re + i, im + i, n - i);
 }
 
+// Unit-stride series transpose in tiles of 4 series x 2 elements: one load
+// per series takes two complex elements, and two rounds of unpacks turn
+// the four loads into the two elements' re and im plane vectors — one
+// shuffle per element, every load and store a whole vector. Tile edges and
+// strided series take the scalar path.
+void gather_planes(float* re, float* im, const float* src, std::size_t n,
+                   std::size_t dist, std::size_t stride, std::size_t lanes) {
+  if (stride != 1) {
+    scalar_impl::gather_planes(re, im, src, n, dist, stride, lanes);
+    return;
+  }
+  const std::size_t n2 = n & ~std::size_t{1};
+  const std::size_t lanes4 = lanes & ~std::size_t{3};
+  for (std::size_t l = 0; l < lanes4; l += 4) {
+    const float* s0 = src + 2 * l * dist;
+    const float* s1 = s0 + 2 * dist;
+    const float* s2 = s1 + 2 * dist;
+    const float* s3 = s2 + 2 * dist;
+    for (std::size_t k = 0; k < n2; k += 2) {
+      const __m128 a0 = _mm_loadu_ps(s0 + 2 * k);  // r0k i0k r0k' i0k'
+      const __m128 a1 = _mm_loadu_ps(s1 + 2 * k);
+      const __m128 a2 = _mm_loadu_ps(s2 + 2 * k);
+      const __m128 a3 = _mm_loadu_ps(s3 + 2 * k);
+      const __m128 lo01 = _mm_unpacklo_ps(a0, a1);  // r0k r1k i0k i1k
+      const __m128 lo23 = _mm_unpacklo_ps(a2, a3);  // r2k r3k i2k i3k
+      const __m128 hi01 = _mm_unpackhi_ps(a0, a1);  // r0k' r1k' i0k' i1k'
+      const __m128 hi23 = _mm_unpackhi_ps(a2, a3);
+      _mm_storeu_ps(re + k * lanes + l, _mm_movelh_ps(lo01, lo23));
+      _mm_storeu_ps(im + k * lanes + l, _mm_movehl_ps(lo23, lo01));
+      _mm_storeu_ps(re + (k + 1) * lanes + l, _mm_movelh_ps(hi01, hi23));
+      _mm_storeu_ps(im + (k + 1) * lanes + l, _mm_movehl_ps(hi23, hi01));
+    }
+  }
+  scalar_impl::gather_tile(re, im, src, n2, n, 0, lanes4, dist, 1, lanes);
+  scalar_impl::gather_tile(re, im, src, 0, n, lanes4, lanes, dist, 1, lanes);
+}
+
+// Inverse of gather_planes, tile by tile: the two elements' plane vectors
+// unpack back into one interleaved pair per series.
+void scatter_planes(float* dst, const float* re, const float* im, std::size_t n,
+                    std::size_t dist, std::size_t stride, std::size_t lanes) {
+  if (stride != 1) {
+    scalar_impl::scatter_planes(dst, re, im, n, dist, stride, lanes);
+    return;
+  }
+  const std::size_t n2 = n & ~std::size_t{1};
+  const std::size_t lanes4 = lanes & ~std::size_t{3};
+  for (std::size_t l = 0; l < lanes4; l += 4) {
+    float* d0 = dst + 2 * l * dist;
+    float* d1 = d0 + 2 * dist;
+    float* d2 = d1 + 2 * dist;
+    float* d3 = d2 + 2 * dist;
+    for (std::size_t k = 0; k < n2; k += 2) {
+      const __m128 rk = _mm_loadu_ps(re + k * lanes + l);
+      const __m128 ik = _mm_loadu_ps(im + k * lanes + l);
+      const __m128 rk1 = _mm_loadu_ps(re + (k + 1) * lanes + l);
+      const __m128 ik1 = _mm_loadu_ps(im + (k + 1) * lanes + l);
+      const __m128 lo = _mm_unpacklo_ps(rk, ik);     // r0k i0k r1k i1k
+      const __m128 hi = _mm_unpackhi_ps(rk, ik);     // r2k i2k r3k i3k
+      const __m128 lo1 = _mm_unpacklo_ps(rk1, ik1);  // r0k' i0k' r1k' i1k'
+      const __m128 hi1 = _mm_unpackhi_ps(rk1, ik1);
+      _mm_storeu_ps(d0 + 2 * k, _mm_movelh_ps(lo, lo1));
+      _mm_storeu_ps(d1 + 2 * k, _mm_movehl_ps(lo1, lo));
+      _mm_storeu_ps(d2 + 2 * k, _mm_movelh_ps(hi, hi1));
+      _mm_storeu_ps(d3 + 2 * k, _mm_movehl_ps(hi1, hi));
+    }
+  }
+  scalar_impl::scatter_tile(dst, re, im, n2, n, 0, lanes4, dist, 1, lanes);
+  scalar_impl::scatter_tile(dst, re, im, 0, n, lanes4, lanes, dist, 1, lanes);
+}
+
 void norm_interleaved(double* power, const float* x, std::size_t n) {
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) {
@@ -622,6 +732,8 @@ constexpr Ops kOps = {
     .scale = scale,
     .deinterleave_scale = deinterleave_scale,
     .interleave = interleave,
+    .gather_planes = gather_planes,
+    .scatter_planes = scatter_planes,
     .norm_interleaved = norm_interleaved,
     .cgemm_planar = cgemm_planar,
     .cgemm_planar_exact = cgemm_planar,
@@ -1216,6 +1328,8 @@ constexpr Ops kOps = {
     .scale = scale,
     .deinterleave_scale = deinterleave_scale,
     .interleave = interleave,
+    .gather_planes = sse2_impl::gather_planes,
+    .scatter_planes = sse2_impl::scatter_planes,
     .norm_interleaved = norm_interleaved,
     .cgemm_planar = cgemm_planar,
     .cgemm_planar_exact = cgemm_planar_exact,

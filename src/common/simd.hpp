@@ -23,7 +23,8 @@
 // Every field has a production caller: the FFT (`butterfly_rows`,
 // `butterfly2_rows` and `scale` for powers of two, `radix_rows` and
 // `cscale_rows` for every other length, `cscale_rows` again for the
-// matched-filter multiply), the Doppler filter (`deinterleave_scale`,
+// matched-filter multiply, `gather_planes` and `scatter_planes` around
+// every batched transform), the Doppler filter (`deinterleave_scale`,
 // `interleave`), CFAR (`norm_interleaved`), the weight and beamform GEMMs
 // (`cgemm_planar`, `zherk_cf_lower`), the scene generator's clutter
 // synthesis (`cgemm_planar_exact`) and the pfs checksum (`crc32c`, through
@@ -38,7 +39,8 @@
 // kernels, which keeps those rows (every row of a single-series FFT)
 // bit-exact with scalar; SSE2 never contracts, so its four complex row
 // kernels are bit-exact with scalar at every width. `norm_interleaved`,
-// `scale`, `deinterleave_scale`, `interleave` and `cgemm_planar_exact` are
+// `scale`, `deinterleave_scale`, `interleave`, `gather_planes`,
+// `scatter_planes` and `cgemm_planar_exact` are
 // FMA-free and bit-exact with the scalar path on every backend — CFAR
 // threshold comparisons see identical powers and synthesized scenes have
 // identical bytes no matter which backend ran. `crc32c` is integer
@@ -129,6 +131,15 @@ struct Ops {
   /// Interleave split planes: dst[2i] = re[i], dst[2i+1] = im[i].
   void (*interleave)(float* dst, const float* re, const float* im,
                      std::size_t n);
+  /// AoS -> SoA transpose of `lanes` complex series of n elements, series
+  /// l's element k at src[2 * (l * dist + k * stride)], into the planes
+  /// re/im[k * lanes + l]: the gather in front of every batched FFT.
+  void (*gather_planes)(float* re, float* im, const float* src, std::size_t n,
+                        std::size_t dist, std::size_t stride, std::size_t lanes);
+  /// SoA -> AoS, the inverse of gather_planes.
+  void (*scatter_planes)(float* dst, const float* re, const float* im,
+                         std::size_t n, std::size_t dist, std::size_t stride,
+                         std::size_t lanes);
   /// CFAR power: power[i] = re_i^2 + im_i^2 of interleaved complex input,
   /// widened to double. FMA-free: bit-exact across backends.
   void (*norm_interleaved)(double* power, const float* x, std::size_t n);

@@ -45,40 +45,6 @@ std::vector<std::uint32_t> make_bitrev(std::size_t n) {
   return rev;
 }
 
-// AoS -> SoA: gather L series (series l's element k at base[l*dist + k*stride])
-// into planes re/im[k*L + l]. std::complex<float> is layout-compatible with
-// float[2], so the gather reads the raw float pairs.
-void gather_soa(const cfloat* base, std::size_t n, std::size_t dist,
-                std::size_t stride, std::size_t lanes, float* re, float* im) {
-  const float* f = reinterpret_cast<const float*>(base);
-  for (std::size_t k = 0; k < n; ++k) {
-    float* rk = re + k * lanes;
-    float* ik = im + k * lanes;
-    const std::size_t row = 2 * k * stride;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const std::size_t idx = row + 2 * l * dist;
-      rk[l] = f[idx];
-      ik[l] = f[idx + 1];
-    }
-  }
-}
-
-// SoA -> AoS scatter, inverse of gather_soa.
-void scatter_soa(cfloat* base, std::size_t n, std::size_t dist, std::size_t stride,
-                 std::size_t lanes, const float* re, const float* im) {
-  float* f = reinterpret_cast<float*>(base);
-  for (std::size_t k = 0; k < n; ++k) {
-    const float* rk = re + k * lanes;
-    const float* ik = im + k * lanes;
-    const std::size_t row = 2 * k * stride;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const std::size_t idx = row + 2 * l * dist;
-      f[idx] = rk[l];
-      f[idx + 1] = ik[l];
-    }
-  }
-}
-
 constexpr std::size_t kMaxRadix = 7;  // largest radix with a radix_rows body
 
 std::vector<std::size_t> prime_factors(std::size_t n) {
@@ -436,13 +402,14 @@ void FftPlan::transform_strided_batch(cfloat* base, std::size_t count,
   scratch.im_.resize(n_ * lanes);
   PSTAP_REQUIRE(is_aligned(scratch.re_.data()) && is_aligned(scratch.im_.data()),
                 "SoA scratch planes lost their SIMD alignment");
+  const simd::Ops& ops = simd::ops();
   for (std::size_t b0 = 0; b0 < count; b0 += kBatchLanes) {
     const std::size_t L = std::min(kBatchLanes, count - b0);
-    cfloat* block = base + b0 * dist;
-    gather_soa(block, n_, dist, stride, L, scratch.re_.data(), scratch.im_.data());
+    float* f = reinterpret_cast<float*>(base + b0 * dist);
+    ops.gather_planes(scratch.re_.data(), scratch.im_.data(), f, n_, dist, stride, L);
     transform_soa(std::span<float>(scratch.re_.data(), n_ * L),
                   std::span<float>(scratch.im_.data(), n_ * L), L, dir, scratch);
-    scatter_soa(block, n_, dist, stride, L, scratch.re_.data(), scratch.im_.data());
+    ops.scatter_planes(f, scratch.re_.data(), scratch.im_.data(), n_, dist, stride, L);
   }
 }
 
@@ -457,22 +424,21 @@ void FftPlan::convolve_batch(std::span<cfloat> data, std::size_t count,
   scratch.im_.resize(n_ * lanes);
   PSTAP_REQUIRE(is_aligned(scratch.re_.data()) && is_aligned(scratch.im_.data()),
                 "SoA scratch planes lost their SIMD alignment");
+  const simd::Ops& ops = simd::ops();
   for (std::size_t b0 = 0; b0 < count; b0 += kBatchLanes) {
     const std::size_t L = std::min(kBatchLanes, count - b0);
-    cfloat* block = data.data() + b0 * n_;
+    float* f = reinterpret_cast<float*>(data.data() + b0 * n_);
     float* re = scratch.re_.data();
     float* im = scratch.im_.data();
-    gather_soa(block, n_, n_, 1, L, re, im);
+    ops.gather_planes(re, im, f, n_, n_, 1, L);
     transform_soa(std::span<float>(re, n_ * L), std::span<float>(im, n_ * L), L,
                   Direction::kForward, scratch);
     // Fused matched-filter multiply: one row-batched SIMD complex scale over
     // the whole spectrum (cfloat doubles as the interleaved w array).
-    simd::ops().cscale_rows(re, im,
-                            reinterpret_cast<const float*>(spectrum.data()),
-                            n_, L);
+    ops.cscale_rows(re, im, reinterpret_cast<const float*>(spectrum.data()), n_, L);
     transform_soa(std::span<float>(re, n_ * L), std::span<float>(im, n_ * L), L,
                   Direction::kInverse, scratch);
-    scatter_soa(block, n_, n_, 1, L, re, im);
+    ops.scatter_planes(f, re, im, n_, n_, 1, L);
   }
 }
 

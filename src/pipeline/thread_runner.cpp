@@ -103,6 +103,14 @@ struct NodeCtx {
     return pool->acquire_elems<cfloat>(count);
   }
 
+  /// A row array (stap::BinArray or stap::BeamArray) over a fresh pooled
+  /// payload, uninitialized: the storage a node writes once per CPI and
+  /// then ships as slices.
+  template <typename Array>
+  Array pooled(std::size_t outer, std::size_t rows, std::size_t ranges) const {
+    return Array(outer, rows, ranges, payload_for(outer * rows * ranges));
+  }
+
   const stap::RadarParams& params() const { return spec.params; }
   int nodes_of(TaskKind kind) const {
     const int i = spec.find(kind);
@@ -246,32 +254,20 @@ class PhaseClock {
   Seconds recv_ = 0, comp_ = 0, send_ = 0;
 };
 
-/// The (bin-subset, dof, range-slab) slices Doppler nodes ship to BF/WC
-/// nodes: [local bins of the receiver][dof][sender's range window].
-void pack_bin_slab(const stap::BinArray& src, std::size_t bin_lo, std::size_t bin_hi,
-                   std::size_t r_lo, std::size_t r_hi, std::span<cfloat> out) {
-  PSTAP_CHECK(out.size() == (bin_hi - bin_lo) * src.dof() * (r_hi - r_lo),
-              "bin slab output size mismatch");
-  std::size_t idx = 0;
-  const std::size_t width = r_hi - r_lo;
-  for (std::size_t b = bin_lo; b < bin_hi; ++b) {
-    for (std::size_t d = 0; d < src.dof(); ++d) {
-      const auto row = src.range_series(b, d);
-      std::copy(row.begin() + r_lo, row.begin() + r_hi, out.begin() + idx);
-      idx += width;
-    }
-  }
-}
-
-void unpack_bin_slab(stap::BinArray& dst, std::size_t r_lo, std::size_t r_hi,
-                     std::span<const cfloat> in) {
-  PSTAP_CHECK(in.size() == dst.bins() * dst.dof() * (r_hi - r_lo),
+/// Copy one Doppler sender's message into rows [r_lo, r_lo + width) of
+/// `dst`: `in` holds dst.bins() * dst.dof() rows of `in_stride` gates, and
+/// the first `width` gates of each are copied. A weight node takes just
+/// the training prefix of a full-window slice this way.
+void unpack_bin_slab(stap::BinArray& dst, std::size_t r_lo, std::size_t width,
+                     std::span<const cfloat> in, std::size_t in_stride) {
+  PSTAP_CHECK(width <= in_stride && r_lo + width <= dst.ranges(),
+              "bin slab window out of range");
+  PSTAP_CHECK(in.size() == dst.bins() * dst.dof() * in_stride,
               "bin slab message size mismatch");
-  std::size_t idx = 0;
+  const cfloat* row = in.data();
   for (std::size_t b = 0; b < dst.bins(); ++b) {
-    for (std::size_t d = 0; d < dst.dof(); ++d) {
-      auto row = dst.range_series(b, d);
-      for (std::size_t r = r_lo; r < r_hi; ++r) row[r] = in[idx++];
+    for (std::size_t d = 0; d < dst.dof(); ++d, row += in_stride) {
+      std::copy(row, row + width, dst.range_series(b, d).begin() + r_lo);
     }
   }
 }
@@ -510,14 +506,17 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
     ctx.ring->record_message(cpi, kTagRaw, src, std::move(payload));
   };
 
-  // Steady-state reuse: the Doppler output and the pooled send payloads
-  // reach a fixed shape after CPI 0, so the embedded and separate-I/O loops
-  // allocate nothing on the receive/send path from then on. Those two paths
-  // filter the raw file-order slab in place (`raw`: the reader's buffer or
-  // raw_recv); only the collective read produces a cube.
+  // The embedded and separate-I/O paths filter the raw file-order slab in
+  // place (`raw`: the reader's buffer or raw_recv); only the collective
+  // read produces a cube. The output is written into one pooled payload
+  // per CPI (easy then hard) and shipped as slices of it, so the send
+  // copies nothing, and the filter never writes into bytes it shipped.
   stap::DataCube cube;  // collective reads only
   std::span<const cfloat> raw = raw_recv;
   stap::DopplerOutput out;
+  const std::size_t width = r_hi - r_lo;
+  const std::size_t n_easy = easy_ids.size() * p.easy_dof() * width;
+  const std::size_t n_hard = hard_ids.size() * p.hard_dof() * width;
   const int cpi0 = ctx.resume_cpi();
   if (reader) reader->prefetch(cpi0);
   for (int cpi = cpi0; cpi < ctx.opt.cpis; ++cpi) {
@@ -555,6 +554,12 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
     }
 
     clock.comp([&] {
+      const mp::Buffer storage = ctx.payload_for(n_easy + n_hard);
+      const std::size_t split = n_easy * sizeof(cfloat);
+      out.easy = stap::BinArray(easy_ids.size(), p.easy_dof(), width,
+                                storage.slice(0, split));
+      out.hard = stap::BinArray(hard_ids.size(), p.hard_dof(), width,
+                                storage.slice(split, storage.size() - split));
       if (collective) {
         filter.process_into(cube, out);
       } else {
@@ -565,23 +570,19 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
     });
 
     clock.send([&] {
+      // A receiver's bins [b_lo, b_hi) are one contiguous run of the
+      // [bin][dof][range] output, so each message is a slice of it: one
+      // ship path for any node count, and no byte copied. Weight nodes
+      // read only the training gates, so only Doppler nodes whose window
+      // starts inside them (`limit`) ship to them.
       auto ship = [&](const stap::BinArray& arr, const BlockPartition& part,
-                      TaskKind dest_kind, int dest_nodes, int tag,
-                      std::size_t send_r_hi) {
-        // send_r_hi limits the shipped ranges (training prefix for WC).
+                      TaskKind dest_kind, int dest_nodes, int tag, std::size_t limit) {
+        if (r_lo >= limit) return;
         for (int n = 0; n < dest_nodes; ++n) {
           const std::size_t b_lo = part.begin(static_cast<std::size_t>(n));
           const std::size_t b_hi = part.end(static_cast<std::size_t>(n));
           if (b_lo >= b_hi) continue;
-          // Intersect my global range window with [0, send_r_hi). The
-          // slice is packed straight into a pooled payload and moved into
-          // the mailbox — one copy total, no allocation at steady state.
-          if (r_lo >= send_r_hi) continue;
-          const std::size_t local_hi = std::min(r_hi, send_r_hi) - r_lo;
-          mp::Buffer payload =
-              ctx.payload_for((b_hi - b_lo) * arr.dof() * local_hi);
-          pack_bin_slab(arr, b_lo, b_hi, 0, local_hi, payload.as_span<cfloat>());
-          ctx.world.send_stream(ctx.rank_of(dest_kind, n), tag, std::move(payload));
+          ctx.world.send_stream(ctx.rank_of(dest_kind, n), tag, arr.slice(b_lo, b_hi));
         }
       };
       ship(out.easy, part_be, TaskKind::kBeamformEasy, n_be, kTagSpecEasy, p.ranges);
@@ -617,7 +618,12 @@ void run_weights_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
 
   std::vector<std::size_t> my_ids(ids.begin() + b_lo, ids.begin() + b_hi);
   stap::WeightComputer wc(p, my_ids, dof);
-  stap::BinArray training(my_ids.size(), dof, p.training_ranges);
+  // One Doppler node covers every gate: its full-window slice is adopted
+  // as the training array (compute reads its training prefix, as in
+  // StapChain). Several: their training gates are assembled here.
+  const bool adopt = ranges.end(0) == p.ranges;
+  stap::BinArray training =
+      adopt ? stap::BinArray() : stap::BinArray(my_ids.size(), dof, p.training_ranges);
 
   for (int cpi = ctx.resume_cpi(); cpi < ctx.opt.cpis; ++cpi) {
     clock.start_cpi(cpi);
@@ -631,10 +637,14 @@ void run_weights_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
         const std::size_t r_hi =
             std::min(ranges.end(static_cast<std::size_t>(d)), p.training_ranges);
         if (r_lo >= r_hi) continue;
-        mp::Buffer payload;
-        const auto msg = recv_logged_cfloats(
-            ctx, cpi, ctx.rank_of(TaskKind::kDoppler, d), train_tag, payload);
-        unpack_bin_slab(training, r_lo, r_hi, msg);
+        mp::Buffer payload =
+            recv_logged(ctx, cpi, ctx.rank_of(TaskKind::kDoppler, d), train_tag);
+        if (adopt) {
+          training = stap::BinArray(my_ids.size(), dof, p.ranges, std::move(payload));
+        } else {
+          unpack_bin_slab(training, r_lo, r_hi - r_lo, payload.as_span<const cfloat>(),
+                          ranges.size(static_cast<std::size_t>(d)));
+        }
       }
     });
 
@@ -670,32 +680,20 @@ void run_weights_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
 
 /// Route each row block — the (beams x ranges) rows of absolute bin
 /// bins[b] — to the `dest_kind` node owning that bin under a block
-/// partition of the full bin space, counting first so each pooled payload
-/// is sized exactly.
+/// partition of the full bin space. `bins` ascends, so each node's bins
+/// are one contiguous run of rows: its message is a slice of `rows`, no
+/// byte copied. The caller must not write `rows` again.
 void ship_rows(const NodeCtx& ctx, const stap::BeamArray& rows,
                const std::vector<std::size_t>& bins, TaskKind dest_kind, int tag) {
-  const auto& p = ctx.params();
-  const int dests = ctx.nodes_of(dest_kind);
-  const BlockPartition part(p.doppler_bins(), static_cast<std::size_t>(dests));
-  for (int n = 0; n < dests; ++n) {
-    const auto owned = [&](std::size_t bin) {
-      return part.owner(bin) == static_cast<std::size_t>(n);
-    };
-    const auto nbins =
-        static_cast<std::size_t>(std::count_if(bins.begin(), bins.end(), owned));
-    if (nbins == 0) continue;
-    mp::Buffer payload = ctx.payload_for(nbins * p.beams * p.ranges);
-    const auto buf = payload.as_span<cfloat>();
-    std::size_t idx = 0;
-    for (std::size_t b = 0; b < bins.size(); ++b) {
-      if (!owned(bins[b])) continue;
-      for (std::size_t beam = 0; beam < p.beams; ++beam) {
-        const auto row = rows.range_series(b, beam);
-        std::copy(row.begin(), row.end(), buf.begin() + idx);
-        idx += p.ranges;
-      }
-    }
-    ctx.world.send_stream(ctx.rank_of(dest_kind, n), tag, std::move(payload));
+  const BlockPartition part(ctx.params().doppler_bins(),
+                            static_cast<std::size_t>(ctx.nodes_of(dest_kind)));
+  for (std::size_t lo = 0; lo < bins.size();) {
+    const std::size_t owner = part.owner(bins[lo]);
+    std::size_t hi = lo + 1;
+    while (hi < bins.size() && part.owner(bins[hi]) == owner) ++hi;
+    ctx.world.send_stream(ctx.rank_of(dest_kind, static_cast<int>(owner)), tag,
+                          rows.slice(lo, hi));
+    lo = hi;
   }
 }
 
@@ -729,7 +727,11 @@ void run_beamform_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
   // CPI >= 1 — so a respawn rebuilds it from the replayed messages alone
   // and needs no separate snapshot.
   stap::WeightSet current = wc.conventional();
-  stap::BinArray spectra(my_ids.size(), dof, p.ranges);
+  // One Doppler node covers every gate: its slice is adopted as the
+  // spectra. Several: their range windows are assembled here.
+  const bool adopt = ranges.end(0) == p.ranges;
+  stap::BinArray spectra =
+      adopt ? stap::BinArray() : stap::BinArray(my_ids.size(), dof, p.ranges);
 
   for (int cpi = ctx.resume_cpi(); cpi < ctx.opt.cpis; ++cpi) {
     clock.start_cpi(cpi);
@@ -743,10 +745,14 @@ void run_beamform_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
         const std::size_t r_lo = ranges.begin(static_cast<std::size_t>(d));
         const std::size_t r_hi = ranges.end(static_cast<std::size_t>(d));
         if (r_lo >= r_hi) continue;
-        mp::Buffer payload;
-        const auto msg = recv_logged_cfloats(
-            ctx, cpi, ctx.rank_of(TaskKind::kDoppler, d), spec_tag, payload);
-        unpack_bin_slab(spectra, r_lo, r_hi, msg);
+        mp::Buffer payload =
+            recv_logged(ctx, cpi, ctx.rank_of(TaskKind::kDoppler, d), spec_tag);
+        if (adopt) {
+          spectra = stap::BinArray(my_ids.size(), dof, p.ranges, std::move(payload));
+        } else {
+          unpack_bin_slab(spectra, r_lo, r_hi - r_lo, payload.as_span<const cfloat>(),
+                          r_hi - r_lo);
+        }
       }
       // Weights computed from the previous CPI (none at cpi 0). The
       // temporal edge: the message was *sent* at cpi-1 but is logged under
@@ -773,8 +779,8 @@ void run_beamform_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
       }
     });
 
-    stap::BeamArray out;
-    clock.comp([&] { out = bf.apply(spectra, current); });
+    auto out = ctx.pooled<stap::BeamArray>(my_ids.size(), p.beams, p.ranges);
+    clock.comp([&] { bf.apply_into(spectra, current, out); });
 
     clock.send([&] { ship_rows(ctx, out, my_ids, pc_kind, beam_tag); });
     ctx.complete_cpi(cpi);
@@ -901,7 +907,6 @@ void run_row_node(NodeCtx& ctx, PhaseClock& clock, TaskKind kind) {
     pc.emplace(p);
   }
   if (kind != TaskKind::kPulseCompression) cfar.emplace(p);
-  stap::BeamArray rows(plan.bins.size(), p.beams, p.ranges);
   auto& sink = ctx.results->detections[static_cast<std::size_t>(ctx.world.rank())];
 
   for (int cpi = ctx.resume_cpi(); cpi < ctx.opt.cpis; ++cpi) {
@@ -910,6 +915,9 @@ void run_row_node(NodeCtx& ctx, PhaseClock& clock, TaskKind kind) {
       ctx.complete_cpi(cpi);
       continue;
     }
+    // Fresh pooled rows every CPI: a PC node ships slices of them to CFAR.
+    // The receive writes every row, so the storage needs no zero-fill.
+    auto rows = ctx.pooled<stap::BeamArray>(plan.bins.size(), p.beams, p.ranges);
     clock.recv([&] {
       for (const RowRoute& route : routes) receive_rows(ctx, cpi, rows, route);
     });

@@ -23,6 +23,12 @@ class Beamformer {
   /// Returns [bins][beams][ranges].
   BeamArray apply(const BinArray& spectra, const WeightSet& weights) const;
 
+  /// apply() into `out`, which must already be [bins][beams][ranges]. Every
+  /// element is written, so `out` may be fresh uninitialized storage (the
+  /// pipeline's pooled payloads).
+  void apply_into(const BinArray& spectra, const WeightSet& weights,
+                  BeamArray& out) const;
+
  private:
   RadarParams params_;
 };

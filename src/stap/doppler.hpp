@@ -44,8 +44,10 @@ class DopplerFilter {
   /// CPI when running data-parallel).
   DopplerOutput process(const DataCube& cube) const;
 
-  /// Process into an existing output, reusing its arrays when the shapes
-  /// already match (the steady-state CPI loop allocates nothing here).
+  /// Process into `out`. Arrays whose shapes already match are written in
+  /// place, every element of them, so their prior contents do not matter:
+  /// a caller may hand in fresh uninitialized (e.g. pooled) storage each
+  /// call. Arrays of another shape are replaced by newly allocated ones.
   /// Instances keep per-call scratch: share one DopplerFilter per thread.
   void process_into(const DataCube& cube, DopplerOutput& out) const;
 

@@ -2,7 +2,7 @@
 //
 // Every vector backend must reproduce the scalar reference: bit-exactly for
 // the FMA-free primitives (scale, deinterleave_scale, interleave,
-// norm_interleaved, cgemm_planar_exact), for every SSE2 complex row
+// gather_planes, scatter_planes, norm_interleaved, cgemm_planar_exact), for every SSE2 complex row
 // kernel and for AVX2 rows narrower than 8 lanes; within tolerance for the
 // FMA-contracted AVX2 rows of 8 lanes or more and the rest of the GEMM
 // family. On top of the primitives, the whole STAP chain is checked end to
@@ -345,6 +345,55 @@ TEST(SimdPrimitives, InterleavedOpsMatchScalar) {
       ref.norm_interleaved(p0.data(), src.data(), n);
       vec.norm_interleaved(p1.data(), src.data(), n);
       EXPECT_EQ(p0, p1);
+    }
+  }
+}
+
+TEST(SimdPrimitives, PlaneTransposesMatchScalar) {
+  // gather_planes / scatter_planes are pure data movement: bit-exact on
+  // every backend, for unit-stride series (the vector tiles and both tile
+  // edges: odd lengths, lane counts off the tile width) and strided ones.
+  const simd::Ops& ref = simd::ops(Backend::kScalar);
+  struct Shape {
+    std::size_t n, dist, stride, lanes;
+  };
+  const Shape shapes[] = {{127, 127, 1, 16}, {127, 130, 1, 13}, {8, 8, 1, 4},
+                          {1, 1, 1, 16},     {17, 17, 1, 3},    {16, 1, 5, 5},
+                          {9, 2, 20, 7}};
+  for (Backend b : supported_backends()) {
+    const simd::Ops& vec = simd::ops(b);
+    for (const Shape& sh : shapes) {
+      const std::size_t span = (sh.lanes - 1) * sh.dist + (sh.n - 1) * sh.stride + 1;
+      const auto src = random_floats(2 * span, 48);
+      const std::size_t planes = sh.n * sh.lanes;
+      std::vector<float> r0(planes), i0(planes), r1(planes), i1(planes);
+      ref.gather_planes(r0.data(), i0.data(), src.data(), sh.n, sh.dist, sh.stride,
+                        sh.lanes);
+      vec.gather_planes(r1.data(), i1.data(), src.data(), sh.n, sh.dist, sh.stride,
+                        sh.lanes);
+      const std::string where = std::string(simd::backend_name(b)) + " n=" +
+                                std::to_string(sh.n) + " lanes=" +
+                                std::to_string(sh.lanes);
+      EXPECT_EQ(r0, r1) << where;
+      EXPECT_EQ(i0, i1) << where;
+      EXPECT_EQ(r0[0], src[0]) << where;
+
+      // Scattering the planes back restores every series element and
+      // leaves the bytes between them alone.
+      auto back = random_floats(2 * span, 49);
+      auto expect = back;
+      ref.scatter_planes(expect.data(), r0.data(), i0.data(), sh.n, sh.dist,
+                         sh.stride, sh.lanes);
+      vec.scatter_planes(back.data(), r0.data(), i0.data(), sh.n, sh.dist, sh.stride,
+                         sh.lanes);
+      EXPECT_EQ(expect, back) << where;
+      for (std::size_t l = 0; l < sh.lanes; ++l) {
+        for (std::size_t k = 0; k < sh.n; ++k) {
+          const std::size_t idx = 2 * (l * sh.dist + k * sh.stride);
+          ASSERT_EQ(back[idx], src[idx]) << where;
+          ASSERT_EQ(back[idx + 1], src[idx + 1]) << where;
+        }
+      }
     }
   }
 }

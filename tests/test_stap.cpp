@@ -11,8 +11,10 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <numbers>
 
+#include "common/buffer.hpp"
 #include "common/crc32c.hpp"
 #include "common/error.hpp"
 #include "common/simd.hpp"
@@ -142,6 +144,27 @@ TEST(DataCubeTest, IndexingIsRangeContiguous) {
   cube.at(1, 2, 3) = {7.0f, -1.0f};
   EXPECT_EQ(cube.range_series(1, 2)[3], (cfloat{7.0f, -1.0f}));
   EXPECT_EQ(cube.samples(), 24u);
+}
+
+TEST(RowArrayTest, SliceIsAContiguousBinBlockSharingStorage) {
+  BinArray bins(4, 3, 5);
+  for (std::size_t b = 0; b < 4; ++b)
+    for (std::size_t d = 0; d < 3; ++d)
+      for (std::size_t r = 0; r < 5; ++r) bins.at(b, d, r) = cfloat(float(b), float(d * 5 + r));
+
+  const Buffer block = bins.slice(1, 3);
+  ASSERT_EQ(block.size(), 2 * 3 * 5 * sizeof(cfloat));
+  EXPECT_EQ(reinterpret_cast<const cfloat*>(block.data()), &bins.at(1, 0, 0))
+      << "a slice views the array's storage, never a copy";
+  // A receiver wraps the slice as its own array over bins [1, 3).
+  const BinArray mine(2, 3, 5, block);
+  for (std::size_t b = 0; b < 2; ++b)
+    for (std::size_t d = 0; d < 3; ++d)
+      for (std::size_t r = 0; r < 5; ++r)
+        EXPECT_EQ(mine.at(b, d, r), bins.at(b + 1, d, r));
+
+  EXPECT_THROW(bins.slice(2, 5), PreconditionError);
+  EXPECT_THROW(BinArray(2, 3, 4, block), PreconditionError);  // wrong shape
 }
 
 TEST(DataCubeTest, FileOrderRoundTrip) {
@@ -526,6 +549,72 @@ TEST(Doppler, RawSlabMatchesCubeOnEveryBackend) {
   }
 }
 
+// Pooled storage holding `count` NaNs: whatever an output leaves unwritten
+// shows as NaN, which no comparison with a real output passes.
+Buffer nan_poisoned(BufferPool& pool, std::size_t count) {
+  Buffer buf = pool.acquire_elems<cfloat>(count);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (cfloat& v : buf.as_span<cfloat>()) v = cfloat(nan, nan);
+  return buf;
+}
+
+TEST(Doppler, WritesEveryElementOfHandedInStorage) {
+  // The pipeline hands the filter fresh pooled storage every CPI without
+  // zero-filling it. Into NaN-poisoned storage, both entries must produce
+  // exactly what they produce into fresh zero-filled arrays, on every
+  // backend, for radix-2, mixed-radix and Rader bin counts and a ragged
+  // gate count (45: one full 32-gate block and a 13-gate tail).
+  SimdBackendGuard guard;
+  BufferPool pool;
+  for (const std::size_t pulses : {17u, 16u, 24u}) {
+    RadarParams p = RadarParams::test_small();
+    p.pulses = pulses;
+    const std::size_t gates = 45;
+    SceneConfig cfg;
+    cfg.cnr_db = 40.0;
+    const DataCube full = SceneGenerator(p, cfg, 37).generate(0);
+    DataCube cube(p.channels, p.pulses, gates);
+    std::vector<cfloat> raw(cube.slab_samples(0, gates));
+    for (std::size_t c = 0; c < p.channels; ++c)
+      for (std::size_t pp = 0; pp < p.pulses; ++pp)
+        for (std::size_t r = 0; r < gates; ++r) cube.at(c, pp, r) = full.at(c, pp, r);
+    cube.pack_file_order(0, gates, raw);
+    const std::size_t n_easy = p.easy_bin_count() * p.easy_dof() * gates;
+    const std::size_t n_hard = p.hard_bin_count() * p.hard_dof() * gates;
+    for (simd::Backend b : simd_backends()) {
+      simd::force_backend(b);
+      const DopplerFilter filt(p);
+      const DopplerOutput fresh = filt.process(cube);
+      for (const bool from_raw : {false, true}) {
+        DopplerOutput out;
+        out.easy = BinArray(p.easy_bin_count(), p.easy_dof(), gates,
+                            nan_poisoned(pool, n_easy));
+        out.hard = BinArray(p.hard_bin_count(), p.hard_dof(), gates,
+                            nan_poisoned(pool, n_hard));
+        const cfloat* easy_storage = out.easy.flat().data();
+        if (from_raw) {
+          filt.process_into(raw, gates, FileLayout::kRangeMajor, out);
+        } else {
+          filt.process_into(cube, out);
+        }
+        const std::string where = std::string(simd::backend_name(b)) + ", " +
+                                  std::to_string(p.doppler_bins()) + " bins, " +
+                                  (from_raw ? "raw slab" : "cube");
+        EXPECT_EQ(out.easy.flat().data(), easy_storage)
+            << where << ": handed-in storage must be written, not replaced";
+        EXPECT_EQ(std::memcmp(out.easy.flat().data(), fresh.easy.flat().data(),
+                              fresh.easy.flat().size_bytes()),
+                  0)
+            << where;
+        EXPECT_EQ(std::memcmp(out.hard.flat().data(), fresh.hard.flat().data(),
+                              fresh.hard.flat().size_bytes()),
+                  0)
+            << where;
+      }
+    }
+  }
+}
+
 TEST(Doppler, RejectsMismatchedRawSlab) {
   const RadarParams p = RadarParams::test_small();
   DopplerFilter filt(p);
@@ -879,6 +968,31 @@ TEST(Beamform, ConjugationConvention) {
   const BeamArray y = bf.apply(spectra, ws);
   EXPECT_NEAR(y.at(0, 0, 0).real(), 1.0f, 1e-6);
   EXPECT_NEAR(y.at(0, 0, 0).imag(), 0.0f, 1e-6);
+}
+
+TEST(Beamform, ApplyIntoWritesEveryElementOfHandedInStorage) {
+  // apply_into accumulates onto rows it zeroes itself, so NaN-poisoned
+  // pooled storage ends up bit-identical to apply()'s fresh array.
+  const RadarParams p = RadarParams::test_small();
+  SceneConfig cfg;
+  cfg.cnr_db = 40.0;
+  const DopplerOutput spectra =
+      DopplerFilter(p).process(SceneGenerator(p, cfg, 41).generate(0));
+  const WeightComputer wc(p, spectra.hard_bin_ids, p.hard_dof());
+  const WeightSet ws = wc.compute(spectra.hard);
+  const Beamformer bf(p);
+  const BeamArray expect = bf.apply(spectra.hard, ws);
+
+  BufferPool pool;
+  BeamArray out(spectra.hard.bins(), p.beams, p.ranges,
+                nan_poisoned(pool, spectra.hard.bins() * p.beams * p.ranges));
+  bf.apply_into(spectra.hard, ws, out);
+  EXPECT_EQ(std::memcmp(out.flat().data(), expect.flat().data(),
+                        expect.flat().size_bytes()),
+            0);
+
+  BeamArray wrong(spectra.hard.bins(), p.beams, p.ranges - 1);
+  EXPECT_THROW(bf.apply_into(spectra.hard, ws, wrong), PreconditionError);
 }
 
 TEST(Beamform, RejectsMismatchedWeights) {

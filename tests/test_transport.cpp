@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/buffer.hpp"
+#include "common/error.hpp"
 #include "common/checkpoint.hpp"
 #include "common/types.hpp"
 #include "mp/world.hpp"
@@ -92,6 +93,59 @@ TEST(Buffer, ToVectorCopiesWhenShared) {
   EXPECT_EQ(out.size(), 32u);
   EXPECT_EQ(out[0], std::byte{7});
   EXPECT_EQ(b.size(), 32u);  // the other handle still sees the payload
+}
+
+TEST(Buffer, SliceSharesStorageAndRefcount) {
+  BufferPool pool;
+  Buffer parent = pool.acquire_elems<cfloat>(16);
+  auto all = parent.as_span<cfloat>();
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = cfloat(float(i), 1.0f);
+
+  Buffer mid = parent.slice(4 * sizeof(cfloat), 8 * sizeof(cfloat));
+  EXPECT_EQ(mid.data(), parent.data() + 4 * sizeof(cfloat)) << "a slice views, never copies";
+  ASSERT_EQ(mid.size(), 8 * sizeof(cfloat));
+  EXPECT_EQ(mid.as_span<const cfloat>()[0], cfloat(4.0f, 1.0f));
+  // A slice of a slice offsets from its own range.
+  Buffer inner = mid.slice(2 * sizeof(cfloat), sizeof(cfloat));
+  EXPECT_EQ(inner.as_span<const cfloat>()[0], cfloat(6.0f, 1.0f));
+  Buffer empty = parent.slice(parent.size(), 0);
+  EXPECT_TRUE(empty.empty());
+  EXPECT_THROW(parent.slice(8 * sizeof(cfloat), 9 * sizeof(cfloat)), PreconditionError);
+  EXPECT_THROW(mid.slice(0, mid.size() + 1), PreconditionError);
+
+  // The storage goes back to the pool only after the parent and every
+  // slice have dropped, in whatever order.
+  parent.reset();
+  mid.reset();
+  empty.reset();
+  EXPECT_EQ(pool.free_count(), 0u) << "a live slice must pin the storage";
+  EXPECT_EQ(inner.as_span<const cfloat>()[0], cfloat(6.0f, 1.0f));
+  inner.reset();
+  EXPECT_EQ(pool.free_count(), 1u);
+
+  // The recycled storage comes back as a whole-range handle.
+  Buffer again = pool.acquire_elems<cfloat>(16);
+  EXPECT_EQ(again.size(), 16 * sizeof(cfloat));
+  EXPECT_EQ(pool.allocations(), 1u);
+}
+
+TEST(Buffer, SliceOfAdoptedVectorCopiesOutOnlyItsRange) {
+  std::vector<std::byte> bytes(8);
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = std::byte(i);
+  Buffer whole = Buffer::adopt(std::move(bytes));
+  Buffer tail = whole.slice(5, 3);
+  whole.reset();
+  const std::vector<std::byte> out = std::move(tail).to_vector();
+  EXPECT_EQ(out, (std::vector<std::byte>{std::byte{5}, std::byte{6}, std::byte{7}}));
+}
+
+TEST(Buffer, AllocateIsAlignedAndUnpooled) {
+  Buffer buf = Buffer::allocate(1000);
+  EXPECT_EQ(buf.size(), 1000u);
+  EXPECT_TRUE(is_aligned(buf.data()));
+  Buffer share = buf.slice(0, 10);
+  buf.reset();
+  EXPECT_EQ(share.size(), 10u);  // freed with its last handle, not pooled
 }
 
 // --------------------------------------------------------- BufferPool --
@@ -233,6 +287,31 @@ TEST(Checkpoint, RingLogsSharedViewNotCopy) {
   // storage returns to the pool.
   ring.complete(0);
   payload.reset();
+  replayed.reset();
+  EXPECT_EQ(pool.free_count(), 1u);
+}
+
+TEST(Checkpoint, RingReplaysSliceBytes) {
+  BufferPool pool;
+  ckpt::CheckpointRing ring;
+  Buffer parent = pool.acquire_elems<cfloat>(32);
+  auto all = parent.as_span<cfloat>();
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = cfloat(float(i), -float(i));
+  Buffer slice = parent.slice(10 * sizeof(cfloat), 12 * sizeof(cfloat));
+  ring.record_message(3, 2, 1, slice);
+  EXPECT_EQ(ring.bytes_held(), 12 * sizeof(cfloat)) << "the ring counts the slice";
+  parent.reset();
+  slice.reset();
+
+  Buffer replayed;
+  ASSERT_TRUE(ring.replay_message(3, 2, 1, replayed));
+  const auto got = replayed.as_span<const cfloat>();
+  ASSERT_EQ(got.size(), 12u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], cfloat(float(10 + i), -float(10 + i))) << "element " << i;
+  }
+  ring.complete(3);
+  EXPECT_EQ(pool.free_count(), 0u) << "the replayed handle still pins the storage";
   replayed.reset();
   EXPECT_EQ(pool.free_count(), 1u);
 }
