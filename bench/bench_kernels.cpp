@@ -436,7 +436,7 @@ void BM_WorldScaling(benchmark::State& state) {
 BENCHMARK(BM_WorldScaling)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 /// Console reporter that also captures each run as a PerfRecord for the
-/// JSON baseline dump.
+/// JSON baseline dump: one record per repetition, no aggregate rows.
 class JsonCapturingReporter : public benchmark::ConsoleReporter {
  public:
   explicit JsonCapturingReporter(std::vector<pstap::bench::PerfRecord>* out)
@@ -444,7 +444,7 @@ class JsonCapturingReporter : public benchmark::ConsoleReporter {
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
-      if (run.error_occurred) continue;
+      if (run.error_occurred || run.run_type == Run::RT_Aggregate) continue;
       pstap::bench::PerfRecord rec;
       rec.name = run.benchmark_name();
       rec.iterations = static_cast<double>(run.iterations);

@@ -5,7 +5,9 @@
 // tracked perf baseline; scripts/compare_bench.py diffs a fresh run
 // against it in CI. The format is deliberately tiny — one record per
 // benchmark with name, iterations, ns/op and bytes/s — so the compare
-// script never needs a JSON library.
+// script never needs a JSON library. A benchmark run with repetitions has
+// one record per repetition under the same name; the compare script takes
+// each name's median.
 #pragma once
 
 #include <cstdio>

@@ -11,6 +11,10 @@ median ratio across all shared benchmarks, normalize each ratio by it,
 and flag a regression only when a benchmark is more than ``threshold``
 slower than the fleet-wide trend (default 25%).
 
+A name that appears more than once (a run with
+``--benchmark_repetitions``) is compared by the median of its records, so
+one repetition slowed by a busy shared host does not fail the gate.
+
 Bandwidth (bytes_per_second) is printed but not gated: every bench
 processes a fixed byte count per iteration, so its bytes/s ratio is the
 inverse of its time ratio (up to the wall vs CPU clock it was taken on)
@@ -25,6 +29,12 @@ import argparse
 import json
 import sys
 
+def median(values):
+    s = sorted(values)
+    mid = len(s) // 2
+    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
+
+
 def load(path):
     try:
         with open(path) as f:
@@ -32,14 +42,16 @@ def load(path):
     except (OSError, ValueError) as e:
         print(f"compare_bench: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
-    records = {}
-    zero_bytes = []
+    runs = {}
     for rec in doc.get("benchmarks", []):
         name, ns = rec.get("name"), rec.get("ns_per_op", 0)
         if name and ns > 0:
-            records[name] = (ns, rec.get("bytes_per_second", 0) or 0)
-            if records[name][1] <= 0:
-                zero_bytes.append(name)
+            runs.setdefault(name, []).append(
+                (ns, rec.get("bytes_per_second", 0) or 0))
+    records = {name: (median([ns for ns, _ in reps]),
+                      median([bps for _, bps in reps]))
+               for name, reps in runs.items()}
+    zero_bytes = [name for name, (_, bps) in records.items() if bps <= 0]
     if not records:
         print(f"compare_bench: no usable records in {path}", file=sys.stderr)
         sys.exit(2)
@@ -48,12 +60,6 @@ def load(path):
               f"bytes_per_second (missing SetBytesProcessed?): "
               f"{', '.join(sorted(zero_bytes))}")
     return records
-
-
-def median(values):
-    s = sorted(values)
-    mid = len(s) // 2
-    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
 
 
 def main():

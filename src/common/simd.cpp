@@ -1,5 +1,6 @@
 #include "common/simd.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -313,7 +314,8 @@ void deinterleave_scale(float* re, float* im, const float* src, float w,
   }
 }
 
-void interleave(float* dst, const float* re, const float* im, std::size_t n) {
+void interleave(float* dst, const float* re, const float* im, std::size_t n,
+                bool /*stream*/) {
   for (std::size_t i = 0; i < n; ++i) {
     dst[2 * i] = re[i];
     dst[2 * i + 1] = im[i];
@@ -564,15 +566,31 @@ void deinterleave_scale(float* re, float* im, const float* src, float w,
   if (i < n) scalar_impl::deinterleave_scale(re + i, im + i, src + 2 * i, w, n - i);
 }
 
-void interleave(float* dst, const float* re, const float* im, std::size_t n) {
-  std::size_t i = 0;
+// Complex elements in front of the first `align`-byte boundary of dst,
+// capped at n; n when dst is not 8-byte aligned, since no element of such a
+// row ever starts on the boundary.
+std::size_t stream_head(const float* dst, std::size_t align, std::size_t n) {
+  const auto a = reinterpret_cast<std::uintptr_t>(dst);
+  if (a % 8 != 0) return n;
+  return std::min(n, (align - a % align) % align / 8);
+}
+
+void interleave(float* dst, const float* re, const float* im, std::size_t n,
+                bool stream) {
+  std::size_t i = stream ? stream_head(dst, 16, n) : 0;
+  scalar_impl::interleave(dst, re, im, i, false);
   for (; i + 4 <= n; i += 4) {
     const __m128 vr = _mm_loadu_ps(re + i);
     const __m128 vi = _mm_loadu_ps(im + i);
-    _mm_storeu_ps(dst + 2 * i, _mm_unpacklo_ps(vr, vi));
-    _mm_storeu_ps(dst + 2 * i + 4, _mm_unpackhi_ps(vr, vi));
+    if (stream) {
+      _mm_stream_ps(dst + 2 * i, _mm_unpacklo_ps(vr, vi));
+      _mm_stream_ps(dst + 2 * i + 4, _mm_unpackhi_ps(vr, vi));
+    } else {
+      _mm_storeu_ps(dst + 2 * i, _mm_unpacklo_ps(vr, vi));
+      _mm_storeu_ps(dst + 2 * i + 4, _mm_unpackhi_ps(vr, vi));
+    }
   }
-  if (i < n) scalar_impl::interleave(dst + 2 * i, re + i, im + i, n - i);
+  if (i < n) scalar_impl::interleave(dst + 2 * i, re + i, im + i, n - i, false);
 }
 
 // Unit-stride series transpose in tiles of 4 series x 2 elements: one load
@@ -977,17 +995,25 @@ PSTAP_AVX2 void deinterleave_scale(float* re, float* im, const float* src,
 }
 
 PSTAP_AVX2 void interleave(float* dst, const float* re, const float* im,
-                           std::size_t n) {
-  std::size_t i = 0;
+                           std::size_t n, bool stream) {
+  std::size_t i = stream ? sse2_impl::stream_head(dst, 32, n) : 0;
+  scalar_impl::interleave(dst, re, im, i, false);
   for (; i + 8 <= n; i += 8) {
     const __m256 vr = _mm256_loadu_ps(re + i);
     const __m256 vi = _mm256_loadu_ps(im + i);
     const __m256 lo = _mm256_unpacklo_ps(vr, vi);
     const __m256 hi = _mm256_unpackhi_ps(vr, vi);
-    _mm256_storeu_ps(dst + 2 * i, _mm256_permute2f128_ps(lo, hi, 0x20));
-    _mm256_storeu_ps(dst + 2 * i + 8, _mm256_permute2f128_ps(lo, hi, 0x31));
+    const __m256 v0 = _mm256_permute2f128_ps(lo, hi, 0x20);
+    const __m256 v1 = _mm256_permute2f128_ps(lo, hi, 0x31);
+    if (stream) {
+      _mm256_stream_ps(dst + 2 * i, v0);
+      _mm256_stream_ps(dst + 2 * i + 8, v1);
+    } else {
+      _mm256_storeu_ps(dst + 2 * i, v0);
+      _mm256_storeu_ps(dst + 2 * i + 8, v1);
+    }
   }
-  if (i < n) sse2_impl::interleave(dst + 2 * i, re + i, im + i, n - i);
+  if (i < n) scalar_impl::interleave(dst + 2 * i, re + i, im + i, n - i, false);
 }
 
 PSTAP_AVX2 void norm_interleaved(double* power, const float* x, std::size_t n) {
@@ -1424,6 +1450,12 @@ bool init_thread() noexcept {
   }
 #endif
   return false;
+}
+
+void store_fence() noexcept {
+#if PSTAP_SIMD_X86
+  _mm_sfence();
+#endif
 }
 
 const char* backend_name(Backend b) noexcept {

@@ -43,8 +43,12 @@
 // `scatter_planes` and `cgemm_planar_exact` are
 // FMA-free and bit-exact with the scalar path on every backend — CFAR
 // threshold comparisons see identical powers and synthesized scenes have
-// identical bytes no matter which backend ran. `crc32c` is integer
-// arithmetic and returns the same value on every backend.
+// identical bytes no matter which backend ran. `interleave` stays bit-exact
+// when its vector backends stream their stores (non-temporal, past the
+// cache): how a byte is stored does not change its value, only when another
+// core sees it, so its caller issues one store_fence() before the hand-off.
+// `crc32c` is integer arithmetic and returns the same value on every
+// backend.
 //
 // Hot callers hoist `const simd::Ops& o = simd::ops();` outside their loops
 // so dispatch costs one indirect call per row, not per element.
@@ -128,9 +132,17 @@ struct Ops {
   /// Windowed deinterleave: re[i] = w * src[2i], im[i] = w * src[2i+1].
   void (*deinterleave_scale)(float* re, float* im, const float* src, float w,
                              std::size_t n);
-  /// Interleave split planes: dst[2i] = re[i], dst[2i+1] = im[i].
+  /// Interleave split planes: dst[2i] = re[i], dst[2i+1] = im[i]. With
+  /// `stream` set, SSE2 and AVX2 write the 16/32-byte-aligned interior of
+  /// dst with streaming (non-temporal) stores, which skip reading the lines
+  /// for ownership and bypass the cache: for write-once output too large to
+  /// stay cached for its reader. An unaligned head, the tail, a dst that is
+  /// not 8-byte aligned, `stream == false` and the scalar backend take
+  /// plain stores. The stored bytes are those of the scalar loop either
+  /// way. Streaming stores are weakly ordered: call store_fence() before
+  /// another thread may read dst.
   void (*interleave)(float* dst, const float* re, const float* im,
-                     std::size_t n);
+                     std::size_t n, bool stream);
   /// AoS -> SoA transpose of `lanes` complex series of n elements, series
   /// l's element k at src[2 * (l * dist + k * stride)], into the planes
   /// re/im[k * lanes + l]: the gather in front of every batched FFT.
@@ -193,6 +205,12 @@ struct Ops {
   /// instruction 8 bytes per step, then a byte tail (~6 GB/s).
   std::uint32_t (*crc32c)(std::uint32_t crc, const void* data, std::size_t len);
 };
+
+/// Orders every streaming store the calling thread issued before it ahead
+/// of its later stores (x86 `sfence`; a no-op elsewhere). Call it once after
+/// a batch of `interleave` calls and before handing their output to another
+/// thread: the hand-off's release does not order streaming stores.
+void store_fence() noexcept;
 
 /// Kernel table for the active backend (cheap: one relaxed atomic load).
 const Ops& ops() noexcept;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <mutex>
 #include <thread>
 
 #if defined(__linux__)
@@ -105,11 +106,12 @@ void World::run(const std::function<void(Comm&)>& fn) {
   for (int i = 0; i < n; ++i) identity[static_cast<std::size_t>(i)] = i;
 
   std::atomic<int> pinned{0};
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
+  std::mutex error_mu;
+  std::exception_ptr first_error;  // guarded by error_mu
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
-    threads.emplace_back([this, &fn, &identity, &errors, &pinned, r] {
+    threads.emplace_back([this, &fn, &identity, &error_mu, &first_error, &pinned, r] {
       // Per-thread FP environment first (FTZ/DAZ), then placement, so the
       // rank's first-touch allocations already happen on its final cpu.
       simd::init_thread();
@@ -126,15 +128,23 @@ void World::run(const std::function<void(Comm&)>& fn) {
         Comm comm(this, identity, r, /*context=*/0);
         fn(comm);
       } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
+        // The first failure closes every mailbox, so peers blocked in a
+        // receive or a bounded send unwind with MailboxClosed instead of
+        // waiting forever for this rank; their errors are not kept.
+        std::lock_guard lock(error_mu);
+        if (!first_error) {
+          first_error = std::current_exception();
+          close_all_mailboxes();
+        }
       }
     });
   }
   for (auto& t : threads) t.join();
   pinned_ranks_ = pinned.load(std::memory_order_relaxed);
   obs::Registry::global().gauge("mp.pinned_ranks").set(pinned_ranks_);
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
+  if (first_error) {
+    reopen_all_mailboxes();
+    std::rethrow_exception(first_error);
   }
 }
 

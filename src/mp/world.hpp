@@ -2,7 +2,8 @@
 //
 // Each rank of the paper's parallel machine becomes one thread; World
 // spawns them, hands each a Comm covering all ranks (context 0), and joins
-// them, rethrowing the first rank exception so tests fail loudly.
+// them, rethrowing the first rank exception so tests fail loudly. A rank
+// that throws closes every mailbox, so its peers cannot hang waiting on it.
 #pragma once
 
 #include <exception>
@@ -55,11 +56,15 @@ class World {
   int size() const noexcept { return static_cast<int>(mailboxes_.size()); }
 
   /// Execute `fn(comm)` on every rank, each in its own thread; blocks until
-  /// all ranks return. If ranks throw, the first exception (by rank order)
-  /// is rethrown here after all threads have been joined.
+  /// all ranks return. The first exception a rank throws closes every
+  /// mailbox, which wakes peers blocked in a receive, probe or bounded send
+  /// with MailboxClosed; once all threads have been joined the mailboxes are
+  /// reopened and that first exception (not a peer's MailboxClosed) is
+  /// rethrown here.
   ///
-  /// May be called repeatedly; mailboxes persist across calls (a message
-  /// sent in one run() could be received in the next — avoid relying on it).
+  /// May be called repeatedly, also after a run that threw; mailboxes
+  /// persist across calls (a message sent in one run() could be received in
+  /// the next — avoid relying on it).
   void run(const std::function<void(Comm&)>& fn);
 
   /// Mailbox of a world rank (used by Comm).

@@ -80,15 +80,20 @@ void DopplerFilter::filter_blocks(std::size_t ranges, DopplerOutput& out,
   const std::size_t m = params_.doppler_bins();
   re_.resize(m * 2 * kRangesPerBlock);
   im_.resize(m * 2 * kRangesPerBlock);
+  const bool stream =
+      out.easy.flat().size_bytes() + out.hard.flat().size_bytes() >= kStreamMinBytes;
   for (std::size_t r0 = 0; r0 < ranges; r0 += kRangesPerBlock) {
     const std::size_t width = std::min(kRangesPerBlock, ranges - r0);
-    filter_block(rows_of(r0, width), r0, width, out);
+    filter_block(rows_of(r0, width), r0, width, stream, out);
   }
+  // Streaming stores are weakly ordered: order them before `out` is
+  // handed on.
+  simd::store_fence();
 }
 
 /// The Doppler kernel for gates [r0, r0 + R) of every channel.
 void DopplerFilter::filter_block(const BlockRows& rows, std::size_t r0, std::size_t R,
-                                 DopplerOutput& out) const {
+                                 bool stream, DopplerOutput& out) const {
   const std::size_t m = params_.doppler_bins();
   const std::size_t ch = params_.channels;
   const std::size_t L = 2 * R;
@@ -115,6 +120,9 @@ void DopplerFilter::filter_block(const BlockRows& rows, std::size_t r0, std::siz
 
     // Route bins: hard bins take both staggers, easy bins stagger 0 only.
     // Each route is one SIMD re-interleave of a plane row into the output.
+    // A large output is written once here and read next by other ranks
+    // after it has left the cache, so its stores stream: reading its lines
+    // in first would only waste bandwidth.
     for (std::size_t b = 0; b < m; ++b) {
       const float* rk = re_.data() + b * L;
       const float* ik = im_.data() + b * L;
@@ -122,11 +130,11 @@ void DopplerFilter::filter_block(const BlockRows& rows, std::size_t r0, std::siz
         const std::size_t i = hard_slot_[b];
         float* d0 = reinterpret_cast<float*>(&out.hard.at(i, c, r0));
         float* d1 = reinterpret_cast<float*>(&out.hard.at(i, ch + c, r0));
-        vec.interleave(d0, rk, ik, R);
-        vec.interleave(d1, rk + R, ik + R, R);
+        vec.interleave(d0, rk, ik, R, stream);
+        vec.interleave(d1, rk + R, ik + R, R, stream);
       } else {
         float* d0 = reinterpret_cast<float*>(&out.easy.at(easy_slot_[b], c, r0));
-        vec.interleave(d0, rk, ik, R);
+        vec.interleave(d0, rk, ik, R, stream);
       }
     }
   }

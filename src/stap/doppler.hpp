@@ -48,6 +48,9 @@ class DopplerFilter {
   /// place, every element of them, so their prior contents do not matter:
   /// a caller may hand in fresh uninitialized (e.g. pooled) storage each
   /// call. Arrays of another shape are replaced by newly allocated ones.
+  /// An output of kStreamMinBytes or more is written with streaming stores
+  /// (it is not read back here) and fenced before return, so either way it
+  /// may be handed straight to another thread.
   /// Instances keep per-call scratch: share one DopplerFilter per thread.
   void process_into(const DataCube& cube, DopplerOutput& out) const;
 
@@ -62,13 +65,19 @@ class DopplerFilter {
   /// The Hann window applied across each sub-aperture.
   const std::vector<float>& window() const noexcept { return window_; }
 
+  /// Outputs (easy plus hard bytes) from this size up are written with
+  /// streaming stores; smaller ones stay in the cache for their reader,
+  /// where plain stores are faster. The routing stores' measured crossover
+  /// is near 2 MB on a host with 2 MB of L2 per core (EXPERIMENTS.md).
+  static constexpr std::size_t kStreamMinBytes = std::size_t{2} << 20;
+
  private:
   struct BlockRows;
 
   template <typename RowsOf>
   void filter_blocks(std::size_t ranges, DopplerOutput& out, RowsOf rows_of) const;
   void filter_block(const BlockRows& rows, std::size_t r0, std::size_t R,
-                    DopplerOutput& out) const;
+                    bool stream, DopplerOutput& out) const;
 
   RadarParams params_;
   fft::FftPlan plan_;            // length M transform

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -193,6 +194,46 @@ TEST(Mp, WorldRejectsZeroSize) { EXPECT_THROW(World(0), PreconditionError); }
 TEST(Mp, RankExceptionPropagatesFromRun) {
   World world(1);
   EXPECT_THROW(world.run([](Comm&) { PSTAP_FAIL("rank blew up"); }), RuntimeError);
+}
+
+// A rank that throws while its peer waits in recv on it must not hang the
+// run: run() wakes the peer, rethrows the thrower's own error (not the
+// peer's MailboxClosed), and the World runs again afterwards.
+TEST(Mp, RankExceptionWakesPeerBlockedInRecv) {
+  World world(2);
+  const auto start = std::chrono::steady_clock::now();
+  std::string what;
+  try {
+    world.run([](Comm& comm) {
+      const int one = 1;
+      int got = 0;
+      if (comm.rank() == 0) {
+        // Throw only once rank 1 is past its send and on its way into recv.
+        comm.recv<int>(1, 0, {&got, 1});
+        PSTAP_FAIL("rank 0 blew up");
+      }
+      comm.send<int>(0, 0, {&one, 1});
+      comm.recv<int>(0, 1, {&got, 1});  // never sent
+    });
+  } catch (const MailboxClosed&) {
+    FAIL() << "run() rethrew the peer's MailboxClosed";
+  } catch (const RuntimeError& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("rank 0 blew up"), std::string::npos) << what;
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+
+  EXPECT_FALSE(world.mailbox(0).closed());
+  EXPECT_FALSE(world.mailbox(1).closed());
+  world.run([](Comm& comm) {
+    int v = comm.rank() == 0 ? 5 : 0;
+    if (comm.rank() == 0) {
+      comm.send<int>(1, 3, {&v, 1});
+    } else {
+      comm.recv<int>(0, 3, {&v, 1});
+      EXPECT_EQ(v, 5);
+    }
+  });
 }
 
 // ------------------------------------------------------------ nonblocking --

@@ -337,14 +337,54 @@ TEST(SimdPrimitives, InterleavedOpsMatchScalar) {
       EXPECT_EQ(di0, di1);
 
       std::vector<float> il0(2 * n), il1(2 * n);
-      ref.interleave(il0.data(), dr0.data(), di0.data(), n);
-      vec.interleave(il1.data(), dr0.data(), di0.data(), n);
+      ref.interleave(il0.data(), dr0.data(), di0.data(), n, false);
+      vec.interleave(il1.data(), dr0.data(), di0.data(), n, false);
       EXPECT_EQ(il0, il1);
 
       std::vector<double> p0(n), p1(n);
       ref.norm_interleaved(p0.data(), src.data(), n);
       vec.norm_interleaved(p1.data(), src.data(), n);
       EXPECT_EQ(p0, p1);
+    }
+  }
+}
+
+// With `stream` set, interleave streams the aligned interior of its
+// destination on the vector backends and plain-stores the rest: at every
+// float misalignment of dst (odd ones never align, even ones align after
+// 0-3 elements), for n below, at and past one vector, streamed or not, the
+// bytes match scalar and nothing outside [dst, dst + 2n) is touched.
+TEST(SimdPrimitives, StreamedInterleaveWritesExactlyItsRange) {
+  const simd::Ops& ref = simd::ops(Backend::kScalar);
+  constexpr std::size_t kGuard = 16;  // floats: 64 bytes, keeps base + kGuard aligned
+  constexpr float kSentinel = -7.25f;
+  for (Backend b : supported_backends()) {
+    const simd::Ops& vec = simd::ops(b);
+    for (std::size_t n : {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 100}) {
+      const auto re = random_floats(n, 47);
+      const auto im = random_floats(n, 48);
+      std::vector<float> want(2 * n);
+      ref.interleave(want.data(), re.data(), im.data(), n, false);
+      for (std::size_t k = 0; k < 16; ++k) {
+        const bool stream = k < 8;
+        const std::size_t mis = k % 8;
+        AlignedVector<float> buf(2 * kGuard + 8 + 2 * n, kSentinel);
+        float* dst = buf.data() + kGuard + mis;
+        vec.interleave(dst, re.data(), im.data(), n, stream);
+        simd::store_fence();
+        const std::string where = std::string(simd::backend_name(b)) +
+                                  " n=" + std::to_string(n) +
+                                  " misalign=" + std::to_string(mis) +
+                                  (stream ? " streamed" : " plain");
+        if (n > 0) {
+          EXPECT_EQ(std::memcmp(dst, want.data(), want.size() * sizeof(float)), 0)
+              << where;
+        }
+        for (std::size_t i = 0; i < buf.size(); ++i) {
+          if (buf.data() + i >= dst && buf.data() + i < dst + 2 * n) continue;
+          ASSERT_EQ(buf[i], kSentinel) << where << " wrote float " << i;
+        }
+      }
     }
   }
 }

@@ -615,6 +615,76 @@ TEST(Doppler, WritesEveryElementOfHandedInStorage) {
   }
 }
 
+TEST(Doppler, WritesEveryElementAtAnUnalignedBase) {
+  // Outputs of DopplerFilter::kStreamMinBytes or more are routed with
+  // streaming stores on the 16/32-byte-aligned interior of each row, plain
+  // stores on the rest; smaller ones with plain stores only. At 45 gates
+  // (below the threshold) and at the fewest gates reaching it (3121, a
+  // ragged last block), output arrays sliced off a pooled buffer at a
+  // 4-byte base offset (no row ever aligns) and at an 8-byte one (rows
+  // start at every 8-byte phase: heads, streamed interiors and tails) must
+  // match fresh arrays bit for bit, and the poisoned bytes around them
+  // must stay untouched.
+  SimdBackendGuard guard;
+  BufferPool pool;
+  RadarParams p = RadarParams::test_small();
+  const std::size_t gate_bytes =
+      (p.easy_bin_count() * p.easy_dof() + p.hard_bin_count() * p.hard_dof()) *
+      sizeof(cfloat);
+  p.ranges = (DopplerFilter::kStreamMinBytes + gate_bytes - 1) / gate_bytes;
+  SceneConfig cfg;
+  cfg.cnr_db = 40.0;
+  const DataCube full = SceneGenerator(p, cfg, 43).generate(0);
+  for (const std::size_t gates : {std::size_t{45}, p.ranges}) {
+    DataCube cube(p.channels, p.pulses, gates);
+    for (std::size_t c = 0; c < p.channels; ++c)
+      for (std::size_t pp = 0; pp < p.pulses; ++pp)
+        for (std::size_t r = 0; r < gates; ++r) cube.at(c, pp, r) = full.at(c, pp, r);
+    const std::size_t easy_bytes =
+        p.easy_bin_count() * p.easy_dof() * gates * sizeof(cfloat);
+    const std::size_t hard_bytes =
+        p.hard_bin_count() * p.hard_dof() * gates * sizeof(cfloat);
+    ASSERT_EQ(easy_bytes + hard_bytes >= DopplerFilter::kStreamMinBytes, gates != 45);
+    for (simd::Backend b : simd_backends()) {
+      simd::force_backend(b);
+      const DopplerFilter filt(p);
+      const DopplerOutput fresh = filt.process(cube);
+      for (const std::size_t offset : {sizeof(float), sizeof(cfloat)}) {
+        // One poisoned cfloat of slack on each side of each array.
+        const Buffer easy_buf = nan_poisoned(pool, easy_bytes / sizeof(cfloat) + 2);
+        const Buffer hard_buf = nan_poisoned(pool, hard_bytes / sizeof(cfloat) + 2);
+        DopplerOutput out;
+        out.easy = BinArray(p.easy_bin_count(), p.easy_dof(), gates,
+                            easy_buf.slice(offset, easy_bytes));
+        out.hard = BinArray(p.hard_bin_count(), p.hard_dof(), gates,
+                            hard_buf.slice(offset, hard_bytes));
+        filt.process_into(cube, out);
+        const std::string where = std::string(simd::backend_name(b)) + ", " +
+                                  std::to_string(gates) + " gates, base offset " +
+                                  std::to_string(offset);
+        EXPECT_EQ(std::memcmp(out.easy.flat().data(), fresh.easy.flat().data(),
+                              easy_bytes),
+                  0)
+            << where;
+        EXPECT_EQ(std::memcmp(out.hard.flat().data(), fresh.hard.flat().data(),
+                              hard_bytes),
+                  0)
+            << where;
+        for (const auto& [buf, body] : {std::pair{&easy_buf, easy_bytes},
+                                        std::pair{&hard_buf, hard_bytes}}) {
+          const auto bytes = buf->as_span<std::byte>();
+          for (std::size_t i = 0; i < bytes.size(); i += sizeof(float)) {
+            if (i == offset) i += body;
+            std::uint32_t word = 0;
+            std::memcpy(&word, bytes.data() + i, sizeof(word));
+            ASSERT_EQ(word, 0x7fc00000u) << where << ": wrote byte " << i << " outside";
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Doppler, RejectsMismatchedRawSlab) {
   const RadarParams p = RadarParams::test_small();
   DopplerFilter filt(p);
