@@ -319,19 +319,25 @@ class ThreadRunnerTest : public ::testing::Test {
     return opt;
   }
 
-  // Runs the spec `make_spec` builds for every Doppler geometry under every
-  // SIMD backend, and checks each CPI's detections against the sequential
-  // reference computed under the same backend. The geometries: test_small's
-  // 16 bins (radix 2), 15 bins (3 x 5 mixed radix) and 23 bins (Rader over a
-  // 22-point mixed-radix convolution, whose factor 11 is Rader again).
-  void expect_matches_reference(
-      const std::function<PipelineSpec(const stap::RadarParams&)>& make_spec) {
-    struct BackendGuard {
-      ~BackendGuard() { simd::force_backend(simd::detect_best()); }
-    } guard;
+  // test_small's 16 bins (radix 2), 15 bins (3 x 5 mixed radix) and 23
+  // bins (Rader over a 22-point mixed-radix convolution, whose factor 11 is
+  // Rader again).
+  static std::vector<stap::RadarParams> bin_count_geometries() {
     std::vector<stap::RadarParams> geometries(3, stap::RadarParams::test_small());
     geometries[1].pulses = 16;
     geometries[2].pulses = 24;
+    return geometries;
+  }
+
+  // Runs the spec `make_spec` builds for every geometry under every SIMD
+  // backend, and checks each CPI's detections against the sequential
+  // reference computed under the same backend.
+  void expect_matches_reference(
+      const std::function<PipelineSpec(const stap::RadarParams&)>& make_spec,
+      const std::vector<stap::RadarParams>& geometries = bin_count_geometries()) {
+    struct BackendGuard {
+      ~BackendGuard() { simd::force_backend(simd::detect_best()); }
+    } guard;
     int run = 0;
     for (const stap::RadarParams& p : geometries) {
       for (int b = 0; b <= static_cast<int>(simd::detect_best()); ++b) {
@@ -365,6 +371,22 @@ TEST_F(ThreadRunnerTest, EmbeddedPipelineMatchesSequentialReference) {
     EXPECT_EQ(spec.tasks.size(), 7u);
     return spec;
   });
+}
+
+// A Doppler output of DopplerFilter::kStreamMinBytes or more is written
+// with streaming stores and fenced before its slices are shipped to the
+// BF and WC ranks; their detections must still match the reference.
+TEST_F(ThreadRunnerTest, StreamedDopplerOutputMatchesSequentialReference) {
+  stap::RadarParams p = stap::RadarParams::test_small();
+  const std::size_t gate_bytes =
+      (p.easy_bin_count() * p.easy_dof() + p.hard_bin_count() * p.hard_dof()) *
+      sizeof(cfloat);
+  p.ranges = (stap::DopplerFilter::kStreamMinBytes / gate_bytes / 32 + 1) * 32;
+  expect_matches_reference(
+      [](const stap::RadarParams& q) {
+        return PipelineSpec::embedded_io(q, {1, 1, 1, 2, 2, 1, 1});
+      },
+      {p});
 }
 
 TEST_F(ThreadRunnerTest, SeparateIoProducesSameDetections) {
