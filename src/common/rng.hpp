@@ -28,6 +28,10 @@ class Rng {
     return z ^ (z >> 31);
   }
 
+  /// Skip the next `n` raw draws: the state advances by a fixed step per
+  /// draw, so this is one multiply-add. A pending normal() spare is kept.
+  void discard(std::uint64_t n) { state_ += n * 0x9e3779b97f4a7c15ULL; }
+
   /// Uniform double in [0, 1).
   double uniform() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
 
@@ -51,12 +55,23 @@ class Rng {
     }
     double u1 = uniform();
     while (u1 <= 1e-300) u1 = uniform();
-    const double u2 = uniform();
+    const BoxMuller bm = box_muller(u1, uniform());
+    spare_ = bm.sin;
+    have_spare_ = true;
+    return bm.cos;
+  }
+
+  /// The Box–Muller pair normal() returns for uniforms u1 > 0 and u2: the
+  /// cosine deviate first, then the sine one as the spare. Exposed so a
+  /// caller that walks the raw stream itself (a chunked fill that jumped
+  /// ahead with discard) produces the same bytes.
+  struct BoxMuller {
+    double cos, sin;
+  };
+  static BoxMuller box_muller(double u1, double u2) {
     const double mag = std::sqrt(-2.0 * std::log(u1));
     const double ang = 2.0 * std::numbers::pi * u2;
-    spare_ = mag * std::sin(ang);
-    have_spare_ = true;
-    return mag * std::cos(ang);
+    return {mag * std::cos(ang), mag * std::sin(ang)};
   }
 
   /// Circularly-symmetric complex Gaussian with E[|z|^2] = power.

@@ -134,6 +134,8 @@ void RunReport::write_json(std::ostream& out) const {
     num_field(out, "wall_s", totals.wall_s, f);
     num_field(out, "cpu_s", totals.cpu_s, f);
     int_field(out, "dropped_cpis", totals.dropped_cpis, f);
+    num_field(out, "setup_scene_s", totals.setup_scene_s, f);
+    num_field(out, "setup_write_s", totals.setup_write_s, f);
     out << "}";
   }
 

@@ -84,6 +84,10 @@ struct RunReport {
     double wall_s = 0;   ///< functional only (sim time is not wall time)
     double cpu_s = 0;    ///< process CPU, functional only
     int dropped_cpis = 0;
+    /// Functional only: the radar side's wall time, summed over the
+    /// round-robin files.
+    double setup_scene_s = 0;  ///< synthesizing the cubes
+    double setup_write_s = 0;  ///< packing them and writing them to the pfs
   };
   Totals totals;
 

@@ -990,19 +990,27 @@ RunResult ThreadRunner::run() {
   if (options_.fault_plan) fault_scope.emplace(options_.fault_plan);
 
   // --- The radar side: write the round-robin CPI files. ---
-  // "setup" spans split this part of setup time into synthesis and write.
+  // "setup" spans and the report's setup totals split this part of setup
+  // time into synthesis and write. One cube and one file-order buffer serve
+  // every file; synthesis and the pack run on every core, the writes on
+  // this thread in file order.
   pfs::StripedFileSystem fs(options_.fs_root, options_.fs_config);
+  Seconds setup_scene = 0, setup_write = 0;
   {
-    stap::SceneGenerator gen(p, options_.scene, options_.seed);
+    const stap::SceneGenerator gen(p, options_.scene, options_.seed);
+    stap::DataCube cube(p.channels, p.pulses, p.ranges);
+    AlignedBuffer<cfloat> staging(cube.samples());
     for (std::size_t f = 0; f < options_.round_robin_files; ++f) {
       const auto cpi = static_cast<std::int64_t>(f);
-      const stap::DataCube cube = [&] {
+      {
+        StopWatch sw(setup_scene);
         obs::ScopedSpan span("setup", "scene", obs::kLibraryPid, nullptr, cpi);
-        return gen.generate(f);
-      }();
+        gen.generate_into(f, cube);
+      }
+      StopWatch sw(setup_write);
       obs::ScopedSpan write("setup", "write", obs::kLibraryPid, nullptr, cpi);
       stap::write_cpi(fs, stap::round_robin_name(f, options_.round_robin_files),
-                      cube, options_.file_layout);
+                      cube, options_.file_layout, staging.span());
     }
   }
 
@@ -1203,6 +1211,8 @@ RunResult ThreadRunner::run() {
     report.totals.cpu_s = static_cast<double>(std::clock() - cpu_start) /
                           static_cast<double>(CLOCKS_PER_SEC);
     report.totals.dropped_cpis = result.metrics.dropped_cpis;
+    report.totals.setup_scene_s = setup_scene;
+    report.totals.setup_write_s = setup_write;
     for (const TaskTiming& t : result.metrics.tasks) {
       obs::RunReport::Task task;
       task.name = task_name(t.kind);

@@ -24,31 +24,34 @@ std::size_t slab_elements(const RadarParams& params, std::size_t r0, std::size_t
 namespace {
 
 /// Pack a cube in pulse-major order: [pulse][channel][range].
-std::vector<cfloat> pack_pulse_major(const DataCube& cube) {
-  std::vector<cfloat> raw(cube.samples());
-  std::size_t idx = 0;
+void pack_pulse_major(const DataCube& cube, std::span<cfloat> raw) {
+  cfloat* dst = raw.data();
   for (std::size_t p = 0; p < cube.pulses(); ++p) {
     for (std::size_t c = 0; c < cube.channels(); ++c) {
       const auto row = cube.range_series(c, p);
-      for (std::size_t r = 0; r < row.size(); ++r) raw[idx++] = row[r];
+      dst = std::copy(row.begin(), row.end(), dst);
     }
   }
-  return raw;
 }
 
 }  // namespace
 
 void write_cpi(pfs::StripedFileSystem& fs, const std::string& name,
                const DataCube& cube, FileLayout layout) {
-  std::vector<cfloat> raw;
+  AlignedBuffer<cfloat> staging(cube.samples());
+  write_cpi(fs, name, cube, layout, staging.span());
+}
+
+void write_cpi(pfs::StripedFileSystem& fs, const std::string& name,
+               const DataCube& cube, FileLayout layout, std::span<cfloat> staging) {
+  PSTAP_REQUIRE(staging.size() == cube.samples(), "staging buffer size mismatch");
   if (layout == FileLayout::kRangeMajor) {
-    raw.resize(cube.samples());
-    cube.pack_file_order(0, cube.ranges(), raw);
+    cube.pack_file_order(0, cube.ranges(), staging);
   } else {
-    raw = pack_pulse_major(cube);
+    pack_pulse_major(cube, staging);
   }
   pfs::StripedFile f = fs.create(name);
-  f.write_values<cfloat>(0, raw);
+  f.write_values<cfloat>(0, std::span<const cfloat>(staging));
 }
 
 DataCube read_cpi(pfs::StripedFileSystem& fs, const std::string& name,

@@ -42,6 +42,12 @@ std::size_t slab_elements(const RadarParams& params, std::size_t r0, std::size_t
 void write_cpi(pfs::StripedFileSystem& fs, const std::string& name,
                const DataCube& cube, FileLayout layout = FileLayout::kRangeMajor);
 
+/// As above, packing the file's bytes into `staging` (cube.samples()
+/// elements; its old contents do not matter), so a writer of many CPIs
+/// reuses one buffer instead of allocating one per file.
+void write_cpi(pfs::StripedFileSystem& fs, const std::string& name,
+               const DataCube& cube, FileLayout layout, std::span<cfloat> staging);
+
 /// Read a full cube from file `name`. `retry` governs transient I/O
 /// failures and per-attempt timeouts (the default fails fast).
 DataCube read_cpi(pfs::StripedFileSystem& fs, const std::string& name,

@@ -67,7 +67,8 @@ class DataCube {
   std::span<const cfloat> flat() const noexcept { return data_.span(); }
 
   /// Pack range gates [r0, r1) into the on-disk order [range][pulse][channel].
-  /// `out` must hold (r1-r0)*pulses*channels elements.
+  /// `out` must hold (r1-r0)*pulses*channels elements. A slab of several MB
+  /// is packed on several cores (pstap::parallel_for), a small one inline.
   void pack_file_order(std::size_t r0, std::size_t r1, std::span<cfloat> out) const;
 
   /// Unpack an on-disk slab of range gates [r0, r1) into this cube. Gates

@@ -1,9 +1,11 @@
 #include "stap/scene.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numbers>
 
+#include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "stap/steering.hpp"
 
@@ -42,12 +44,33 @@ SceneGenerator::SceneGenerator(RadarParams params, SceneConfig config,
   }
 }
 
-void SceneGenerator::add_noise(DataCube& cube, Rng& rng) const {
-  if (config_.noise_power <= 0.0) return;
-  for (cfloat& v : cube.flat()) v += rng.complex_normal(config_.noise_power);
+void fill_complex_normal(std::span<cfloat> out, Rng& rng, double power,
+                         std::size_t chunks) {
+  // complex_normal's scale and float rounding, over normal()'s pairs.
+  const double s = std::sqrt(power / 2.0);
+  std::atomic<bool> zero_draw{false};
+  parallel_for(chunks, [&](std::size_t i) {
+    const auto [begin, end] = chunk_range(out.size(), chunks, i);
+    Rng r = rng;
+    r.discard(2 * begin);
+    for (std::size_t e = begin; e < end; ++e) {
+      const double u1 = r.uniform();
+      if (u1 <= 1e-300) {  // normal() would redraw: the split is off
+        zero_draw.store(true, std::memory_order_relaxed);
+        return;
+      }
+      const Rng::BoxMuller bm = Rng::box_muller(u1, r.uniform());
+      out[e] = {static_cast<float>(s * bm.cos), static_cast<float>(s * bm.sin)};
+    }
+  });
+  if (!zero_draw.load(std::memory_order_relaxed)) {
+    rng.discard(2 * out.size());
+    return;
+  }
+  for (cfloat& v : out) v = rng.complex_normal(power);
 }
 
-void SceneGenerator::add_clutter(DataCube& cube, Rng& rng) const {
+void SceneGenerator::add_clutter(DataCube& cube, Rng& rng, std::size_t chunks) const {
   if (config_.clutter_patches == 0 || config_.cnr_db <= -300.0) return;
   const std::size_t m = params_.doppler_bins();
   const std::size_t patches = config_.clutter_patches;
@@ -75,9 +98,10 @@ void SceneGenerator::add_clutter(DataCube& cube, Rng& rng) const {
   // are those of that loop on every backend. The returns are drawn patch by
   // patch in that same order, and the phasors come from the same double
   // trig rounded to float, each computed once per (patch, channel) and
-  // (patch, pulse) instead of once per (patch, channel, pulse).
+  // (patch, pulse) instead of once per (patch, channel, pulse). Channels
+  // are independent GEMMs into disjoint planes, so they run in chunks.
   std::vector<cfloat> amp(patches * ranges);
-  for (cfloat& a : amp) a = rng.complex_normal(patch_power);
+  fill_complex_normal(amp, rng, patch_power, chunks);
   const double max_doppler_bins = static_cast<double>(params_.hard_halfwidth);
   std::vector<cfloat> spatial(patches * params_.channels);
   std::vector<cfloat> temporal(patches * pulses);
@@ -98,23 +122,27 @@ void SceneGenerator::add_clutter(DataCube& cube, Rng& rng) const {
                                   static_cast<float>(std::sin(tp))};
     }
   }
-  // Factor panel of one channel, planar pulses x patches as the kernel's A.
-  std::vector<float> fre(pulses * patches), fim(pulses * patches);
   const simd::Ops& o = simd::ops();
-  for (std::size_t c = 0; c < params_.channels; ++c) {
-    for (std::size_t l = 0; l < patches; ++l) {
-      for (std::size_t p = 0; p < pulses; ++p) {
-        const cfloat factor =
-            spatial[l * params_.channels + c] * temporal[l * pulses + p];
-        fre[p * patches + l] = factor.real();
-        fim[p * patches + l] = factor.imag();
+  const std::size_t channels = params_.channels;
+  const std::size_t tasks = std::min(channels, chunks);
+  parallel_for(tasks, [&](std::size_t i) {
+    // Factor panel of one channel, planar pulses x patches as the kernel's A.
+    std::vector<float> fre(pulses * patches), fim(pulses * patches);
+    const auto [c0, c1] = chunk_range(channels, tasks, i);
+    for (std::size_t c = c0; c < c1; ++c) {
+      for (std::size_t l = 0; l < patches; ++l) {
+        for (std::size_t p = 0; p < pulses; ++p) {
+          const cfloat factor = spatial[l * channels + c] * temporal[l * pulses + p];
+          fre[p * patches + l] = factor.real();
+          fim[p * patches + l] = factor.imag();
+        }
       }
+      o.cgemm_planar_exact(reinterpret_cast<float*>(&cube.at(c, 0, 0)), ranges,
+                           fre.data(), fim.data(), pulses, patches,
+                           reinterpret_cast<const float*>(amp.data()), ranges,
+                           ranges);
     }
-    o.cgemm_planar_exact(reinterpret_cast<float*>(&cube.at(c, 0, 0)), ranges,
-                         fre.data(), fim.data(), pulses, patches,
-                         reinterpret_cast<const float*>(amp.data()), ranges,
-                         ranges);
-  }
+  });
 }
 
 std::size_t SceneGenerator::target_range_at(std::size_t t, std::uint64_t cpi) const {
@@ -157,12 +185,27 @@ void SceneGenerator::add_targets(DataCube& cube, std::uint64_t cpi) const {
 
 DataCube SceneGenerator::generate(std::uint64_t cpi) const {
   DataCube cube(params_.channels, params_.pulses, params_.ranges);
+  generate_into(cpi, cube);
+  return cube;
+}
+
+void SceneGenerator::generate_into(std::uint64_t cpi, DataCube& cube,
+                                   std::size_t chunks) const {
+  PSTAP_REQUIRE(cube.channels() == params_.channels &&
+                    cube.pulses() == params_.pulses && cube.ranges() == params_.ranges,
+                "cube shape does not match the scene");
+  if (chunks == 0) chunks = parallel_chunks(cube.samples(), kMinChunkSamples);
   // Independent deterministic stream per CPI.
   Rng rng(seed_ ^ (0x9e3779b97f4a7c15ULL * (cpi + 1)));
-  add_noise(cube, rng);
-  add_clutter(cube, rng);
+  // The noise is written, not added onto zeros: a draw differs from
+  // 0 + draw only if it is -0.0f, which needs a noise power below 1e-40.
+  if (config_.noise_power > 0.0) {
+    fill_complex_normal(cube.flat(), rng, config_.noise_power, chunks);
+  } else {
+    std::fill(cube.flat().begin(), cube.flat().end(), cfloat{});
+  }
+  add_clutter(cube, rng, chunks);
   add_targets(cube, cpi);
-  return cube;
 }
 
 }  // namespace pstap::stap

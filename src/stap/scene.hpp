@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -50,13 +51,25 @@ class SceneGenerator {
   /// Generate the CPI cube for time step `cpi`.
   DataCube generate(std::uint64_t cpi) const;
 
+  /// Generate the CPI cube for time step `cpi` into `cube`, which must have
+  /// this scene's shape; every element is written, so its old bytes do not
+  /// matter and one cube can be reused across CPIs. The noise draws, the
+  /// clutter returns and the per-channel clutter GEMMs run in `chunks`
+  /// chunks (0: one per kMinChunkSamples cube samples, at most one per
+  /// core); the bytes are the same for every chunk count.
+  void generate_into(std::uint64_t cpi, DataCube& cube, std::size_t chunks = 0) const;
+
+  /// Cube samples per synthesis chunk: a cube smaller than two of these is
+  /// synthesized on the calling thread alone, with no thread started
+  /// (test_small and the kernel benches' cubes are).
+  static constexpr std::size_t kMinChunkSamples = std::size_t{1} << 15;
+
   /// Range gate of target `t` at CPI `cpi` (drifted by range_rate and
   /// clamped so the code fits in the range window).
   std::size_t target_range_at(std::size_t t, std::uint64_t cpi) const;
 
  private:
-  void add_noise(DataCube& cube, Rng& rng) const;
-  void add_clutter(DataCube& cube, Rng& rng) const;
+  void add_clutter(DataCube& cube, Rng& rng, std::size_t chunks) const;
   void add_targets(DataCube& cube, std::uint64_t cpi) const;
 
   RadarParams params_;
@@ -65,6 +78,18 @@ class SceneGenerator {
   std::vector<cfloat> code_;
   std::vector<double> patch_angles_;  // fixed clutter geometry (radians)
 };
+
+/// Write into `out` the draws rng.complex_normal(power) would give element
+/// by element, and leave `rng` where that serial loop leaves it. Element i
+/// takes raw draws 2i and 2i + 1, so each of `chunks` (>= 1) chunks jumps
+/// ahead to its first element with Rng::discard and the bytes do not
+/// depend on the split. The one exception is a u1 draw of zero, which
+/// normal() redraws, shifting every later element: a chunk that meets one
+/// abandons the split and the whole fill reruns as the serial loop.
+/// Requires `rng` to hold no pending normal() spare (a fresh stream holds
+/// none).
+void fill_complex_normal(std::span<cfloat> out, Rng& rng, double power,
+                         std::size_t chunks);
 
 /// The transmitted pulse-compression code: a fixed pseudo-random binary
 /// phase code of length `length` (deterministic — shared by the scene

@@ -2,12 +2,20 @@
 // statistics and determinism, table rendering, numeric helpers.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "common/aligned_buffer.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/types.hpp"
@@ -194,6 +202,102 @@ TEST(Rng, SplitProducesIndependentStream) {
   int same = 0;
   for (int i = 0; i < 64; ++i) same += (child.next_u64() == parent2.next_u64());
   EXPECT_LT(same, 2);
+}
+
+TEST(Rng, DiscardMatchesSequentialDraws) {
+  for (const std::uint64_t n : {0u, 1u, 2u, 7u, 1000u, 123457u}) {
+    Rng jumped(99), walked(99);
+    jumped.discard(n);
+    for (std::uint64_t i = 0; i < n; ++i) (void)walked.next_u64();
+    for (int i = 0; i < 16; ++i) ASSERT_EQ(jumped.next_u64(), walked.next_u64()) << n;
+  }
+  // Two jumps compose, and the Box-Muller pair is normal()'s.
+  Rng a(5), b(5);
+  a.discard(3);
+  a.discard(4);
+  b.discard(7);
+  const double u1 = a.uniform(), u2 = a.uniform();
+  const Rng::BoxMuller bm = Rng::box_muller(u1, u2);
+  EXPECT_EQ(bm.cos, b.normal());
+  EXPECT_EQ(bm.sin, b.normal());
+}
+
+// -------------------------------------------------------------- parallel --
+
+TEST(ParallelFor, RunsEveryChunkOnceWithChunkZeroInline) {
+  for (const std::size_t chunks : {1u, 2u, 3u, 7u}) {
+    std::vector<int> hits(chunks, 0);
+    std::vector<std::thread::id> ids(chunks);
+    parallel_for(chunks, [&](std::size_t i) {
+      ++hits[i];
+      ids[i] = std::this_thread::get_id();
+    });
+    for (std::size_t i = 0; i < chunks; ++i) EXPECT_EQ(hits[i], 1) << chunks;
+    EXPECT_EQ(ids[0], std::this_thread::get_id());
+    for (std::size_t i = 1; i < chunks; ++i) EXPECT_NE(ids[i], ids[0]);
+  }
+  EXPECT_THROW(parallel_for(0, [](std::size_t) {}), PreconditionError);
+}
+
+TEST(ParallelFor, JoinsAllThenRethrowsLowestChunkError) {
+  std::atomic<int> finished{0};
+  try {
+    parallel_for(4, [&](std::size_t i) {
+      if (i == 3) throw std::runtime_error("chunk 3");
+      if (i == 1) throw std::logic_error("chunk 1");
+      ++finished;
+    });
+    FAIL() << "expected the chunk error";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "chunk 1");
+  }
+  EXPECT_EQ(finished.load(), 2);  // chunks 0 and 2 ran to the end
+}
+
+#if defined(__linux__)
+TEST(ParallelFor, PinsEachWorkerToItsOwnCpu) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  if (CPU_COUNT(&allowed) < 3) GTEST_SKIP() << "needs 3 or more CPUs";
+  std::vector<int> pinned(3, -1);
+  parallel_for(3, [&](std::size_t i) {
+    if (i == 0) return;  // the caller keeps its own mask
+    cpu_set_t mine;
+    CPU_ZERO(&mine);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(mine), &mine), 0);
+    ASSERT_EQ(CPU_COUNT(&mine), 1);
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &mine)) pinned[i] = c;
+    }
+  });
+  EXPECT_NE(pinned[1], pinned[2]);
+  EXPECT_TRUE(CPU_ISSET(pinned[1], &allowed) && CPU_ISSET(pinned[2], &allowed));
+  cpu_set_t after;
+  CPU_ZERO(&after);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(after), &after), 0);
+  EXPECT_TRUE(CPU_EQUAL(&after, &allowed)) << "the caller's mask is unchanged";
+}
+#endif
+
+TEST(ParallelFor, ChunksPartitionInOrderAndSmallWorkStaysOnOne) {
+  for (const std::size_t n : {0u, 1u, 5u, 64u, 1001u}) {
+    for (const std::size_t chunks : {1u, 2u, 3u, 7u}) {
+      std::size_t next = 0;
+      for (std::size_t i = 0; i < chunks; ++i) {
+        const ChunkRange r = chunk_range(n, chunks, i);
+        EXPECT_EQ(r.begin, next);
+        EXPECT_LE(r.end - r.begin, n / chunks + 1);
+        next = r.end;
+      }
+      EXPECT_EQ(next, n);
+    }
+  }
+  const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(parallel_chunks(0, 100), 1u);
+  EXPECT_EQ(parallel_chunks(199, 100), 1u);
+  EXPECT_EQ(parallel_chunks(200, 100), std::min<std::size_t>(2, cores));
+  EXPECT_EQ(parallel_chunks(std::size_t{1} << 40, 1), cores);
 }
 
 // ----------------------------------------------------------------- table --

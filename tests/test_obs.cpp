@@ -898,6 +898,15 @@ TEST(RunReportTest, FunctionalReportCountersMatchRunResult) {
   ASSERT_EQ(doc.at("reports").array.size(), 1u);
   const Json& report = doc.at("reports").array.front();
 
+  // The radar side's time, split into synthesis and write: both ran, inside
+  // the run's wall time.
+  const Json& totals = report.at("totals");
+  const double scene_s = totals.at("setup_scene_s").number;
+  const double write_s = totals.at("setup_write_s").number;
+  EXPECT_GT(scene_s, 0.0);
+  EXPECT_GT(write_s, 0.0);
+  EXPECT_LT(scene_s + write_s, totals.at("wall_s").number);
+
   // Key order and values, written out by hand (not read from kCounters)
   // so a mis-wired table entry fails here. The order is the schema-v1
   // order the report had before the counter structs were shared.

@@ -17,6 +17,7 @@
 #include "common/buffer.hpp"
 #include "common/crc32c.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/cmatrix.hpp"
@@ -249,6 +250,27 @@ TEST(DataCubeTest, SlabPackingMatchesSubrange) {
   }
 }
 
+TEST(DataCubeTest, PaperSizedPackMatchesElementwise) {
+  // 16.8 MB packs in chunks of whole transpose blocks on a multi-core
+  // host; every element still lands at its file-order index, for the
+  // whole cube and for a slab whose ends are not block aligned.
+  const RadarParams p;
+  DataCube cube(p.channels, p.pulses, p.ranges);
+  for (std::size_t i = 0; i < cube.flat().size(); ++i)
+    cube.flat()[i] = {float(i), -float(i % 977)};
+  for (const auto& [r0, r1] : {std::pair<std::size_t, std::size_t>{0, p.ranges},
+                              std::pair<std::size_t, std::size_t>{37, 1000}}) {
+    std::vector<cfloat> out(cube.slab_samples(r0, r1));
+    cube.pack_file_order(r0, r1, out);
+    for (std::size_t r = r0; r < r1; ++r)
+      for (std::size_t pp = 0; pp < p.pulses; ++pp)
+        for (std::size_t c = 0; c < p.channels; ++c)
+          ASSERT_EQ(out[((r - r0) * p.pulses + pp) * p.channels + c], cube.at(c, pp, r))
+              << "slab [" << r0 << ", " << r1 << "), (c,p,r) = " << c << "," << pp
+              << "," << r;
+  }
+}
+
 TEST(DataCubeTest, RejectsBadSlab) {
   DataCube cube(2, 3, 4);
   std::vector<cfloat> raw(6);
@@ -382,6 +404,132 @@ TEST(Scene, BytesPinnedOnEveryBackend) {
             << "x" << p.ranges << " cpi=" << cpi << std::hex << " crc=0x" << crc;
       }
     }
+  }
+}
+
+// SplitMix64's output finalizer, inverted: the value a generator's state
+// must reach for its next draw to be `z`.
+std::uint64_t unmix(std::uint64_t z) {
+  const auto unxorshift = [](std::uint64_t y, int k) {
+    std::uint64_t x = y;
+    for (int i = 0; i <= 64 / k; ++i) x = y ^ (x >> k);
+    return x;
+  };
+  const auto inverse = [](std::uint64_t c) {  // mod 2^64, c odd (Newton)
+    std::uint64_t v = c;
+    for (int i = 0; i < 6; ++i) v *= 2 - c * v;
+    return v;
+  };
+  z = unxorshift(z, 31);
+  z *= inverse(0x94d049bb133111ebULL);
+  z = unxorshift(z, 27);
+  z *= inverse(0xbf58476d1ce4e5b9ULL);
+  return unxorshift(z, 30);
+}
+
+constexpr std::uint64_t kSplitMixStep = 0x9e3779b97f4a7c15ULL;
+
+/// A seed whose stream gives complex-normal element `e` a u1 draw of zero
+/// (raw draw 0x5a5, below 2^11, so uniform() is exactly 0).
+std::uint64_t seed_with_zero_draw_at(std::size_t e) {
+  return unmix(0x5a5) - (2 * e + 1) * kSplitMixStep;
+}
+
+bool same_bytes(std::span<const cfloat> a, std::span<const cfloat> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+TEST(Scene, NoiseFillFallsBackToSerialStreamOnZeroDraw) {
+  const std::size_t n = 5000;
+  const double power = 2.0;
+  struct Case {
+    std::uint64_t seed;
+    bool zero_draw;
+  };
+  std::vector<Case> cases = {{3, false}};
+  for (const std::size_t at : {std::size_t{0}, std::size_t{1234}, n - 1}) {
+    cases.push_back({seed_with_zero_draw_at(at), true});
+    Rng probe(cases.back().seed);
+    probe.discard(2 * at);
+    ASSERT_EQ(probe.uniform(), 0.0) << "the crafted seed must hit element " << at;
+  }
+  for (const Case& c : cases) {
+    // The serial loop: a zero u1 is redrawn, so it takes one extra draw.
+    Rng serial(c.seed);
+    std::vector<cfloat> want(n);
+    for (cfloat& v : want) v = serial.complex_normal(power);
+    Rng counted(c.seed);
+    counted.discard(2 * n + (c.zero_draw ? 1 : 0));
+    ASSERT_EQ(Rng(counted).next_u64(), Rng(serial).next_u64());
+    for (const std::size_t chunks : {1u, 2u, 3u, 7u}) {
+      Rng rng(c.seed);
+      std::vector<cfloat> out(n, cfloat{std::numeric_limits<float>::quiet_NaN(), 0.0f});
+      fill_complex_normal(out, rng, power, chunks);
+      EXPECT_TRUE(same_bytes(out, want)) << "seed " << c.seed << " chunks " << chunks;
+      EXPECT_EQ(rng.next_u64(), Rng(serial).next_u64())
+          << "the stream must end where the serial loop ends; chunks " << chunks;
+    }
+  }
+}
+
+TEST(Scene, ChunkCountDoesNotChangeBytes) {
+  SceneConfig cfg;
+  cfg.cnr_db = 40.0;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const RadarParams& p : {RadarParams::test_small(), RadarParams{}}) {
+    cfg.targets = {{p.ranges / 3, 1.0, -0.35, 25.0}};
+    const SceneGenerator gen(p, cfg, 11);
+    const std::uint64_t cpis = p.ranges > 512 ? 1 : 3;
+    for (std::uint64_t cpi = 0; cpi < cpis; ++cpi) {
+      const DataCube want = gen.generate(cpi);
+      for (const std::size_t chunks : {1u, 2u, 3u, 7u}) {
+        DataCube cube(p.channels, p.pulses, p.ranges);
+        std::fill(cube.flat().begin(), cube.flat().end(), cfloat{nan, nan});
+        gen.generate_into(cpi, cube, chunks);
+        EXPECT_TRUE(same_bytes(cube.flat(), want.flat()))
+            << p.channels << "x" << p.pulses << "x" << p.ranges << " cpi " << cpi
+            << " chunks " << chunks;
+      }
+    }
+  }
+  // A cube of the wrong shape is refused.
+  const SceneGenerator gen(RadarParams::test_small(), SceneConfig{}, 11);
+  DataCube wrong(2, 17, 128);
+  EXPECT_THROW(gen.generate_into(0, wrong), PreconditionError);
+}
+
+TEST(Scene, ZeroDrawInSceneNoiseKeepsTheSerialBytes) {
+  // Noise only, so the cube is the serial draw loop onto zeros; CPI 0's
+  // stream is seeded with seed ^ step, so the crafted state maps back.
+  const RadarParams p = RadarParams::test_small();
+  const std::size_t at = p.cube_samples() / 2 + 3;
+  const std::uint64_t seed = seed_with_zero_draw_at(at) ^ kSplitMixStep;
+  SceneConfig noise_only;
+  noise_only.clutter_patches = 0;
+  Rng serial(seed_with_zero_draw_at(at));
+  std::vector<cfloat> want(p.cube_samples());
+  for (cfloat& v : want) v += serial.complex_normal(noise_only.noise_power);
+  SceneConfig with_clutter;
+  with_clutter.cnr_db = 40.0;
+  const DataCube clutter_ref = SceneGenerator(p, with_clutter, seed).generate(0);
+  for (const std::size_t chunks : {1u, 2u, 3u, 7u}) {
+    DataCube cube(p.channels, p.pulses, p.ranges);
+    SceneGenerator(p, noise_only, seed).generate_into(0, cube, chunks);
+    EXPECT_TRUE(same_bytes(cube.flat(), want)) << "chunks " << chunks;
+    // The clutter draws follow the noise: they see the same stream.
+    SceneGenerator(p, with_clutter, seed).generate_into(0, cube, chunks);
+    EXPECT_TRUE(same_bytes(cube.flat(), clutter_ref.flat())) << "chunks " << chunks;
+  }
+}
+
+TEST(Scene, SmallCubesSynthesizeOnOneChunk) {
+  // test_small (small-separate's cube) and the kernel benches' 256-gate
+  // cube size to one chunk, so their synthesis starts no thread.
+  RadarParams bench = RadarParams::test_small();
+  bench.ranges = 256;
+  for (const RadarParams& p : {RadarParams::test_small(), bench}) {
+    EXPECT_EQ(parallel_chunks(p.cube_samples(), SceneGenerator::kMinChunkSamples), 1u);
   }
 }
 
@@ -1408,6 +1556,27 @@ TEST_F(CubeIoTest, AsyncSlabReadMatchesSync) {
   const DataCube async_cube = unpack_slab(p, r0, r1, raw);
   EXPECT_TRUE(std::equal(sync_cube.flat().begin(), sync_cube.flat().end(),
                          async_cube.flat().begin()));
+}
+
+TEST_F(CubeIoTest, StagedWritesReuseOneBufferInBothLayouts) {
+  const RadarParams p = RadarParams::test_small();
+  pfs::StripedFileSystem pfs_fs(root_, pfs::paragon_pfs(4));
+  const SceneGenerator gen(p, SceneConfig{}, 10);
+  std::vector<cfloat> staging(p.cube_samples(),
+                              cfloat{std::numeric_limits<float>::quiet_NaN(), 0.0f});
+  DataCube cube(p.channels, p.pulses, p.ranges);
+  for (const FileLayout layout : {FileLayout::kRangeMajor, FileLayout::kPulseMajor}) {
+    for (std::uint64_t cpi = 0; cpi < 2; ++cpi) {
+      gen.generate_into(cpi, cube);
+      const std::string name = "staged" + std::to_string(cpi);
+      write_cpi(pfs_fs, name, cube, layout, staging);
+      const DataCube back = read_cpi(pfs_fs, name, p, layout);
+      EXPECT_TRUE(same_bytes(back.flat(), cube.flat())) << "cpi " << cpi;
+    }
+  }
+  std::vector<cfloat> short_staging(p.cube_samples() - 1);
+  EXPECT_THROW(write_cpi(pfs_fs, "bad", cube, FileLayout::kRangeMajor, short_staging),
+               PreconditionError);
 }
 
 TEST(CubeIoNames, RoundRobinCyclesThroughFourFiles) {
