@@ -133,7 +133,8 @@ void BM_DopplerFilter(benchmark::State& state) {
 BENCHMARK(BM_DopplerFilter);
 
 // The paper geometry (16 channels x 128 pulses x 1024 ranges, 127 Doppler
-// bins): the stage that sets the paper-embedded pipeline period.
+// bins): the stage that sets the paper-embedded pipeline period. One chunk,
+// so this times the per-core kernel, not the host's idle cores.
 void BM_DopplerFilterPaper(benchmark::State& state) {
   const RadarParams p;
   SceneGenerator gen(p, SceneConfig{}, 1);
@@ -141,7 +142,7 @@ void BM_DopplerFilterPaper(benchmark::State& state) {
   DopplerFilter filter(p);
   DopplerOutput out;
   for (auto _ : state) {
-    filter.process_into(cube, out);
+    filter.process_into(cube, out, /*chunks=*/1);
     benchmark::DoNotOptimize(out.easy.flat().data());
     benchmark::DoNotOptimize(out.hard.flat().data());
     benchmark::ClobberMemory();
@@ -155,7 +156,8 @@ BENCHMARK(BM_DopplerFilterPaper);
 
 // The paper geometry through the raw-slab entry on a range-major slab, as
 // the embedded pipeline's Doppler node runs it: each 32-gate block of the
-// file-order buffer is transposed into the filter's tile, then filtered.
+// file-order buffer is transposed into the filter's tile, then filtered
+// (one chunk, as above).
 void BM_DopplerFilterPaperRaw(benchmark::State& state) {
   const RadarParams p;
   SceneGenerator gen(p, SceneConfig{}, 1);
@@ -165,7 +167,7 @@ void BM_DopplerFilterPaperRaw(benchmark::State& state) {
   DopplerFilter filter(p);
   DopplerOutput out;
   for (auto _ : state) {
-    filter.process_into(raw, p.ranges, FileLayout::kRangeMajor, out);
+    filter.process_into(raw, p.ranges, FileLayout::kRangeMajor, out, /*chunks=*/1);
     benchmark::DoNotOptimize(out.easy.flat().data());
     benchmark::DoNotOptimize(out.hard.flat().data());
     benchmark::ClobberMemory();

@@ -9,6 +9,9 @@
 #include <pthread.h>
 #include <sched.h>
 #endif
+#if defined(__x86_64__) || defined(__i386__)
+#include <xmmintrin.h>
+#endif
 
 #include "common/error.hpp"
 
@@ -49,13 +52,40 @@ void pin_self([[maybe_unused]] int cpu) {
 #endif
 }
 
+// CPUs the calling thread may run on: its affinity mask's count where that
+// can be queried, else the hardware thread count. A thread pinned to one
+// CPU gets 1, so a pinned rank never time-slices its own workers.
+std::size_t allowed_cpus() {
+  // Read once: hardware_concurrency() reads sysfs on every call.
+  static const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
+#if defined(__linux__)
+  // The mask is per thread and may change, so it is read on every call.
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    return std::clamp<std::size_t>(static_cast<std::size_t>(CPU_COUNT(&allowed)), 1,
+                                   cores);
+  }
+#endif
+  return cores;
+}
+
+// The calling thread's SSE control word (FTZ/DAZ, rounding); workers take
+// their caller's, so a chunk computes exactly what the caller would.
+struct FpEnv {
+#if defined(__x86_64__) || defined(__i386__)
+  unsigned csr = _mm_getcsr();
+  void apply() const { _mm_setcsr(csr); }
+#else
+  void apply() const {}
+#endif
+};
+
 }  // namespace
 
 std::size_t parallel_chunks(std::size_t work, std::size_t min_per_chunk) {
-  // Read once: hardware_concurrency() reads sysfs on every call.
-  static const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
   return std::clamp<std::size_t>(work / std::max<std::size_t>(min_per_chunk, 1), 1,
-                                 cores);
+                                 allowed_cpus());
 }
 
 void parallel_for(std::size_t chunks, const std::function<void(std::size_t)>& fn) {
@@ -73,11 +103,13 @@ void parallel_for(std::size_t chunks, const std::function<void(std::size_t)>& fn
     }
   };
   const std::vector<int> cpus = other_cpus();
+  const FpEnv fp_env;
   std::vector<std::thread> threads;
   threads.reserve(chunks - 1);
   try {
     for (std::size_t i = 1; i < chunks; ++i) {
       threads.emplace_back([&, i] {
+        fp_env.apply();
         if (!cpus.empty()) pin_self(cpus[(i - 1) % cpus.size()]);
         run(i);
       });

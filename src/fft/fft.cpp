@@ -380,6 +380,11 @@ void FftPlan::transform_soa(std::span<float> re, std::span<float> im,
   }
 }
 
+void FftPlan::reserve_soa(BatchScratch& scratch, std::size_t lanes) const {
+  scratch.work_re_.reserve(work_rows_ * lanes);
+  scratch.work_im_.reserve(work_rows_ * lanes);
+}
+
 void FftPlan::transform_batch(std::span<cfloat> data, std::size_t count,
                               Direction dir, BatchScratch& scratch) const {
   PSTAP_REQUIRE(data.size() == count * n_, "batch buffer size mismatch");

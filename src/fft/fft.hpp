@@ -117,6 +117,10 @@ class FftPlan {
   void transform_soa(std::span<float> re, std::span<float> im, std::size_t lanes,
                      Direction dir, BatchScratch& scratch) const;
 
+  /// Grow `scratch` so that transform_soa at up to `lanes` lanes allocates
+  /// nothing: a caller can size a worker thread's scratch before the fork.
+  void reserve_soa(BatchScratch& scratch, std::size_t lanes) const;
+
  private:
   // One stage of the mixed-radix pass: blocks of radix * span rows. A radix
   // above 7 (a prime factor) runs through `sub`, its own plan.

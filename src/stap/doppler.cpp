@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/parallel.hpp"
 #include "common/simd.hpp"
 
 namespace pstap::stap {
@@ -63,10 +64,11 @@ struct DopplerFilter::BlockRows {
 };
 
 /// Sizes `out` for `ranges` gates, then filters each range block from the
-/// rows rows_of(r0, width) points at.
+/// rows rows_of(ws, r0, width) points at, in chunks of whole blocks. A
+/// range-major source (`tiled`) gets a block tile in every workspace.
 template <typename RowsOf>
-void DopplerFilter::filter_blocks(std::size_t ranges, DopplerOutput& out,
-                                  RowsOf rows_of) const {
+void DopplerFilter::filter_blocks(std::size_t ranges, std::size_t chunks, bool tiled,
+                                  DopplerOutput& out, RowsOf rows_of) const {
   out.easy_bin_ids = params_.easy_bins();
   out.hard_bin_ids = params_.hard_bins();
   if (out.easy.bins() != out.easy_bin_ids.size() ||
@@ -77,23 +79,44 @@ void DopplerFilter::filter_blocks(std::size_t ranges, DopplerOutput& out,
       out.hard.dof() != params_.hard_dof() || out.hard.ranges() != ranges) {
     out.hard = BinArray(out.hard_bin_ids.size(), params_.hard_dof(), ranges);
   }
+  const std::size_t blocks = (ranges + kRangesPerBlock - 1) / kRangesPerBlock;
+  if (chunks == 0) {
+    chunks =
+        parallel_chunks(ranges * params_.pulses * params_.channels, kMinChunkSamples);
+  }
+  chunks = std::clamp<std::size_t>(chunks, 1, std::max<std::size_t>(blocks, 1));
+
+  // Every chunk's workspace is sized here, on the calling thread.
   const std::size_t m = params_.doppler_bins();
-  re_.resize(m * 2 * kRangesPerBlock);
-  im_.resize(m * 2 * kRangesPerBlock);
+  if (ws_.size() < chunks) ws_.resize(chunks);
+  for (std::size_t i = 0; i < chunks; ++i) {
+    Workspace& ws = ws_[i];
+    ws.re.resize(m * 2 * kRangesPerBlock);
+    ws.im.resize(m * 2 * kRangesPerBlock);
+    plan_.reserve_soa(ws.scratch, 2 * kRangesPerBlock);
+    if (tiled && ws.tile.ranges() == 0) {
+      ws.tile = DataCube(params_.channels, params_.pulses, kRangesPerBlock);
+    }
+  }
   const bool stream =
       out.easy.flat().size_bytes() + out.hard.flat().size_bytes() >= kStreamMinBytes;
-  for (std::size_t r0 = 0; r0 < ranges; r0 += kRangesPerBlock) {
-    const std::size_t width = std::min(kRangesPerBlock, ranges - r0);
-    filter_block(rows_of(r0, width), r0, width, stream, out);
-  }
-  // Streaming stores are weakly ordered: order them before `out` is
-  // handed on.
-  simd::store_fence();
+  parallel_for(chunks, [&](std::size_t i) {
+    Workspace& ws = ws_[i];
+    const auto [b0, b1] = chunk_range(blocks, chunks, i);
+    for (std::size_t b = b0; b < b1; ++b) {
+      const std::size_t r0 = b * kRangesPerBlock;
+      const std::size_t width = std::min(kRangesPerBlock, ranges - r0);
+      filter_block(rows_of(ws, r0, width), r0, width, stream, ws, out);
+    }
+    // Streaming stores are weakly ordered, per thread: order this chunk's
+    // before `out` is handed on.
+    simd::store_fence();
+  });
 }
 
 /// The Doppler kernel for gates [r0, r0 + R) of every channel.
 void DopplerFilter::filter_block(const BlockRows& rows, std::size_t r0, std::size_t R,
-                                 bool stream, DopplerOutput& out) const {
+                                 bool stream, Workspace& ws, DopplerOutput& out) const {
   const std::size_t m = params_.doppler_bins();
   const std::size_t ch = params_.channels;
   const std::size_t L = 2 * R;
@@ -108,15 +131,15 @@ void DopplerFilter::filter_block(const BlockRows& rows, std::size_t r0, std::siz
       const float* row0 = reinterpret_cast<const float*>(chan + p * rows.pulse_stride);
       const float* row1 =
           reinterpret_cast<const float*>(chan + (p + 1) * rows.pulse_stride);
-      float* rk = re_.data() + p * L;
-      float* ik = im_.data() + p * L;
+      float* rk = ws.re.data() + p * L;
+      float* ik = ws.im.data() + p * L;
       vec.deinterleave_scale(rk, ik, row0, w, R);
       vec.deinterleave_scale(rk + R, ik + R, row1, w, R);
     }
 
-    plan_.transform_soa(std::span<float>(re_.data(), m * L),
-                        std::span<float>(im_.data(), m * L), L,
-                        fft::Direction::kForward, scratch_);
+    plan_.transform_soa(std::span<float>(ws.re.data(), m * L),
+                        std::span<float>(ws.im.data(), m * L), L,
+                        fft::Direction::kForward, ws.scratch);
 
     // Route bins: hard bins take both staggers, easy bins stagger 0 only.
     // Each route is one SIMD re-interleave of a plane row into the output.
@@ -124,8 +147,8 @@ void DopplerFilter::filter_block(const BlockRows& rows, std::size_t r0, std::siz
     // after it has left the cache, so its stores stream: reading its lines
     // in first would only waste bandwidth.
     for (std::size_t b = 0; b < m; ++b) {
-      const float* rk = re_.data() + b * L;
-      const float* ik = im_.data() + b * L;
+      const float* rk = ws.re.data() + b * L;
+      const float* ik = ws.im.data() + b * L;
       if (hard_slot_[b] != SIZE_MAX) {
         const std::size_t i = hard_slot_[b];
         float* d0 = reinterpret_cast<float*>(&out.hard.at(i, c, r0));
@@ -140,36 +163,42 @@ void DopplerFilter::filter_block(const BlockRows& rows, std::size_t r0, std::siz
   }
 }
 
-void DopplerFilter::process_into(const DataCube& cube, DopplerOutput& out) const {
+void DopplerFilter::process_into(const DataCube& cube, DopplerOutput& out,
+                                 std::size_t chunks) const {
   PSTAP_REQUIRE(cube.channels() == params_.channels && cube.pulses() == params_.pulses,
                 "cube shape does not match radar parameters");
   const std::size_t nr = cube.ranges();
-  filter_blocks(nr, out, [&](std::size_t r0, std::size_t) {
-    return BlockRows{&cube.at(0, 0, r0), params_.pulses * nr, nr};
-  });
+  filter_blocks(nr, chunks, /*tiled=*/false, out,
+                [&](Workspace&, std::size_t r0, std::size_t) {
+                  return BlockRows{&cube.at(0, 0, r0), params_.pulses * nr, nr};
+                });
 }
 
 void DopplerFilter::process_into(std::span<const cfloat> raw, std::size_t ranges,
-                                 FileLayout layout, DopplerOutput& out) const {
+                                 FileLayout layout, DopplerOutput& out,
+                                 std::size_t chunks) const {
   const std::size_t ch = params_.channels;
   const std::size_t np = params_.pulses;
   PSTAP_REQUIRE(raw.size() == ranges * np * ch,
                 "raw slab size does not match radar parameters");
   if (layout == FileLayout::kPulseMajor) {
     // Rows arrive back to back in (pulse * channels + channel) order.
-    filter_blocks(ranges, out, [&](std::size_t r0, std::size_t) {
-      return BlockRows{raw.data() + r0, ranges, ch * ranges};
-    });
+    filter_blocks(ranges, chunks, /*tiled=*/false, out,
+                  [&](Workspace&, std::size_t r0, std::size_t) {
+                    return BlockRows{raw.data() + r0, ranges, ch * ranges};
+                  });
     return;
   }
   // Range-major: the block's gates are one contiguous run of the slab;
-  // transpose it into the tile's rows, which keep a fixed stride of
+  // transpose it into the chunk's tile, whose rows keep a fixed stride of
   // kRangesPerBlock gates even for a ragged last block.
-  if (tile_.ranges() == 0) tile_ = DataCube(ch, np, kRangesPerBlock);
-  filter_blocks(ranges, out, [&](std::size_t r0, std::size_t width) {
-    tile_.unpack_file_order(0, width, raw.subspan(r0 * np * ch, width * np * ch));
-    return BlockRows{&tile_.at(0, 0, 0), np * kRangesPerBlock, kRangesPerBlock};
-  });
+  filter_blocks(ranges, chunks, /*tiled=*/true, out,
+                [&](Workspace& ws, std::size_t r0, std::size_t width) {
+                  ws.tile.unpack_file_order(0, width,
+                                            raw.subspan(r0 * np * ch, width * np * ch));
+                  return BlockRows{&ws.tile.at(0, 0, 0), np * kRangesPerBlock,
+                                   kRangesPerBlock};
+                });
 }
 
 }  // namespace pstap::stap

@@ -14,8 +14,13 @@
 // The gather reads each block's range-contiguous pulse rows wherever they
 // already are: in a DataCube, or in place in the raw slab buffer a pfs read
 // filled (pulse-major files). A range-major slab has no such rows, so each
-// block of it is first transposed into a small per-instance tile; no
+// block of it is first transposed into a small per-chunk tile; no
 // whole-cube reorganisation sits between the read and the filter.
+//
+// A large call splits its range blocks into contiguous chunks and filters
+// them on several cores (pstap::parallel_for), each chunk with its own
+// workspace and into its own column windows of the output, so the bytes do
+// not depend on the chunk count. A small call runs one chunk inline.
 #pragma once
 
 #include <span>
@@ -48,19 +53,26 @@ class DopplerFilter {
   /// place, every element of them, so their prior contents do not matter:
   /// a caller may hand in fresh uninitialized (e.g. pooled) storage each
   /// call. Arrays of another shape are replaced by newly allocated ones.
-  /// An output of kStreamMinBytes or more is written with streaming stores
-  /// (it is not read back here) and fenced before return, so either way it
-  /// may be handed straight to another thread.
-  /// Instances keep per-call scratch: share one DopplerFilter per thread.
-  void process_into(const DataCube& cube, DopplerOutput& out) const;
+  /// The range blocks run in `chunks` chunks (0: one per kMinChunkSamples
+  /// input samples, at most one per CPU of the caller's affinity mask; in
+  /// every case at most one per block); the bytes are the same for every
+  /// chunk count. An output of kStreamMinBytes or more is written with
+  /// streaming stores (it is not read back here), and every chunk fences
+  /// its own before return, so either way `out` may be handed straight to
+  /// another thread.
+  /// Instances keep per-call workspaces: share one DopplerFilter per
+  /// calling thread (its chunks' workers use workspaces of their own).
+  void process_into(const DataCube& cube, DopplerOutput& out,
+                    std::size_t chunks = 0) const;
 
   /// Process a raw slab of `ranges` gates straight from the buffer a slab
   /// read filled, in its file order (cube_io's start_read_cpi_slab layout:
   /// range-major [range][pulse][channel], or pulse-major rows in
   /// pulse * channels + channel order). Bit-identical to process_into on
-  /// the same samples as a DataCube.
+  /// the same samples as a DataCube; `chunks` as there.
   void process_into(std::span<const cfloat> raw, std::size_t ranges,
-                    FileLayout layout, DopplerOutput& out) const;
+                    FileLayout layout, DopplerOutput& out,
+                    std::size_t chunks = 0) const;
 
   /// The Hann window applied across each sub-aperture.
   const std::vector<float>& window() const noexcept { return window_; }
@@ -71,13 +83,30 @@ class DopplerFilter {
   /// is near 2 MB on a host with 2 MB of L2 per core (EXPERIMENTS.md).
   static constexpr std::size_t kStreamMinBytes = std::size_t{2} << 20;
 
+  /// Input samples (ranges x pulses x channels) per chunk: an input smaller
+  /// than two of these is filtered on the calling thread alone, with no
+  /// thread started (test_small's is). The paper geometry's 2^21 samples
+  /// run in up to 4 chunks (EXPERIMENTS.md).
+  static constexpr std::size_t kMinChunkSamples = std::size_t{1} << 19;
+
  private:
   struct BlockRows;
 
+  // One chunk's transform workspace (grown once, then reused). Aligned so
+  // the SIMD butterflies never split cache lines.
+  struct Workspace {
+    AlignedVector<float> re, im;  // SoA planes, M x 64 lanes
+    fft::BatchScratch scratch;
+    // One range block of a range-major raw slab, transposed into rows
+    // (channels x pulses x block gates; made on first range-major use).
+    DataCube tile;
+  };
+
   template <typename RowsOf>
-  void filter_blocks(std::size_t ranges, DopplerOutput& out, RowsOf rows_of) const;
-  void filter_block(const BlockRows& rows, std::size_t r0, std::size_t R,
-                    bool stream, DopplerOutput& out) const;
+  void filter_blocks(std::size_t ranges, std::size_t chunks, bool tiled,
+                     DopplerOutput& out, RowsOf rows_of) const;
+  void filter_block(const BlockRows& rows, std::size_t r0, std::size_t R, bool stream,
+                    Workspace& ws, DopplerOutput& out) const;
 
   RadarParams params_;
   fft::FftPlan plan_;            // length M transform
@@ -88,13 +117,9 @@ class DopplerFilter {
   std::vector<std::size_t> easy_slot_;
   std::vector<std::size_t> hard_slot_;
 
-  // Per-instance transform workspace (grown once, then reused). Aligned so
-  // the SIMD butterflies never split cache lines.
-  mutable AlignedVector<float> re_, im_;  // SoA planes, M x 64 lanes
-  mutable fft::BatchScratch scratch_;
-  // One range block of a range-major raw slab, transposed into rows
-  // (channels x pulses x block gates; made on first range-major use).
-  mutable DataCube tile_;
+  // One workspace per chunk of the largest split so far, made on the
+  // calling thread before the fork, so no worker allocates.
+  mutable std::vector<Workspace> ws_;
 };
 
 }  // namespace pstap::stap

@@ -10,7 +10,11 @@
 #include <thread>
 
 #if defined(__linux__)
+#include <pthread.h>
 #include <sched.h>
+#endif
+#if defined(__x86_64__) || defined(__i386__)
+#include <xmmintrin.h>
 #endif
 
 #include "common/aligned_buffer.hpp"
@@ -280,6 +284,49 @@ TEST(ParallelFor, PinsEachWorkerToItsOwnCpu) {
 }
 #endif
 
+#if defined(__linux__)
+TEST(ParallelFor, OneChunkOnASingleCpuMask) {
+  // A pinned rank's workers would inherit its one-CPU mask and time-slice
+  // that CPU, so a thread allowed one CPU gets one chunk, however large
+  // the work.
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &allowed)) ++first;
+  std::size_t chunks = 0;
+  int pinned = -1;
+  std::thread([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    pinned = pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+    chunks = parallel_chunks(std::size_t{1} << 40, 1);
+  }).join();
+  ASSERT_EQ(pinned, 0);
+  EXPECT_EQ(chunks, 1u);
+}
+#endif
+
+#if defined(__x86_64__) || defined(__i386__)
+TEST(ParallelFor, WorkersRunUnderCallersFpEnvironment) {
+  // Pipeline-vs-StapChain exactness needs every chunk of a kernel to run
+  // under the caller's FTZ/DAZ, whatever a new thread starts with. The
+  // control bits are compared; the six sticky exception flags are not.
+  constexpr unsigned kControl = ~0x3fu;
+  const unsigned saved = _mm_getcsr();
+  for (const unsigned csr : {saved | 0x8040u, saved & ~0x8040u}) {
+    _mm_setcsr(csr);
+    std::vector<unsigned> seen(4, 0);
+    parallel_for(seen.size(), [&](std::size_t i) { seen[i] = _mm_getcsr(); });
+    _mm_setcsr(saved);
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      EXPECT_EQ(seen[i] & kControl, csr & kControl) << "chunk " << i;
+    }
+  }
+}
+#endif
+
 TEST(ParallelFor, ChunksPartitionInOrderAndSmallWorkStaysOnOne) {
   for (const std::size_t n : {0u, 1u, 5u, 64u, 1001u}) {
     for (const std::size_t chunks : {1u, 2u, 3u, 7u}) {
@@ -293,7 +340,13 @@ TEST(ParallelFor, ChunksPartitionInOrderAndSmallWorkStaysOnOne) {
       EXPECT_EQ(next, n);
     }
   }
-  const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  cores = std::min<std::size_t>(cores, static_cast<std::size_t>(CPU_COUNT(&allowed)));
+#endif
   EXPECT_EQ(parallel_chunks(0, 100), 1u);
   EXPECT_EQ(parallel_chunks(199, 100), 1u);
   EXPECT_EQ(parallel_chunks(200, 100), std::min<std::size_t>(2, cores));

@@ -389,6 +389,26 @@ TEST_F(ThreadRunnerTest, StreamedDopplerOutputMatchesSequentialReference) {
       {p});
 }
 
+// A Doppler slab of two DopplerFilter::kMinChunkSamples or more is filtered
+// in several chunks, on other cores, each streaming and fencing its own
+// column windows before the node ships slices of the output; detections
+// must still match the reference. (On a one-CPU mask the node runs one
+// chunk, and this is the streamed case again.)
+TEST_F(ThreadRunnerTest, ChunkedDopplerOutputMatchesSequentialReference) {
+  stap::RadarParams p = stap::RadarParams::test_small();
+  const std::size_t gate_samples = p.pulses * p.channels;
+  p.ranges = (2 * stap::DopplerFilter::kMinChunkSamples / gate_samples / 32 + 1) * 32;
+  const std::size_t gate_bytes =
+      (p.easy_bin_count() * p.easy_dof() + p.hard_bin_count() * p.hard_dof()) *
+      sizeof(cfloat);
+  ASSERT_GE(p.ranges * gate_bytes, stap::DopplerFilter::kStreamMinBytes);
+  expect_matches_reference(
+      [](const stap::RadarParams& q) {
+        return PipelineSpec::embedded_io(q, {1, 1, 1, 2, 2, 1, 1});
+      },
+      {p});
+}
+
 TEST_F(ThreadRunnerTest, SeparateIoProducesSameDetections) {
   expect_matches_reference([](const stap::RadarParams& p) {
     auto spec = PipelineSpec::separate_io(p, {2, 2, 1, 1, 1, 1, 1, 1});

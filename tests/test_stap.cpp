@@ -833,6 +833,85 @@ TEST(Doppler, WritesEveryElementAtAnUnalignedBase) {
   }
 }
 
+TEST(Doppler, ChunkCountDoesNotChangeBytes) {
+  // Each chunk filters whole 32-gate blocks into its own column windows,
+  // so the bytes cannot depend on the split. For chunk counts 1, 2, 3 and
+  // 7, both entries and both file layouts must reproduce the one-chunk
+  // cube output bit for bit, into NaN-poisoned pooled storage, on every
+  // backend: at the paper geometry (streamed output) and at 23 bins with a
+  // ragged last block, below (1000 gates) and above (2500 gates)
+  // kStreamMinBytes.
+  SimdBackendGuard guard;
+  BufferPool pool;
+  RadarParams rader = RadarParams::test_small();
+  rader.pulses = 24;
+  std::vector<RadarParams> geometries{RadarParams{}, rader, rader};
+  geometries[1].ranges = 1000;
+  geometries[2].ranges = 2500;
+  for (const RadarParams& p : geometries) {
+    SceneConfig cfg;
+    cfg.cnr_db = 40.0;
+    cfg.targets = {{p.ranges / 3, 1.0, -0.35, 25.0}};
+    const DataCube cube = SceneGenerator(p, cfg, 53).generate(0);
+    std::vector<cfloat> range_major(cube.samples());
+    cube.pack_file_order(0, p.ranges, range_major);
+    std::vector<cfloat> pulse_major(cube.samples());
+    for (std::size_t c = 0; c < p.channels; ++c)
+      for (std::size_t pp = 0; pp < p.pulses; ++pp)
+        for (std::size_t r = 0; r < p.ranges; ++r)
+          pulse_major[(pp * p.channels + c) * p.ranges + r] = cube.at(c, pp, r);
+    const std::size_t n_easy = p.easy_bin_count() * p.easy_dof() * p.ranges;
+    const std::size_t n_hard = p.hard_bin_count() * p.hard_dof() * p.ranges;
+    const bool streamed =
+        (n_easy + n_hard) * sizeof(cfloat) >= DopplerFilter::kStreamMinBytes;
+    EXPECT_EQ(streamed, p.ranges != 1000);
+    for (simd::Backend b : simd_backends()) {
+      simd::force_backend(b);
+      const DopplerFilter filt(p);
+      DopplerOutput want;
+      filt.process_into(cube, want, 1);
+      for (const std::size_t chunks : {1u, 2u, 3u, 7u}) {
+        for (const int entry : {0, 1, 2}) {
+          DopplerOutput out;
+          out.easy = BinArray(p.easy_bin_count(), p.easy_dof(), p.ranges,
+                              nan_poisoned(pool, n_easy));
+          out.hard = BinArray(p.hard_bin_count(), p.hard_dof(), p.ranges,
+                              nan_poisoned(pool, n_hard));
+          if (entry == 0) {
+            filt.process_into(cube, out, chunks);
+          } else if (entry == 1) {
+            filt.process_into(range_major, p.ranges, FileLayout::kRangeMajor, out,
+                              chunks);
+          } else {
+            filt.process_into(pulse_major, p.ranges, FileLayout::kPulseMajor, out,
+                              chunks);
+          }
+          const std::string where =
+              std::string(simd::backend_name(b)) + ", " +
+              std::to_string(p.doppler_bins()) + " bins x " +
+              std::to_string(p.ranges) + " gates, " + std::to_string(chunks) +
+              " chunks, " +
+              (entry == 0 ? "cube" : entry == 1 ? "range-major" : "pulse-major");
+          EXPECT_TRUE(same_bytes(out.easy.flat(), want.easy.flat())) << where;
+          EXPECT_TRUE(same_bytes(out.hard.flat(), want.hard.flat())) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(Doppler, SmallInputsFilterOnOneChunk) {
+  // test_small (small-separate's cube) and the kernel benches' 256-gate
+  // cube size to one chunk, so their filter starts no thread; the paper
+  // geometry splits wherever the caller has a second CPU.
+  RadarParams bench = RadarParams::test_small();
+  bench.ranges = 256;
+  for (const RadarParams& p : {RadarParams::test_small(), bench}) {
+    EXPECT_EQ(parallel_chunks(p.cube_samples(), DopplerFilter::kMinChunkSamples), 1u);
+  }
+  EXPECT_GE(RadarParams{}.cube_samples() / DopplerFilter::kMinChunkSamples, 2u);
+}
+
 TEST(Doppler, RejectsMismatchedRawSlab) {
   const RadarParams p = RadarParams::test_small();
   DopplerFilter filt(p);
