@@ -86,8 +86,10 @@ class DopplerFilter {
   /// Input samples (ranges x pulses x channels) per chunk: an input smaller
   /// than two of these is filtered on the calling thread alone, with no
   /// thread started (test_small's is). The paper geometry's 2^21 samples
-  /// run in up to 4 chunks (EXPERIMENTS.md).
-  static constexpr std::size_t kMinChunkSamples = std::size_t{1} << 19;
+  /// run in 3 chunks. On a 4-CPU host, 4 chunks were 4 % faster in
+  /// throughput, but they raised CPI latency by about a quarter and peak
+  /// RSS by 5 MB more, against the downstream ranks (EXPERIMENTS.md).
+  static constexpr std::size_t kMinChunkSamples = std::size_t{640} << 10;
 
  private:
   struct BlockRows;
