@@ -84,8 +84,10 @@ struct FpEnv {
 }  // namespace
 
 std::size_t parallel_chunks(std::size_t work, std::size_t min_per_chunk) {
-  return std::clamp<std::size_t>(work / std::max<std::size_t>(min_per_chunk, 1), 1,
-                                 allowed_cpus());
+  const std::size_t want = work / std::max<std::size_t>(min_per_chunk, 1);
+  // Below two chunks' work the mask cannot change the answer: skip its
+  // query, which a small per-CPI call would otherwise pay every time.
+  return want <= 1 ? 1 : std::min(want, allowed_cpus());
 }
 
 void parallel_for(std::size_t chunks, const std::function<void(std::size_t)>& fn) {

@@ -86,9 +86,10 @@ class DopplerFilter {
   /// Input samples (ranges x pulses x channels) per chunk: an input smaller
   /// than two of these is filtered on the calling thread alone, with no
   /// thread started (test_small's is). The paper geometry's 2^21 samples
-  /// run in 3 chunks. On a 4-CPU host, 4 chunks were 4 % faster in
-  /// throughput, but they raised CPI latency by about a quarter and peak
-  /// RSS by 5 MB more, against the downstream ranks (EXPERIMENTS.md).
+  /// run in 3 chunks: on a 4-CPU host a fourth chunk gained 4 % in
+  /// throughput but added about 30 % to CPI latency and 4 MB to peak RSS,
+  /// since its worker shares a core with the downstream ranks
+  /// (EXPERIMENTS.md).
   static constexpr std::size_t kMinChunkSamples = std::size_t{640} << 10;
 
  private:
