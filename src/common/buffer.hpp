@@ -14,7 +14,7 @@
 //   * allocated — cache-line-aligned storage of its own, freed on release
 //     (Buffer::allocate: the default storage of the STAP row arrays);
 //   * adopted   — wraps a std::vector<std::byte> the caller already built
-//     (the legacy pack()/send_bytes path; keeps move semantics, one Rep
+//     (the packed spans of mp::Comm::send and allreduce_sum; one Rep
 //     allocation per message).
 //
 // A handle views a byte range of its storage: slice() hands out a
@@ -152,23 +152,6 @@ class Buffer {
     PSTAP_REQUIRE(size() % sizeof(T) == 0,
                   "buffer size is not a multiple of the element size");
     return {reinterpret_cast<const T*>(data()), size() / sizeof(T)};
-  }
-
-  /// Extract the payload as a vector. Zero-copy when this is the only
-  /// handle to an adopted vector and views it from the start; otherwise
-  /// copies.
-  std::vector<std::byte> to_vector() && {
-    if (rep_ == nullptr) return {};
-    if (rep_->mem.empty() && offset_ == 0 &&
-        rep_->refs.load(std::memory_order_acquire) == 1) {
-      std::vector<std::byte> out = std::move(rep_->vec);
-      out.resize(size_);
-      reset();
-      return out;
-    }
-    std::vector<std::byte> out(data(), data() + size());
-    reset();
-    return out;
   }
 
   /// Drop this handle (recycles/frees the storage if it was the last one).

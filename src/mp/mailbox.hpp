@@ -15,7 +15,7 @@
 
 namespace pstap::mp {
 
-/// Raised by blocking receives/probes on a closed mailbox. A distinct type
+/// Raised by blocking receives on a closed mailbox. A distinct type
 /// (not a timeout, not an IoError) so supervisor teardown is unambiguous:
 /// ranks parked in recv during an abort unwind with this instead of
 /// hanging, and no retry layer mistakes it for a transient I/O failure.
@@ -25,7 +25,7 @@ class MailboxClosed : public RuntimeError {
 };
 
 /// One mailbox per world rank. Senders push envelopes; the owning rank
-/// removes the first envelope matching (context, source-or-any, tag-or-any).
+/// removes the first envelope matching (context, source, tag) exactly.
 /// Matching preserves per-(source,tag) FIFO order, which is the ordering
 /// guarantee message-passing codes rely on.
 class Mailbox {
@@ -74,12 +74,6 @@ class Mailbox {
     }
   }
 
-  /// Non-blocking variant; std::nullopt if nothing matches now.
-  std::optional<Envelope> try_pop_matching(std::uint64_t context, int source, int tag) {
-    std::lock_guard lock(mu_);
-    return try_take(context, source, tag);
-  }
-
   /// Probe without removing: returns the payload size of the first matching
   /// envelope, or std::nullopt.
   std::optional<std::size_t> probe(std::uint64_t context, int source, int tag) {
@@ -87,21 +81,9 @@ class Mailbox {
     return probe_locked(context, source, tag);
   }
 
-  /// Blocking probe: wait until a matching envelope arrives; returns its
-  /// payload size without removing it. Throws MailboxClosed like
-  /// pop_matching when closed with no match available.
-  std::size_t probe_wait(std::uint64_t context, int source, int tag) {
-    std::unique_lock lock(mu_);
-    for (;;) {
-      if (auto n = probe_locked(context, source, tag)) return *n;
-      if (closed_) throw MailboxClosed("mailbox closed while probing");
-      cv_.wait(lock);
-    }
-  }
-
-  /// Close the mailbox: every receiver blocked in pop_matching/probe_wait
-  /// wakes and throws MailboxClosed (after draining any envelope that
-  /// already matches). Pushes remain accepted and are silently retained —
+  /// Close the mailbox: every receiver blocked in pop_matching wakes and
+  /// throws MailboxClosed (after draining any envelope that already
+  /// matches). Pushes remain accepted and are silently retained —
   /// a sender racing a shutdown must not crash.
   void close() {
     {
@@ -131,9 +113,7 @@ class Mailbox {
 
  private:
   static bool matches(const Envelope& env, std::uint64_t context, int source, int tag) {
-    return env.context == context &&
-           (source == kAnySource || env.source == source) &&
-           (tag == kAnyTag || env.tag == tag);
+    return env.context == context && env.source == source && env.tag == tag;
   }
 
   std::optional<std::size_t> probe_locked(std::uint64_t context, int source, int tag) const {

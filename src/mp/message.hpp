@@ -19,14 +19,9 @@
 
 namespace pstap::mp {
 
-/// Matches any source rank in recv/probe.
-inline constexpr int kAnySource = -1;
-/// Matches any tag in recv/probe.
-inline constexpr int kAnyTag = -1;
-
 /// Refcounted payload handle (see common/buffer.hpp): pooled buffers give
-/// the zero-copy/zero-allocation fast path; adopted vectors cover the
-/// legacy pack()/send_bytes path.
+/// the zero-copy/zero-allocation fast path; adopted vectors carry the
+/// packed spans of Comm::send and allreduce_sum.
 using Buffer = pstap::Buffer;
 using BufferPool = pstap::BufferPool;
 
@@ -36,7 +31,7 @@ using BufferPool = pstap::BufferPool;
 struct Envelope {
   std::uint64_t context = 0;  ///< communicator context id
   int source = 0;             ///< sender rank within that communicator
-  int tag = 0;                ///< user tag (>= 0)
+  int tag = 0;                ///< user tag (>= 0); negative is internal
   Buffer payload;
 };
 

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <mutex>
+#include <numeric>
 #include <thread>
 
 #if defined(__linux__)
@@ -70,11 +71,6 @@ World::World(int size, WorldOptions options) : options_(std::move(options)) {
       obs::Registry::global().counter("mp.pin.oversubscribed").add();
     }
   }
-  if (options_.numa_interleave) {
-    std::fprintf(stderr,
-                 "pstap: numa_interleave: no NUMA allocation API in this "
-                 "build; relying on first-touch placement of pool buffers\n");
-  }
 }
 
 World::~World() = default;
@@ -86,9 +82,8 @@ Mailbox& World::mailbox(int world_rank) {
 
 Comm World::make_comm(int world_rank) {
   PSTAP_REQUIRE(world_rank >= 0 && world_rank < size(), "world rank out of range");
-  const int n = size();
-  std::vector<int> identity(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) identity[static_cast<std::size_t>(i)] = i;
+  std::vector<int> identity(static_cast<std::size_t>(size()));
+  std::iota(identity.begin(), identity.end(), 0);
   return Comm(this, std::move(identity), world_rank, /*context=*/0);
 }
 
@@ -102,16 +97,13 @@ void World::reopen_all_mailboxes() {
 
 void World::run(const std::function<void(Comm&)>& fn) {
   const int n = size();
-  std::vector<int> identity(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) identity[static_cast<std::size_t>(i)] = i;
-
   std::atomic<int> pinned{0};
   std::mutex error_mu;
   std::exception_ptr first_error;  // guarded by error_mu
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
-    threads.emplace_back([this, &fn, &identity, &error_mu, &first_error, &pinned, r] {
+    threads.emplace_back([this, &fn, &error_mu, &first_error, &pinned, r] {
       // Per-thread FP environment first (FTZ/DAZ), then placement, so the
       // rank's first-touch allocations already happen on its final cpu.
       simd::init_thread();
@@ -125,7 +117,7 @@ void World::run(const std::function<void(Comm&)>& fn) {
         }
       }
       try {
-        Comm comm(this, identity, r, /*context=*/0);
+        Comm comm = make_comm(r);
         fn(comm);
       } catch (...) {
         // The first failure closes every mailbox, so peers blocked in a

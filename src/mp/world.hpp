@@ -35,13 +35,6 @@ struct WorldOptions {
   /// CPUs to pin to, in rank order. Empty = all cpus [0, hardware
   /// concurrency) — the natural "one rank per core" layout.
   std::vector<int> cpu_set;
-  /// Ask for NUMA-interleaved rank memory. There is no NUMA allocation API
-  /// in the build (no libnuma dependency), so this is satisfied by the
-  /// first-touch policy already in place: BufferPool::acquire hands out
-  /// uninitialized pages, so each rank's buffers fault into the node of the
-  /// cpu the rank is pinned to. The flag exists so callers can state intent;
-  /// it logs the fallback once when set.
-  bool numa_interleave = false;
 };
 
 class World {

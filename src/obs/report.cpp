@@ -119,7 +119,6 @@ void RunReport::write_json(std::ostream& out) const {
     int_field(out, "warmup", config.warmup, f);
     int_field(out, "total_nodes", config.total_nodes, f);
     bool_field(out, "pin_threads", config.pin_threads, f);
-    bool_field(out, "numa_interleave", config.numa_interleave, f);
     int_field(out, "straggler_servers", config.straggler_servers, f);
     num_field(out, "straggler_slowdown", config.straggler_slowdown, f);
     out << "}";

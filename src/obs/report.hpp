@@ -72,7 +72,6 @@ struct RunReport {
     int warmup = 0;
     int total_nodes = 0;
     bool pin_threads = false;
-    bool numa_interleave = false;
     int straggler_servers = 0;       ///< sim: slowed I/O servers
     double straggler_slowdown = 1.0;
   };

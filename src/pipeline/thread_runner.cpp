@@ -1204,7 +1204,6 @@ RunResult ThreadRunner::run() {
     report.config.warmup = options_.warmup;
     report.config.total_nodes = total;
     report.config.pin_threads = options_.world.pin_threads;
-    report.config.numa_interleave = options_.world.numa_interleave;
     report.totals.throughput_cpis_per_s = result.metrics.throughput();
     report.totals.latency_s = result.metrics.latency();
     report.totals.wall_s = monotonic_now() - wall_start;
