@@ -44,10 +44,9 @@ double timed_run(pfs::StripedFileSystem& fs, const stap::RadarParams& p, int nra
         auto cube = pipeline::collective_read_slab(comm, file, p);
         (void)cube;
       } else {
-        const pipeline::BlockPartition part(p.ranges,
-                                            static_cast<std::size_t>(comm.size()));
-        const std::size_t r0 = part.begin(static_cast<std::size_t>(comm.rank()));
-        const std::size_t r1 = part.end(static_cast<std::size_t>(comm.rank()));
+        const auto [r0, r1] = pipeline::doppler_range_window(
+            p.ranges, static_cast<std::size_t>(comm.size()),
+            static_cast<std::size_t>(comm.rank()));
         auto cube = stap::read_cpi_slab(file, p, r0, r1, stap::FileLayout::kPulseMajor);
         (void)cube;
       }

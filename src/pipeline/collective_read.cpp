@@ -11,8 +11,7 @@ using pstap::cfloat;
 
 stap::DataCube collective_read_slab(mp::Comm& group, pfs::StripedFile& file,
                                     const stap::RadarParams& params,
-                                    int tag_base, const RetryPolicy& retry,
-                                    bool* degraded) {
+                                    const RetryPolicy& retry, bool* degraded) {
   PSTAP_REQUIRE(group.is_member(), "collective read from a non-member handle");
   const int nranks = group.size();
   const int me = group.rank();
@@ -47,12 +46,13 @@ stap::DataCube collective_read_slab(mp::Comm& group, pfs::StripedFile& file,
 
   // Phase 2: redistribute. For each destination rank, slice my rows down to
   // its range window and ship one message; likewise receive from everyone.
-  const BlockPartition range_part(params.ranges, static_cast<std::size_t>(nranks));
-  const int tag = tag_base;
+  const auto window = [&](int rank) {
+    return doppler_range_window(params.ranges, static_cast<std::size_t>(nranks),
+                                static_cast<std::size_t>(rank));
+  };
   std::vector<cfloat> buf;
   for (int dest = 0; dest < nranks; ++dest) {
-    const std::size_t r_lo = range_part.begin(static_cast<std::size_t>(dest));
-    const std::size_t r_hi = range_part.end(static_cast<std::size_t>(dest));
+    const auto [r_lo, r_hi] = window(dest);
     if (r_lo >= r_hi || row_lo >= row_hi) continue;
     buf.clear();
     buf.reserve((row_hi - row_lo) * (r_hi - r_lo));
@@ -62,18 +62,16 @@ stap::DataCube collective_read_slab(mp::Comm& group, pfs::StripedFile& file,
                                                 params.ranges);
       buf.insert(buf.end(), series.begin() + r_lo, series.begin() + r_hi);
     }
-    group.send<cfloat>(dest, tag, buf);
+    group.send<cfloat>(dest, kCollectiveReadTag, buf);
   }
 
-  const std::size_t my_r_lo = range_part.begin(static_cast<std::size_t>(me));
-  const std::size_t my_r_hi = range_part.end(static_cast<std::size_t>(me));
-  stap::DataCube cube(params.channels, params.pulses,
-                      my_r_hi > my_r_lo ? my_r_hi - my_r_lo : 0);
+  const auto [my_r_lo, my_r_hi] = window(me);
+  stap::DataCube cube(params.channels, params.pulses, my_r_hi - my_r_lo);
   for (int src = 0; src < nranks; ++src) {
     const std::size_t s_lo = row_part.begin(static_cast<std::size_t>(src));
     const std::size_t s_hi = row_part.end(static_cast<std::size_t>(src));
     if (s_lo >= s_hi || my_r_lo >= my_r_hi) continue;
-    const auto msg = group.recv_vector<cfloat>(src, tag);
+    const auto msg = group.recv_vector<cfloat>(src, kCollectiveReadTag);
     PSTAP_CHECK(msg.size() == (s_hi - s_lo) * (my_r_hi - my_r_lo),
                 "collective exchange size mismatch");
     std::size_t idx = 0;

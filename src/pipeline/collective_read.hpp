@@ -21,11 +21,15 @@
 
 namespace pstap::pipeline {
 
+/// The tag of collective_read_slab's redistribution messages.
+inline constexpr int kCollectiveReadTag = 900;
+
 /// Collectively read one pulse-major CPI file over the ranks of `group`.
 /// Every rank must call with the same file and parameters; rank r returns
-/// the cube slab of the r-th block of BlockPartition(params.ranges,
-/// group.size()). `tag_base` must not collide with other traffic on the
-/// communicator (two consecutive tags are used).
+/// the cube slab of Doppler range window r of group.size()
+/// (doppler_range_window in pipeline/partition.hpp), an empty one too. No
+/// other traffic on `group` may use kCollectiveReadTag (the pipeline gives
+/// the collective a subgroup of its own).
 ///
 /// `retry` governs transient failures and per-attempt timeouts of the
 /// phase-1 conforming read. When `degraded` is non-null, a rank whose read
@@ -35,7 +39,6 @@ namespace pstap::pipeline {
 /// exhausted error propagates on the failing rank (legacy behavior).
 stap::DataCube collective_read_slab(mp::Comm& group, pfs::StripedFile& file,
                                     const stap::RadarParams& params,
-                                    int tag_base = 900,
                                     const RetryPolicy& retry = {},
                                     bool* degraded = nullptr);
 

@@ -1,11 +1,13 @@
 // Block partitioning of a 1-D index space (range gates, Doppler bins,
 // bin/beam rows) over the nodes of a task — the data decomposition every
-// pipeline task uses.
+// pipeline task uses — and the Doppler task's range windows.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "common/error.hpp"
+#include "stap/doppler.hpp"
 
 namespace pstap::pipeline {
 
@@ -51,5 +53,26 @@ class BlockPartition {
   std::size_t count_;
   std::size_t parts_;
 };
+
+/// Range gates [lo, hi).
+struct RangeWindow {
+  std::size_t lo = 0, hi = 0;
+  std::size_t size() const noexcept { return hi - lo; }
+};
+
+/// Doppler node `node`'s range window, of `nodes`: an even block partition
+/// of the filter's blocks (stap::DopplerFilter::kRangesPerBlock gates), so
+/// every window starts on a block boundary and only the one holding the
+/// last gate can end off one. With more nodes than blocks the extra windows
+/// are empty. Every range split of the Doppler task's input or output is
+/// this one, so a window's filtered and beamformed bytes are those of the
+/// same gates in a full-width call.
+inline RangeWindow doppler_range_window(std::size_t ranges, std::size_t nodes,
+                                        std::size_t node) {
+  constexpr std::size_t kBlock = stap::DopplerFilter::kRangesPerBlock;
+  const BlockPartition blocks((ranges + kBlock - 1) / kBlock, nodes);
+  return {std::min(ranges, blocks.begin(node) * kBlock),
+          std::min(ranges, blocks.end(node) * kBlock)};
+}
 
 }  // namespace pstap::pipeline

@@ -157,15 +157,6 @@ mp::Buffer recv_logged(const NodeCtx& ctx, int log_cpi, int source, int tag) {
   return payload;
 }
 
-/// Checkpoint-aware receive viewed as cfloat elements. The returned span
-/// aliases `payload`, which must stay alive while it is read.
-std::span<const cfloat> recv_logged_cfloats(const NodeCtx& ctx, int log_cpi,
-                                            int source, int tag,
-                                            mp::Buffer& payload) {
-  payload = recv_logged(ctx, log_cpi, source, tag);
-  return payload.as_span<const cfloat>();
-}
-
 /// Per-CPI phase timing accumulator. Each phase section runs under an
 /// obs::ScopedSpan, so one clock pair feeds the wall-clock sums, the phase
 /// histograms, and (when tracing) the emitted span — they cannot disagree.
@@ -253,24 +244,6 @@ class PhaseClock {
   std::int64_t cpi_start_ns_ = -1;
   Seconds recv_ = 0, comp_ = 0, send_ = 0;
 };
-
-/// Copy one Doppler sender's message into rows [r_lo, r_lo + width) of
-/// `dst`: `in` holds dst.bins() * dst.dof() rows of `in_stride` gates, and
-/// the first `width` gates of each are copied. A weight node takes just
-/// the training prefix of a full-window slice this way.
-void unpack_bin_slab(stap::BinArray& dst, std::size_t r_lo, std::size_t width,
-                     std::span<const cfloat> in, std::size_t in_stride) {
-  PSTAP_CHECK(width <= in_stride && r_lo + width <= dst.ranges(),
-              "bin slab window out of range");
-  PSTAP_CHECK(in.size() == dst.bins() * dst.dof() * in_stride,
-              "bin slab message size mismatch");
-  const cfloat* row = in.data();
-  for (std::size_t b = 0; b < dst.bins(); ++b) {
-    for (std::size_t d = 0; d < dst.dof(); ++d, row += in_stride) {
-      std::copy(row, row + width, dst.range_series(b, d).begin() + r_lo);
-    }
-  }
-}
 
 // ------------------------------------------------------------- I/O nodes --
 
@@ -374,7 +347,6 @@ void run_read_node(NodeCtx& ctx, PhaseClock& clock) {
   const int reads = ctx.nodes_of(TaskKind::kParallelRead);
   const int dops = ctx.nodes_of(TaskKind::kDoppler);
   const BlockPartition mine(p.ranges, static_cast<std::size_t>(reads));
-  const BlockPartition theirs(p.ranges, static_cast<std::size_t>(dops));
   const std::size_t r_lo = mine.begin(static_cast<std::size_t>(ctx.local));
   const std::size_t r_hi = mine.end(static_cast<std::size_t>(ctx.local));
   SlabReader reader(ctx, r_lo, r_hi);
@@ -393,8 +365,10 @@ void run_read_node(NodeCtx& ctx, PhaseClock& clock) {
     reader.prefetch(cpi + 1);
     clock.send([&] {
       for (int d = 0; d < dops; ++d) {
-        const std::size_t lo = std::max(r_lo, theirs.begin(static_cast<std::size_t>(d)));
-        const std::size_t hi = std::min(r_hi, theirs.end(static_cast<std::size_t>(d)));
+        const RangeWindow theirs = doppler_range_window(
+            p.ranges, static_cast<std::size_t>(dops), static_cast<std::size_t>(d));
+        const std::size_t lo = std::max(r_lo, theirs.lo);
+        const std::size_t hi = std::min(r_hi, theirs.hi);
         if (lo >= hi) continue;
         // File order is range-major, so the intersection is contiguous:
         // one copy from the read buffer into a pooled payload, then a
@@ -416,9 +390,8 @@ void run_read_node(NodeCtx& ctx, PhaseClock& clock) {
 void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
   const auto& p = ctx.params();
   const int dops = ctx.nodes_of(TaskKind::kDoppler);
-  const BlockPartition mine(p.ranges, static_cast<std::size_t>(dops));
-  const std::size_t r_lo = mine.begin(static_cast<std::size_t>(ctx.local));
-  const std::size_t r_hi = mine.end(static_cast<std::size_t>(ctx.local));
+  const auto [r_lo, r_hi] = doppler_range_window(
+      p.ranges, static_cast<std::size_t>(dops), static_cast<std::size_t>(ctx.local));
   const bool embedded = ctx.spec.io == IoStrategy::kEmbedded;
 
   const auto easy_ids = p.easy_bins();
@@ -526,8 +499,8 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
         auto& file =
             collective_files[static_cast<std::size_t>(cpi) % collective_files.size()];
         bool degraded = false;
-        cube = collective_read_slab(*doppler_group, file, p, /*tag_base=*/900,
-                                    ctx.opt.io_retry, &degraded);
+        cube = collective_read_slab(*doppler_group, file, p, ctx.opt.io_retry,
+                                    &degraded);
         if (degraded) ctx.mark_dropped(cpi);
       });
     } else if (embedded) {
@@ -572,12 +545,12 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
     clock.send([&] {
       // A receiver's bins [b_lo, b_hi) are one contiguous run of the
       // [bin][dof][range] output, so each message is a slice of it: one
-      // ship path for any node count, and no byte copied. Weight nodes
-      // read only the training gates, so only Doppler nodes whose window
-      // starts inside them (`limit`) ship to them.
+      // ship path for any node count, and no byte copied. Every BF node
+      // gets every Doppler node's window, an empty one too. Weight nodes
+      // train on gates inside node 0's window (the runner checks it), so
+      // only node 0 ships to them.
       auto ship = [&](const stap::BinArray& arr, const BlockPartition& part,
-                      TaskKind dest_kind, int dest_nodes, int tag, std::size_t limit) {
-        if (r_lo >= limit) return;
+                      TaskKind dest_kind, int dest_nodes, int tag) {
         for (int n = 0; n < dest_nodes; ++n) {
           const std::size_t b_lo = part.begin(static_cast<std::size_t>(n));
           const std::size_t b_hi = part.end(static_cast<std::size_t>(n));
@@ -585,12 +558,12 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
           ctx.world.send_stream(ctx.rank_of(dest_kind, n), tag, arr.slice(b_lo, b_hi));
         }
       };
-      ship(out.easy, part_be, TaskKind::kBeamformEasy, n_be, kTagSpecEasy, p.ranges);
-      ship(out.hard, part_bh, TaskKind::kBeamformHard, n_bh, kTagSpecHard, p.ranges);
-      ship(out.easy, part_we, TaskKind::kWeightsEasy, n_we, kTagTrainEasy,
-           p.training_ranges);
-      ship(out.hard, part_wh, TaskKind::kWeightsHard, n_wh, kTagTrainHard,
-           p.training_ranges);
+      ship(out.easy, part_be, TaskKind::kBeamformEasy, n_be, kTagSpecEasy);
+      ship(out.hard, part_bh, TaskKind::kBeamformHard, n_bh, kTagSpecHard);
+      if (ctx.local == 0) {
+        ship(out.easy, part_we, TaskKind::kWeightsEasy, n_we, kTagTrainEasy);
+        ship(out.hard, part_wh, TaskKind::kWeightsHard, n_wh, kTagTrainHard);
+      }
     });
     ctx.complete_cpi(cpi);
   }
@@ -614,16 +587,15 @@ void run_weights_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
   const BlockPartition bf_part(ids.size(), static_cast<std::size_t>(n_bf));
   const std::size_t b_lo = mine.begin(static_cast<std::size_t>(ctx.local));
   const std::size_t b_hi = mine.end(static_cast<std::size_t>(ctx.local));
-  const BlockPartition ranges(p.ranges, static_cast<std::size_t>(dops));
+  const std::size_t window0 =
+      doppler_range_window(p.ranges, static_cast<std::size_t>(dops), 0).size();
 
   std::vector<std::size_t> my_ids(ids.begin() + b_lo, ids.begin() + b_hi);
   stap::WeightComputer wc(p, my_ids, dof);
-  // One Doppler node covers every gate: its full-window slice is adopted
-  // as the training array (compute reads its training prefix, as in
-  // StapChain). Several: their training gates are assembled here.
-  const bool adopt = ranges.end(0) == p.ranges;
-  stap::BinArray training =
-      adopt ? stap::BinArray() : stap::BinArray(my_ids.size(), dof, p.training_ranges);
+  // Doppler node 0's window holds every training gate (the runner checks
+  // it), so its slice is adopted as the training array; compute reads its
+  // training prefix, as in StapChain.
+  stap::BinArray training;
 
   for (int cpi = ctx.resume_cpi(); cpi < ctx.opt.cpis; ++cpi) {
     clock.start_cpi(cpi);
@@ -632,20 +604,9 @@ void run_weights_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
       continue;
     }
     clock.recv([&] {
-      for (int d = 0; d < dops; ++d) {
-        const std::size_t r_lo = ranges.begin(static_cast<std::size_t>(d));
-        const std::size_t r_hi =
-            std::min(ranges.end(static_cast<std::size_t>(d)), p.training_ranges);
-        if (r_lo >= r_hi) continue;
-        mp::Buffer payload =
-            recv_logged(ctx, cpi, ctx.rank_of(TaskKind::kDoppler, d), train_tag);
-        if (adopt) {
-          training = stap::BinArray(my_ids.size(), dof, p.ranges, std::move(payload));
-        } else {
-          unpack_bin_slab(training, r_lo, r_hi - r_lo, payload.as_span<const cfloat>(),
-                          ranges.size(static_cast<std::size_t>(d)));
-        }
-      }
+      training = stap::BinArray(
+          my_ids.size(), dof, window0,
+          recv_logged(ctx, cpi, ctx.rank_of(TaskKind::kDoppler, 0), train_tag));
     });
 
     stap::WeightSet ws;
@@ -709,13 +670,12 @@ void run_beamform_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
 
   const int n_self = ctx.nodes_of(self);
   const int n_wc = ctx.nodes_of(wc_kind);
-  const int dops = ctx.nodes_of(TaskKind::kDoppler);
+  const auto dops = static_cast<std::size_t>(ctx.nodes_of(TaskKind::kDoppler));
   const TaskKind pc_kind = ctx.spec.combined_pc_cfar ? TaskKind::kPulseCompressionCfar
                                                      : TaskKind::kPulseCompression;
 
   const BlockPartition mine(ids.size(), static_cast<std::size_t>(n_self));
   const BlockPartition wc_part(ids.size(), static_cast<std::size_t>(n_wc));
-  const BlockPartition ranges(p.ranges, static_cast<std::size_t>(dops));
   const std::size_t b_lo = mine.begin(static_cast<std::size_t>(ctx.local));
   const std::size_t b_hi = mine.end(static_cast<std::size_t>(ctx.local));
   std::vector<std::size_t> my_ids(ids.begin() + b_lo, ids.begin() + b_hi);
@@ -727,11 +687,13 @@ void run_beamform_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
   // CPI >= 1 — so a respawn rebuilds it from the replayed messages alone
   // and needs no separate snapshot.
   stap::WeightSet current = wc.conventional();
-  // One Doppler node covers every gate: its slice is adopted as the
-  // spectra. Several: their range windows are assembled here.
-  const bool adopt = ranges.end(0) == p.ranges;
-  stap::BinArray spectra =
-      adopt ? stap::BinArray() : stap::BinArray(my_ids.size(), dof, p.ranges);
+  // Each Doppler node's slice of this CPI's spectra is adopted as it
+  // arrived and beamformed straight into its range window of the output.
+  std::vector<RangeWindow> windows;
+  for (std::size_t d = 0; d < dops; ++d) {
+    windows.push_back(doppler_range_window(p.ranges, dops, d));
+  }
+  std::vector<stap::BinArray> spectra(dops);
 
   for (int cpi = ctx.resume_cpi(); cpi < ctx.opt.cpis; ++cpi) {
     clock.start_cpi(cpi);
@@ -741,18 +703,11 @@ void run_beamform_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
     }
     clock.recv([&] {
       // Spectra of the current CPI from every Doppler node.
-      for (int d = 0; d < dops; ++d) {
-        const std::size_t r_lo = ranges.begin(static_cast<std::size_t>(d));
-        const std::size_t r_hi = ranges.end(static_cast<std::size_t>(d));
-        if (r_lo >= r_hi) continue;
-        mp::Buffer payload =
-            recv_logged(ctx, cpi, ctx.rank_of(TaskKind::kDoppler, d), spec_tag);
-        if (adopt) {
-          spectra = stap::BinArray(my_ids.size(), dof, p.ranges, std::move(payload));
-        } else {
-          unpack_bin_slab(spectra, r_lo, r_hi - r_lo, payload.as_span<const cfloat>(),
-                          r_hi - r_lo);
-        }
+      for (std::size_t d = 0; d < dops; ++d) {
+        spectra[d] = stap::BinArray(
+            my_ids.size(), dof, windows[d].size(),
+            recv_logged(ctx, cpi, ctx.rank_of(TaskKind::kDoppler, static_cast<int>(d)),
+                        spec_tag));
       }
       // Weights computed from the previous CPI (none at cpi 0). The
       // temporal edge: the message was *sent* at cpi-1 but is logged under
@@ -763,9 +718,9 @@ void run_beamform_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
               std::max(b_lo, wc_part.begin(static_cast<std::size_t>(n)));
           const std::size_t hi = std::min(b_hi, wc_part.end(static_cast<std::size_t>(n)));
           if (lo >= hi) continue;
-          mp::Buffer payload;
-          const auto msg = recv_logged_cfloats(ctx, cpi, ctx.rank_of(wc_kind, n),
-                                               weight_tag, payload);
+          const mp::Buffer payload =
+              recv_logged(ctx, cpi, ctx.rank_of(wc_kind, n), weight_tag);
+          const auto msg = payload.as_span<const cfloat>();
           PSTAP_CHECK(msg.size() == (hi - lo) * p.beams * dof,
                       "weight message size mismatch");
           std::size_t idx = 0;
@@ -780,7 +735,11 @@ void run_beamform_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
     });
 
     auto out = ctx.pooled<stap::BeamArray>(my_ids.size(), p.beams, p.ranges);
-    clock.comp([&] { bf.apply_into(spectra, current, out); });
+    clock.comp([&] {
+      for (std::size_t d = 0; d < dops; ++d) {
+        bf.apply_into(spectra[d], current, out, windows[d].lo);
+      }
+    });
 
     clock.send([&] { ship_rows(ctx, out, my_ids, pc_kind, beam_tag); });
     ctx.complete_cpi(cpi);
@@ -871,10 +830,9 @@ void receive_rows(NodeCtx& ctx, int cpi, stap::BeamArray& rows,
   for (std::size_t s = 0; s < route.slots_per_sender.size(); ++s) {
     const auto& slots = route.slots_per_sender[s];
     if (slots.empty()) continue;
-    mp::Buffer payload;
-    const auto msg = recv_logged_cfloats(
-        ctx, cpi, ctx.rank_of(route.sender_kind, static_cast<int>(s)), route.tag,
-        payload);
+    const mp::Buffer payload = recv_logged(
+        ctx, cpi, ctx.rank_of(route.sender_kind, static_cast<int>(s)), route.tag);
+    const auto msg = payload.as_span<const cfloat>();
     PSTAP_CHECK(msg.size() == slots.size() * p.beams * p.ranges,
                 "row message size mismatch");
     std::size_t idx = 0;
@@ -968,6 +926,12 @@ ThreadRunner::ThreadRunner(PipelineSpec spec, RunOptions options)
                 "io_retry.initial_backoff must be >= 0");
   PSTAP_REQUIRE(options_.io_retry.attempt_timeout >= 0,
                 "io_retry.attempt_timeout must be >= 0");
+  // The weight nodes train on Doppler node 0's slice alone.
+  const auto dops = static_cast<std::size_t>(
+      spec_.tasks[static_cast<std::size_t>(spec_.find(TaskKind::kDoppler))].nodes);
+  PSTAP_REQUIRE(doppler_range_window(spec_.params.ranges, dops, 0).size() >=
+                    spec_.params.training_ranges,
+                "Doppler node 0's range window must hold every training gate");
 }
 
 RunResult ThreadRunner::run() {

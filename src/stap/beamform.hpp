@@ -23,11 +23,16 @@ class Beamformer {
   /// Returns [bins][beams][ranges].
   BeamArray apply(const BinArray& spectra, const WeightSet& weights) const;
 
-  /// apply() into `out`, which must already be [bins][beams][ranges]. Every
-  /// element is written, so `out` may be fresh uninitialized storage (the
-  /// pipeline's pooled payloads).
-  void apply_into(const BinArray& spectra, const WeightSet& weights,
-                  BeamArray& out) const;
+  /// apply() into range gates [r0, r0 + spectra.ranges()) of `out`, which
+  /// must already be [bins][beams][>= r0 + spectra.ranges()]. Every element
+  /// of those columns is written and no other, so `out` may be fresh
+  /// uninitialized storage (the pipeline's pooled payloads) that several
+  /// calls fill window by window. The vector kernels step 4 gates at a time
+  /// from the window's first gate, so when r0 is a multiple of 4 (a
+  /// pipeline Doppler window starts on a 32-gate block) the bytes match
+  /// the full-width call's. apply() passes r0 = 0.
+  void apply_into(const BinArray& spectra, const WeightSet& weights, BeamArray& out,
+                  std::size_t r0) const;
 
  private:
   RadarParams params_;

@@ -43,18 +43,6 @@ DopplerOutput DopplerFilter::process(const DataCube& cube) const {
   return out;
 }
 
-namespace {
-
-// Lane budget: R adjacent range gates per block, both staggers as lanes
-// (lane l < R is stagger 0 at gate r0+l, lane R+l is stagger 1), so one
-// SoA transform covers 2R series. Doppler FFTs are short (m = pulses - 1),
-// so the block is kept much wider than kBatchLanes: the SoA planes stay
-// small (m * 2R floats) while every SIMD call runs long enough to amortize
-// its dispatch. 2R = 64 lanes -> 8 AVX2 iterations per butterfly row.
-constexpr std::size_t kRangesPerBlock = 32;
-
-}  // namespace
-
 /// Where one range block's pulse rows live: the row of (channel c, pulse p)
 /// starts at base + c * channel_stride + p * pulse_stride and holds the
 /// block's gates contiguously.

@@ -92,6 +92,15 @@ class DopplerFilter {
   /// (EXPERIMENTS.md).
   static constexpr std::size_t kMinChunkSamples = std::size_t{640} << 10;
 
+  /// Range gates per filter block. Both staggers of R adjacent gates are
+  /// lanes of one SoA transform (lane l < R is stagger 0 at gate r0 + l,
+  /// lane R + l stagger 1). The Doppler FFTs are short (m = pulses - 1), so
+  /// the block is kept wide: the planes stay small (m * 2R floats) while
+  /// every SIMD call runs long enough to amortize its dispatch; 2R = 64
+  /// lanes is 8 AVX2 iterations per butterfly row. The Doppler task's
+  /// range windows are whole runs of these blocks (pipeline/partition.hpp).
+  static constexpr std::size_t kRangesPerBlock = 32;
+
  private:
   struct BlockRows;
 

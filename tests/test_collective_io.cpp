@@ -153,10 +153,10 @@ TEST_P(CollectiveReadTest, MatchesDirectStridedRead) {
     pfs::StripedFile file = fs.open("pm");
     const stap::DataCube mine =
         pipeline::collective_read_slab(comm, file, params);
-    const pipeline::BlockPartition part(params.ranges,
-                                        static_cast<std::size_t>(comm.size()));
-    const std::size_t r0 = part.begin(static_cast<std::size_t>(comm.rank()));
-    const std::size_t r1 = part.end(static_cast<std::size_t>(comm.rank()));
+    const auto [r0, r1] = pipeline::doppler_range_window(
+        params.ranges, static_cast<std::size_t>(comm.size()),
+        static_cast<std::size_t>(comm.rank()));
+    EXPECT_EQ(mine.ranges(), r1 - r0);
     int bad = 0;
     for (std::size_t c = 0; c < params.channels; ++c)
       for (std::size_t p = 0; p < params.pulses; ++p)

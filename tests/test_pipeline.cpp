@@ -84,6 +84,45 @@ TEST(Partition, ErrorsOnBadArguments) {
   EXPECT_THROW(part.owner(4), PreconditionError);
 }
 
+// The Doppler task's range windows tile the gates in runs of whole filter
+// blocks, for ragged gate counts and for more nodes than blocks (the extra
+// windows are empty); blocks spread over the nonempty windows as evenly as
+// BlockPartition spreads them.
+TEST(Partition, DopplerRangeWindowsTileTheGatesOnBlockBoundaries) {
+  constexpr std::size_t kBlock = stap::DopplerFilter::kRangesPerBlock;
+  ASSERT_EQ(kBlock, 32u);
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {128, 1}, {128, 3}, {128, 5}, {1024, 3}, {1024, 11},
+      {1000, 7}, {45, 3},  {100, 2}, {1, 4},    {3136, 2}};
+  for (const auto& [ranges, nodes] : cases) {
+    SCOPED_TRACE(std::to_string(ranges) + " gates, " + std::to_string(nodes) + " nodes");
+    const std::size_t blocks = (ranges + kBlock - 1) / kBlock;
+    std::size_t next = 0, nonempty = 0, lo_blocks = SIZE_MAX, hi_blocks = 0;
+    for (std::size_t d = 0; d < nodes; ++d) {
+      const RangeWindow w = doppler_range_window(ranges, nodes, d);
+      EXPECT_EQ(w.lo, next) << "node " << d;
+      EXPECT_LE(w.lo, w.hi) << "node " << d;
+      next = w.hi;
+      if (w.size() == 0) continue;
+      ++nonempty;
+      EXPECT_EQ(w.lo % kBlock, 0u) << "node " << d;
+      EXPECT_TRUE(w.hi % kBlock == 0 || w.hi == ranges) << "node " << d;
+      const std::size_t n_blocks = (w.size() + kBlock - 1) / kBlock;
+      lo_blocks = std::min(lo_blocks, n_blocks);
+      hi_blocks = std::max(hi_blocks, n_blocks);
+    }
+    EXPECT_EQ(next, ranges);
+    EXPECT_EQ(nonempty, std::min(nodes, blocks));
+    EXPECT_LE(hi_blocks - lo_blocks, 1u);
+  }
+  // The paper geometry's three windows, and test_small's.
+  EXPECT_EQ(doppler_range_window(1024, 3, 0).size(), 352u);
+  EXPECT_EQ(doppler_range_window(1024, 3, 1).size(), 352u);
+  EXPECT_EQ(doppler_range_window(1024, 3, 2).size(), 320u);
+  EXPECT_EQ(doppler_range_window(128, 3, 1).lo, 64u);
+  EXPECT_EQ(doppler_range_window(128, 3, 2).lo, 96u);
+}
+
 // -------------------------------------------------------------- task spec --
 
 TEST(TaskSpecTest, NamesAndTemporality) {
@@ -534,6 +573,15 @@ TEST_F(ThreadRunnerTest, RejectsBadOptions) {
   opt = options();
   opt.io_retry.attempt_timeout = -1.0;
   EXPECT_THROW(ThreadRunner(spec, opt), PreconditionError);
+  // The weight nodes train on Doppler node 0's range window alone. At the
+  // paper geometry (1024 gates, 128 training gates) 10 Doppler nodes leave
+  // it 128 gates, and 11 leave it 96.
+  const stap::RadarParams paper;
+  EXPECT_NO_THROW(ThreadRunner(PipelineSpec::embedded_io(paper, {10, 1, 1, 1, 1, 1, 1}),
+                               options()));
+  EXPECT_THROW(ThreadRunner(PipelineSpec::embedded_io(paper, {11, 1, 1, 1, 1, 1, 1}),
+                            options()),
+               PreconditionError);
 }
 
 // Any node assignment must leave the pipeline's output unchanged: sweep a
@@ -555,6 +603,9 @@ TEST_P(AssignmentSweep, DetectionsInvariantUnderAssignment) {
 INSTANTIATE_TEST_SUITE_P(
     Assignments, AssignmentSweep,
     ::testing::Values(std::vector<int>{3, 1, 1, 1, 1, 1, 1},   // wide Doppler
+                      // 5 Doppler nodes over 4 filter blocks: one window
+                      // is empty.
+                      std::vector<int>{5, 1, 1, 1, 1, 1, 1},
                       std::vector<int>{1, 2, 2, 1, 1, 1, 1},   // wide weights
                       std::vector<int>{1, 1, 1, 3, 3, 1, 1},   // wide beamforming
                       std::vector<int>{1, 1, 1, 1, 1, 3, 3},   // wide tail

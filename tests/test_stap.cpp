@@ -1268,28 +1268,70 @@ TEST(Beamform, ConjugationConvention) {
 }
 
 TEST(Beamform, ApplyIntoWritesEveryElementOfHandedInStorage) {
-  // apply_into accumulates onto rows it zeroes itself, so NaN-poisoned
-  // pooled storage ends up bit-identical to apply()'s fresh array.
+  // apply_into accumulates onto columns it zeroes itself, so NaN-poisoned
+  // pooled storage ends up bit-identical to apply()'s fresh array, on every
+  // backend: filled in one call, or window by window as a beamform node
+  // fills it from three Doppler nodes, each window filtered on its own.
+  // The windows are the Doppler task's, whole 32-gate filter blocks.
+  SimdBackendGuard guard;
   const RadarParams p = RadarParams::test_small();
+  ASSERT_EQ(p.ranges, 128u);
+  const std::pair<std::size_t, std::size_t> windows[] = {{0, 64}, {64, 96}, {96, 128}};
   SceneConfig cfg;
   cfg.cnr_db = 40.0;
-  const DopplerOutput spectra =
-      DopplerFilter(p).process(SceneGenerator(p, cfg, 41).generate(0));
-  const WeightComputer wc(p, spectra.hard_bin_ids, p.hard_dof());
-  const WeightSet ws = wc.compute(spectra.hard);
-  const Beamformer bf(p);
-  const BeamArray expect = bf.apply(spectra.hard, ws);
-
+  const DataCube cube = SceneGenerator(p, cfg, 41).generate(0);
   BufferPool pool;
-  BeamArray out(spectra.hard.bins(), p.beams, p.ranges,
-                nan_poisoned(pool, spectra.hard.bins() * p.beams * p.ranges));
-  bf.apply_into(spectra.hard, ws, out);
-  EXPECT_EQ(std::memcmp(out.flat().data(), expect.flat().data(),
-                        expect.flat().size_bytes()),
-            0);
+  for (simd::Backend b : simd_backends()) {
+    simd::force_backend(b);
+    const DopplerFilter filt(p);
+    const DopplerOutput spectra = filt.process(cube);
+    std::vector<DopplerOutput> parts;
+    for (const auto& [lo, hi] : windows) {
+      std::vector<cfloat> raw(cube.slab_samples(lo, hi));
+      cube.pack_file_order(lo, hi, raw);
+      filt.process_into(raw, hi - lo, FileLayout::kRangeMajor, parts.emplace_back());
+    }
+    const Beamformer bf(p);
+    for (const bool hard : {false, true}) {
+      const std::string where =
+          std::string(simd::backend_name(b)) + (hard ? ", hard" : ", easy");
+      const BinArray& full = hard ? spectra.hard : spectra.easy;
+      const WeightComputer wc(p, hard ? spectra.hard_bin_ids : spectra.easy_bin_ids,
+                              full.dof());
+      const WeightSet ws = wc.compute(full);
+      const BeamArray expect = bf.apply(full, ws);
+      const std::size_t n = full.bins() * p.beams * p.ranges;
 
-  BeamArray wrong(spectra.hard.bins(), p.beams, p.ranges - 1);
-  EXPECT_THROW(bf.apply_into(spectra.hard, ws, wrong), PreconditionError);
+      BeamArray whole(full.bins(), p.beams, p.ranges, nan_poisoned(pool, n));
+      bf.apply_into(full, ws, whole, 0);
+      EXPECT_EQ(std::memcmp(whole.flat().data(), expect.flat().data(),
+                            expect.flat().size_bytes()),
+                0)
+          << where;
+
+      BeamArray windowed(full.bins(), p.beams, p.ranges, nan_poisoned(pool, n));
+      for (std::size_t w = 0; w < parts.size(); ++w) {
+        bf.apply_into(hard ? parts[w].hard : parts[w].easy, ws, windowed,
+                      windows[w].first);
+      }
+      EXPECT_EQ(std::memcmp(windowed.flat().data(), expect.flat().data(),
+                            expect.flat().size_bytes()),
+                0)
+          << where << ", windowed";
+      // An empty window (more Doppler nodes than filter blocks) writes nothing.
+      bf.apply_into(BinArray(full.bins(), full.dof(), 0), ws, windowed, p.ranges);
+      EXPECT_EQ(std::memcmp(windowed.flat().data(), expect.flat().data(),
+                            expect.flat().size_bytes()),
+                0)
+          << where << ", empty window";
+
+      BeamArray wrong(full.bins(), p.beams, p.ranges - 1);
+      EXPECT_THROW(bf.apply_into(full, ws, wrong, 0), PreconditionError);
+      // A window running past the output's last gate.
+      EXPECT_THROW(bf.apply_into(hard ? parts[2].hard : parts[2].easy, ws, windowed, 97),
+                   PreconditionError);
+    }
+  }
 }
 
 TEST(Beamform, RejectsMismatchedWeights) {

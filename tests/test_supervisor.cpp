@@ -211,26 +211,42 @@ TEST_F(SupervisorPipelineTest, CrashedComputeRankIsRespawnedAndReplays) {
 
 // Same rank, but the crash fires at the send-phase start: the rank has
 // consumed (and logged) all of CPI 1's inputs and sent nothing. Replay
-// must rebuild the CPI entirely from the ring and send exactly once.
+// must rebuild the CPI entirely from the ring and send exactly once. The
+// second case crashes the easy BF rank (rank 4) of a two-Doppler-node
+// layout: its replay rebuilds CPI 1 from both Doppler nodes' spectra
+// windows and the weight message, at least 3 logged messages.
 TEST_F(SupervisorPipelineTest, CrashAtSendPhaseReplaysFromTheRing) {
   const auto p = stap::RadarParams::test_small();
-  const auto spec = pipeline::PipelineSpec::embedded_io(p, {1, 1, 1, 1, 1, 1, 1});
+  const struct {
+    std::vector<int> nodes;
+    const char* site;
+    std::uint64_t min_replayed;
+    const char* base_dir;
+    const char* crash_dir;
+  } cases[] = {
+      {{1, 1, 1, 1, 1, 1, 1}, "pipeline.rank.5.send", 1, "sbase", "scrash"},
+      {{2, 1, 1, 1, 1, 1, 1}, "pipeline.rank.4.send", 3, "sbase2", "scrash2"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.site);
+    const auto spec = pipeline::PipelineSpec::embedded_io(p, c.nodes);
 
-  pipeline::ThreadRunner baseline(spec, options("sbase"));
-  const auto clean = baseline.run();
+    pipeline::ThreadRunner baseline(spec, options(c.base_dir));
+    const auto clean = baseline.run();
 
-  auto opt = supervised("scrash");
-  opt.fault_plan = std::make_shared<fault::FaultPlan>(43);
-  opt.fault_plan->arm_crash("pipeline.rank.5.send", /*at_index=*/1);
-  pipeline::ThreadRunner runner(spec, opt);
-  const auto result = runner.run();
+    auto opt = supervised(c.crash_dir);
+    opt.fault_plan = std::make_shared<fault::FaultPlan>(43);
+    opt.fault_plan->arm_crash(c.site, /*at_index=*/1);
+    pipeline::ThreadRunner runner(spec, opt);
+    const auto result = runner.run();
 
-  expect_same_detections(result, clean);
-  EXPECT_TRUE(result.dropped_cpis.empty());
-  const auto& rec = result.metrics.recovery;
-  EXPECT_EQ(rec.crashes_detected, 1u);
-  EXPECT_EQ(rec.ranks_respawned, 1u);
-  EXPECT_GT(rec.replayed_messages, 0u);
+    expect_same_detections(result, clean);
+    EXPECT_TRUE(result.dropped_cpis.empty());
+    const auto& rec = result.metrics.recovery;
+    EXPECT_EQ(rec.crashes_detected, 1u);
+    EXPECT_EQ(rec.ranks_respawned, 1u);
+    EXPECT_GE(rec.replayed_messages, c.min_replayed);
+  }
 }
 
 // Both detection sinks get the same send-site crash: the CFAR rank of the
