@@ -43,10 +43,11 @@ IoProbe probe_engine(std::size_t stripe_factor) {
     for (int rep = 0; rep < 4; ++rep) {
       file.read(0, data);
     }
-    probe.queue_p95 = fs.engine().queue_depth().quantile(0.95);
-    probe.queue_max = fs.engine().queue_depth().max();
-    probe.service_p99 = fs.engine().service_time().p99();
-    probe.submit_p99 = fs.engine().submit_latency().p99();
+    const obs::IoStats io = fs.engine().stats();
+    probe.queue_p95 = io.queue_depth.quantile(0.95);
+    probe.queue_max = io.queue_depth.max();
+    probe.service_p99 = io.service_time.p99();
+    probe.submit_p99 = io.submit_latency.p99();
   }
   sfs::remove_all(root);
   return probe;

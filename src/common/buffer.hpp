@@ -46,7 +46,7 @@ class BufferPool;
 namespace detail {
 
 /// Shared representation behind Buffer handles. Allocated by BufferPool
-/// (recycled) or by Buffer::allocate/adopt/copy_of (deleted on release).
+/// (recycled) or by Buffer::allocate/adopt (deleted on release).
 /// The live byte range is the handle's, not the Rep's.
 struct BufferRep {
   std::atomic<std::uint32_t> refs{1};
@@ -105,11 +105,6 @@ class Buffer {
     const std::size_t size = bytes.size();
     rep->vec = std::move(bytes);
     return Buffer(rep, size);
-  }
-
-  /// Freshly allocated copy of `bytes` (not pooled).
-  static Buffer copy_of(std::span<const std::byte> bytes) {
-    return adopt(std::vector<std::byte>(bytes.begin(), bytes.end()));
   }
 
   explicit operator bool() const noexcept { return rep_ != nullptr; }

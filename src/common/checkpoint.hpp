@@ -1,14 +1,15 @@
 // Lightweight in-memory checkpointing for pipeline recovery.
 //
 // A CheckpointRing logs, per rank, the task-boundary messages the rank
-// consumed for CPIs that are still in flight, plus one opaque state
-// snapshot per completed CPI (only stateful tasks — beamform's weight set —
-// use it). When the supervisor respawns a dead rank, the replacement
-// re-executes its in-flight CPIs: every receive first consults the ring and
-// replays the logged payload if present, falling back to the (persistent)
-// mailbox otherwise. Completing a CPI evicts its messages, so steady-state
-// memory is one CPI's worth of boundary traffic per rank — that is the
-// checkpoint cost, measured by bytes_held()/peak_bytes().
+// consumed for CPIs that are still in flight. No task keeps a state
+// snapshot: beamform's weight set is itself a logged message (weights from
+// CPI k-1, logged under consuming CPI k). When the supervisor respawns a
+// dead rank, the replacement re-executes its in-flight CPIs: every receive
+// first consults the ring and replays the logged payload if present,
+// falling back to the (persistent) mailbox otherwise. Completing a CPI
+// evicts its messages, so steady-state memory is one CPI's worth of
+// boundary traffic per rank — that is the checkpoint cost, measured by
+// bytes_held()/peak_bytes().
 //
 // Messages are keyed by (consumption CPI, stream, source). The consumption
 // CPI is the receiver's CPI, which for temporally-aligned edges (weights
@@ -56,13 +57,6 @@ class CheckpointRing {
     messages_.push_back(Entry{cpi, stream, source, std::move(payload)});
   }
 
-  /// Byte-vector convenience (tests, legacy callers): copies once into a
-  /// refcounted buffer.
-  void record_message(int cpi, int stream, int source,
-                      const std::vector<std::byte>& bytes) {
-    record_message(cpi, stream, source, Buffer::copy_of(bytes));
-  }
-
   /// Replay lookup: a shared handle to the logged payload for (cpi,
   /// stream, source); `false` when absent. Counts a replay on hit — fresh
   /// executions never hit (their entries were either never recorded or
@@ -74,33 +68,6 @@ class CheckpointRing {
     out = entry->payload;
     ++replayed_;
     return true;
-  }
-
-  /// Byte-vector convenience: copies the payload out.
-  bool replay_message(int cpi, int stream, int source,
-                      std::vector<std::byte>& out) {
-    Buffer buf;
-    if (!replay_message(cpi, stream, source, buf)) return false;
-    out.assign(buf.data(), buf.data() + buf.size());
-    return true;
-  }
-
-  /// Save the task's opaque state as of *completing* `cpi` (latest kept).
-  void save_state(int cpi, std::vector<std::byte> state) {
-    std::lock_guard lock(mu_);
-    state_cpi_ = cpi;
-    state_ = std::move(state);
-  }
-
-  /// CPI of the latest snapshot, -1 if none has been saved.
-  int state_cpi() const {
-    std::lock_guard lock(mu_);
-    return state_cpi_;
-  }
-
-  std::vector<std::byte> state() const {
-    std::lock_guard lock(mu_);
-    return state_;
   }
 
   /// Mark `cpi` complete: advances the watermark and evicts every message
@@ -177,8 +144,6 @@ class CheckpointRing {
   std::size_t depth_;
   mutable std::mutex mu_;
   std::deque<Entry> messages_;
-  std::vector<std::byte> state_;
-  int state_cpi_ = -1;
   int watermark_ = -1;
   std::size_t bytes_held_ = 0;
   std::size_t peak_bytes_ = 0;

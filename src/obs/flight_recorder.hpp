@@ -73,10 +73,6 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  void set_enabled(bool on) {
-    detail::g_flight_enabled.store(on, std::memory_order_relaxed);
-  }
-
   /// Invalidate every recorded event (tests). Racy against concurrent
   /// writers by design: their in-flight event may survive.
   void clear();

@@ -412,35 +412,11 @@ RegistrySnapshot Registry::snapshot() const {
   return snap;
 }
 
-std::vector<std::pair<std::string, const Histogram*>> Registry::histograms()
-    const {
-  std::lock_guard lock(mu_);
-  std::vector<std::pair<std::string, const Histogram*>> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) out.emplace_back(name, h.get());
-  return out;
-}
-
-std::vector<std::pair<std::string, const Counter*>> Registry::counters() const {
-  std::lock_guard lock(mu_);
-  std::vector<std::pair<std::string, const Counter*>> out;
-  out.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) out.emplace_back(name, c.get());
-  return out;
-}
-
-std::vector<std::pair<std::string, const Gauge*>> Registry::gauges() const {
-  std::lock_guard lock(mu_);
-  std::vector<std::pair<std::string, const Gauge*>> out;
-  out.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) out.emplace_back(name, g.get());
-  return out;
-}
-
 std::string Registry::report() const {
   std::ostringstream out;
   char line[256];
-  for (const auto& [name, h] : histograms()) {
+  std::lock_guard lock(mu_);
+  for (const auto& [name, h] : histograms_) {
     if (h->count() == 0) continue;
     std::snprintf(line, sizeof line,
                   "%-32s n=%-8llu mean=%-10.4g p50=%-10.4g p95=%-10.4g "
@@ -449,13 +425,13 @@ std::string Registry::report() const {
                   h->mean(), h->p50(), h->p95(), h->p99(), h->max());
     out << line;
   }
-  for (const auto& [name, c] : counters()) {
+  for (const auto& [name, c] : counters_) {
     if (c->value() == 0) continue;
     std::snprintf(line, sizeof line, "%-32s %lld\n", name.c_str(),
                   static_cast<long long>(c->value()));
     out << line;
   }
-  for (const auto& [name, g] : gauges()) {
+  for (const auto& [name, g] : gauges_) {
     if (g->value() == 0 && g->peak() == 0) continue;
     std::snprintf(line, sizeof line, "%-32s value=%lld peak=%lld\n",
                   name.c_str(), static_cast<long long>(g->value()),

@@ -158,11 +158,6 @@ class Registry {
   /// (and meaningful) under concurrent record()/add() calls.
   RegistrySnapshot snapshot() const;
 
-  /// Sorted (name, metric) views for reporting.
-  std::vector<std::pair<std::string, const Histogram*>> histograms() const;
-  std::vector<std::pair<std::string, const Counter*>> counters() const;
-  std::vector<std::pair<std::string, const Gauge*>> gauges() const;
-
   /// Human-readable dump (one line per metric) for CLI surfaces.
   std::string report() const;
 

@@ -286,20 +286,9 @@ class IoEngine {
     chunks_stolen_.fetch_add(pieces, std::memory_order_relaxed);
   }
 
-  // ------------------------------------------------------- observability --
-  // Per-engine distributions (reset-free: an engine lives for one mount).
-
-  /// Queue depth of the chunk's stripe-directory queue, sampled at every
-  /// submit — the paper's funnel: small stripe factors produce deep queues.
-  const obs::Histogram& queue_depth() const noexcept { return queue_depth_; }
-
-  /// Wall seconds from dequeue to completion per chunk, including the
-  /// modeled service rate — what a client's wait is made of.
-  const obs::Histogram& service_time() const noexcept { return service_time_; }
-
-  /// Wall seconds a logical StripedFile submit spent splitting and
-  /// enqueueing chunks (client-side cost before any service happens).
-  const obs::Histogram& submit_latency() const noexcept { return submit_latency_; }
+  /// Record the wall seconds a logical StripedFile submit spent splitting
+  /// and enqueueing chunks (client-side cost before any service happens);
+  /// read back as stats().submit_latency.
   void record_submit_latency(double seconds) { submit_latency_.record(seconds); }
 
   // ------------------------------------------------- service-rate model --

@@ -88,10 +88,6 @@ class StripedFile {
 
   /// Typed convenience wrappers.
   template <typename T>
-  void read_values(std::uint64_t offset, std::span<T> out) {
-    read(offset, std::as_writable_bytes(out));
-  }
-  template <typename T>
   [[nodiscard]] IoRequest iread_values(std::uint64_t offset, std::span<T> out) {
     return iread(offset, std::as_writable_bytes(out));
   }
@@ -153,7 +149,11 @@ class StripedFile {
   /// Create the request, attach its state to every job, submit.
   IoRequest dispatch(Batch&& batch);
 
-  IoRequest submit(std::uint64_t offset, std::byte* buf, std::size_t len, bool is_write);
+  /// The one submit path of every logical request (read, iread, gather,
+  /// write): bounds-checks reads, hits the `pfs.file.read.<name>` or
+  /// `pfs.file.write.<name>` fault site once, queues every segment under
+  /// one request, and records one submit latency and one `io` span.
+  IoRequest submit(std::span<const IoSegment> segments, bool is_write);
   bool replicated() const noexcept { return !replica_fds_.empty(); }
 
   StripedFileSystem* fs_ = nullptr;

@@ -437,14 +437,26 @@ IoRequest StripedFile::dispatch(Batch&& batch) {
   return req;
 }
 
-IoRequest StripedFile::submit(std::uint64_t offset, std::byte* buf, std::size_t len,
-                              bool is_write) {
+IoRequest StripedFile::submit(std::span<const IoSegment> segments, bool is_write) {
+  if (!is_write) {
+    const std::uint64_t file_size = size();
+    for (const IoSegment& seg : segments) {
+      PSTAP_REQUIRE(seg.offset + seg.buf.size() <= file_size,
+                    "read past end of file " + name_);
+    }
+  }
   // Logical-level injection site: faults armed here fail the whole request
   // up front (a metadata/open-path failure), before any chunk is queued.
   const std::int64_t started_ns = obs::trace_now_ns();
   fault::inject((is_write ? "pfs.file.write." : "pfs.file.read.") + name_);
+  // One batch across ALL segments: with coalescing on, a rank's whole
+  // strided slab collapses into at most one list-I/O job per server.
   Batch batch = make_batch(is_write);
-  append_jobs(batch, offset, buf, len, is_write);
+  for (const IoSegment& seg : segments) {
+    if (!seg.buf.empty()) {
+      append_jobs(batch, seg.offset, seg.buf.data(), seg.buf.size(), is_write);
+    }
+  }
   IoRequest req = dispatch(std::move(batch));
   const std::int64_t dur_ns = obs::trace_now_ns() - started_ns;
   fs_->engine().record_submit_latency(static_cast<double>(dur_ns) * 1e-9);
@@ -457,55 +469,29 @@ IoRequest StripedFile::submit(std::uint64_t offset, std::byte* buf, std::size_t 
 }
 
 IoRequest StripedFile::iread_gather(std::span<const IoSegment> segments) {
-  const std::int64_t started_ns = obs::trace_now_ns();
-  fault::inject("pfs.file.read." + name_);
-  const std::uint64_t file_size = size();
-  // One batch across ALL segments: with coalescing on, a rank's whole
-  // strided slab collapses into at most one list-I/O job per server.
-  Batch batch = make_batch(/*is_write=*/false);
-  for (const IoSegment& seg : segments) {
-    PSTAP_REQUIRE(seg.offset + seg.buf.size() <= file_size,
-                  "gather segment past end of file " + name_);
-    if (!seg.buf.empty()) {
-      append_jobs(batch, seg.offset, seg.buf.data(), seg.buf.size(),
-                  /*is_write=*/false);
-    }
-  }
-  IoRequest req = dispatch(std::move(batch));
-  const std::int64_t dur_ns = obs::trace_now_ns() - started_ns;
-  fs_->engine().record_submit_latency(static_cast<double>(dur_ns) * 1e-9);
-  if (obs::trace_enabled()) {
-    obs::TraceRecorder::global().complete("io", "submit.gather", obs::kLibraryPid,
-                                          started_ns, dur_ns, /*cpi=*/-1, name_);
-  }
-  if (!fs_->config().supports_async) req.wait();  // PIOFS semantics
+  IoRequest req = submit(segments, /*is_write=*/false);
+  // PIOFS semantics: no asynchronous read API — the call returns only after
+  // the transfer is complete, so no overlap is possible.
+  if (!fs_->config().supports_async) req.wait();
   return req;
-}
-
-void StripedFile::read(std::uint64_t offset, std::span<std::byte> out) {
-  PSTAP_REQUIRE(offset + out.size() <= size(), "read past end of file " + name_);
-  if (out.empty()) return;
-  submit(offset, out.data(), out.size(), /*is_write=*/false).wait();
 }
 
 IoRequest StripedFile::iread(std::uint64_t offset, std::span<std::byte> out) {
-  PSTAP_REQUIRE(offset + out.size() <= size(), "iread past end of file " + name_);
   if (out.empty()) return IoRequest{};
-  IoRequest req = submit(offset, out.data(), out.size(), /*is_write=*/false);
-  if (!fs_->config().supports_async) {
-    // PIOFS semantics: no asynchronous read API — the call returns only
-    // after the transfer is complete, so no overlap is possible.
-    req.wait();
-  }
-  return req;
+  const IoSegment seg{offset, out};
+  return iread_gather({&seg, 1});
+}
+
+void StripedFile::read(std::uint64_t offset, std::span<std::byte> out) {
+  iread(offset, out).wait();
 }
 
 void StripedFile::write(std::uint64_t offset, std::span<const std::byte> data) {
   if (data.empty()) return;
   // Engine jobs only write into the caller's buffer for reads; for writes
   // the buffer is read-only in practice — const_cast is confined here.
-  submit(offset, const_cast<std::byte*>(data.data()), data.size(), /*is_write=*/true)
-      .wait();
+  const IoSegment seg{offset, {const_cast<std::byte*>(data.data()), data.size()}};
+  submit({&seg, 1}, /*is_write=*/true).wait();
   fs_->catalog_extend(name_, offset + data.size());
 }
 

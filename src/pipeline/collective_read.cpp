@@ -9,13 +9,20 @@ namespace pstap::pipeline {
 
 using pstap::cfloat;
 
-stap::DataCube collective_read_slab(mp::Comm& group, pfs::StripedFile& file,
-                                    const stap::RadarParams& params,
-                                    const RetryPolicy& retry, bool* degraded) {
+void collective_read_slab(mp::Comm& group, pfs::StripedFile& file,
+                          const stap::RadarParams& params, std::span<cfloat> raw,
+                          const RetryPolicy& retry, bool* degraded) {
   PSTAP_REQUIRE(group.is_member(), "collective read from a non-member handle");
   const int nranks = group.size();
   const int me = group.rank();
   const std::size_t rows_total = params.pulses * params.channels;
+  const auto window = [&](int rank) {
+    return doppler_range_window(params.ranges, static_cast<std::size_t>(nranks),
+                                static_cast<std::size_t>(rank));
+  };
+  const auto [my_r_lo, my_r_hi] = window(me);
+  PSTAP_REQUIRE(raw.size() == stap::slab_elements(params, my_r_lo, my_r_hi),
+                "raw slab buffer size mismatch");
 
   // Phase 1: conforming read. Rank r reads the r-th contiguous block of
   // (pulse, channel) rows — one large sequential request in file order.
@@ -45,42 +52,30 @@ stap::DataCube collective_read_slab(mp::Comm& group, pfs::StripedFile& file,
   }
 
   // Phase 2: redistribute. For each destination rank, slice my rows down to
-  // its range window and ship one message; likewise receive from everyone.
-  const auto window = [&](int rank) {
-    return doppler_range_window(params.ranges, static_cast<std::size_t>(nranks),
-                                static_cast<std::size_t>(rank));
-  };
-  std::vector<cfloat> buf;
+  // its range window straight into one payload; likewise receive from
+  // everyone.
   for (int dest = 0; dest < nranks; ++dest) {
     const auto [r_lo, r_hi] = window(dest);
     if (r_lo >= r_hi || row_lo >= row_hi) continue;
-    buf.clear();
-    buf.reserve((row_hi - row_lo) * (r_hi - r_lo));
+    mp::Buffer payload =
+        mp::Buffer::allocate((row_hi - row_lo) * (r_hi - r_lo) * sizeof(cfloat));
+    cfloat* dst = payload.as_span<cfloat>().data();
     for (std::size_t row = row_lo; row < row_hi; ++row) {
-      const auto series =
-          std::span<const cfloat>(mine).subspan((row - row_lo) * params.ranges,
-                                                params.ranges);
-      buf.insert(buf.end(), series.begin() + r_lo, series.begin() + r_hi);
+      const cfloat* series = mine.data() + (row - row_lo) * params.ranges;
+      dst = std::copy(series + r_lo, series + r_hi, dst);
     }
-    group.send<cfloat>(dest, kCollectiveReadTag, buf);
+    group.send_buffer(dest, kCollectiveReadTag, std::move(payload));
   }
 
-  const auto [my_r_lo, my_r_hi] = window(me);
-  stap::DataCube cube(params.channels, params.pulses, my_r_hi - my_r_lo);
+  // Source rank s owns rows [s_lo, s_hi), and the slab holds each row's
+  // window back to back in row order, so s's message lands as one run.
+  const std::size_t width = my_r_hi - my_r_lo;
   for (int src = 0; src < nranks; ++src) {
     const std::size_t s_lo = row_part.begin(static_cast<std::size_t>(src));
     const std::size_t s_hi = row_part.end(static_cast<std::size_t>(src));
-    if (s_lo >= s_hi || my_r_lo >= my_r_hi) continue;
-    const auto msg = group.recv_vector<cfloat>(src, kCollectiveReadTag);
-    PSTAP_CHECK(msg.size() == (s_hi - s_lo) * (my_r_hi - my_r_lo),
-                "collective exchange size mismatch");
-    std::size_t idx = 0;
-    for (std::size_t row = s_lo; row < s_hi; ++row) {
-      const std::size_t p = row / params.channels;
-      const std::size_t c = row % params.channels;
-      auto dst = cube.range_series(c, p);
-      for (std::size_t r = 0; r < dst.size(); ++r) dst[r] = msg[idx++];
-    }
+    if (s_lo >= s_hi || width == 0) continue;
+    group.recv_into<cfloat>(src, kCollectiveReadTag,
+                            raw.subspan(s_lo * width, (s_hi - s_lo) * width));
   }
 
   // Degradation is a collective property: a zero-filled file block landed
@@ -91,7 +86,6 @@ stap::DataCube collective_read_slab(mp::Comm& group, pfs::StripedFile& file,
                         std::span<int>(&any, 1));
     *degraded = any != 0;
   }
-  return cube;
 }
 
 }  // namespace pstap::pipeline

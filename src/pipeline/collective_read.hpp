@@ -10,8 +10,9 @@
 // interconnect to the decomposition the computation wants.
 //
 // collective_read_slab() implements exactly that on the mp runtime and the
-// striped file system; it is a drop-in alternative to
-// stap::read_cpi_slab(file, ..., FileLayout::kPulseMajor).
+// striped file system. It fills the same raw slab, byte for byte, as
+// stap::start_read_cpi_slab(file, ..., FileLayout::kPulseMajor) and a
+// wait(), so DopplerFilter::process_into takes either one unchanged.
 #pragma once
 
 #include "common/retry.hpp"
@@ -25,11 +26,13 @@ namespace pstap::pipeline {
 inline constexpr int kCollectiveReadTag = 900;
 
 /// Collectively read one pulse-major CPI file over the ranks of `group`.
-/// Every rank must call with the same file and parameters; rank r returns
-/// the cube slab of Doppler range window r of group.size()
-/// (doppler_range_window in pipeline/partition.hpp), an empty one too. No
-/// other traffic on `group` may use kCollectiveReadTag (the pipeline gives
-/// the collective a subgroup of its own).
+/// Every rank must call with the same file and parameters; rank r fills
+/// `raw` with Doppler range window r of group.size() (doppler_range_window
+/// in pipeline/partition.hpp), an empty one too, in the pulse-major raw
+/// slab layout: (pulse, channel) rows in p * channels + c order, each as
+/// wide as the window (stap::slab_elements values in all). No other
+/// traffic on `group` may use kCollectiveReadTag (the pipeline gives the
+/// collective a subgroup of its own).
 ///
 /// `retry` governs transient failures and per-attempt timeouts of the
 /// phase-1 conforming read. When `degraded` is non-null, a rank whose read
@@ -37,9 +40,8 @@ inline constexpr int kCollectiveReadTag = 900;
 /// (so no peer wedges); the flag is then agreed collectively — every rank
 /// sets *degraded if ANY rank degraded. With degraded == nullptr the
 /// exhausted error propagates on the failing rank (legacy behavior).
-stap::DataCube collective_read_slab(mp::Comm& group, pfs::StripedFile& file,
-                                    const stap::RadarParams& params,
-                                    const RetryPolicy& retry = {},
-                                    bool* degraded = nullptr);
+void collective_read_slab(mp::Comm& group, pfs::StripedFile& file,
+                          const stap::RadarParams& params, std::span<cfloat> raw,
+                          const RetryPolicy& retry = {}, bool* degraded = nullptr);
 
 }  // namespace pstap::pipeline

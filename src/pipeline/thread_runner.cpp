@@ -418,7 +418,8 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
     }
     doppler_group = ctx.world.subgroup(doppler_ranks);
     collective_files = open_round_robin(ctx);
-  } else if (embedded) {
+  }
+  if (embedded && !collective) {
     reader.emplace(ctx, r_lo, r_hi);
   } else {
     raw_recv.resize((r_hi - r_lo) * p.pulses * p.channels);
@@ -479,12 +480,11 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
     ctx.ring->record_message(cpi, kTagRaw, src, std::move(payload));
   };
 
-  // The embedded and separate-I/O paths filter the raw file-order slab in
-  // place (`raw`: the reader's buffer or raw_recv); only the collective
-  // read produces a cube. The output is written into one pooled payload
+  // Every mode filters the raw file-order slab in place (`raw`: the
+  // reader's buffer, or raw_recv, which the collective read and the read
+  // nodes' pieces fill). The output is written into one pooled payload
   // per CPI (easy then hard) and shipped as slices of it, so the send
   // copies nothing, and the filter never writes into bytes it shipped.
-  stap::DataCube cube;  // collective reads only
   std::span<const cfloat> raw = raw_recv;
   stap::DopplerOutput out;
   const std::size_t width = r_hi - r_lo;
@@ -499,8 +499,8 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
         auto& file =
             collective_files[static_cast<std::size_t>(cpi) % collective_files.size()];
         bool degraded = false;
-        cube = collective_read_slab(*doppler_group, file, p, ctx.opt.io_retry,
-                                    &degraded);
+        collective_read_slab(*doppler_group, file, p, raw_recv, ctx.opt.io_retry,
+                             &degraded);
         if (degraded) ctx.mark_dropped(cpi);
       });
     } else if (embedded) {
@@ -533,13 +533,9 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
                                 storage.slice(0, split));
       out.hard = stap::BinArray(hard_ids.size(), p.hard_dof(), width,
                                 storage.slice(split, storage.size() - split));
-      if (collective) {
-        filter.process_into(cube, out);
-      } else {
-        // Separate I/O runs on range-major files only, so file_layout
-        // describes raw_recv's pieces as well as the reader's slab.
-        filter.process_into(raw, r_hi - r_lo, ctx.opt.file_layout, out);
-      }
+      // Separate I/O runs on range-major files only and collective I/O on
+      // pulse-major ones, so file_layout describes every mode's slab.
+      filter.process_into(raw, width, ctx.opt.file_layout, out);
     });
 
     clock.send([&] {

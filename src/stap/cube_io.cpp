@@ -54,13 +54,6 @@ void write_cpi(pfs::StripedFileSystem& fs, const std::string& name,
   f.write_values<cfloat>(0, std::span<const cfloat>(staging));
 }
 
-DataCube read_cpi(pfs::StripedFileSystem& fs, const std::string& name,
-                  const RadarParams& params, FileLayout layout,
-                  const RetryPolicy& retry) {
-  pfs::StripedFile f = fs.open(name);
-  return read_cpi_slab(f, params, 0, params.ranges, layout, retry);
-}
-
 DataCube read_cpi_slab(pfs::StripedFile& file, const RadarParams& params,
                        std::size_t r0, std::size_t r1, FileLayout layout,
                        const RetryPolicy& retry) {

@@ -14,8 +14,9 @@
 //
 // (FileLayout itself lives in data_cube.hpp.) A pipeline slab read is not
 // decoded: DopplerFilter::process_into filters the raw buffer
-// start_read_cpi_slab filled, in either layout. read_cpi, read_cpi_slab
-// and unpack_slab decode into a DataCube for every other reader.
+// start_read_cpi_slab (or the collective read) filled, in either layout.
+// read_cpi_slab and unpack_slab decode into a DataCube for every other
+// reader; read_cpi_slab(file, params, 0, params.ranges) reads a whole cube.
 #pragma once
 
 #include <cstdint>
@@ -48,18 +49,12 @@ void write_cpi(pfs::StripedFileSystem& fs, const std::string& name,
 void write_cpi(pfs::StripedFileSystem& fs, const std::string& name,
                const DataCube& cube, FileLayout layout, std::span<cfloat> staging);
 
-/// Read a full cube from file `name`. `retry` governs transient I/O
-/// failures and per-attempt timeouts (the default fails fast).
-DataCube read_cpi(pfs::StripedFileSystem& fs, const std::string& name,
-                  const RadarParams& params,
-                  FileLayout layout = FileLayout::kRangeMajor,
-                  const RetryPolicy& retry = {});
-
 /// Read range gates [r0, r1) of `file` into a cube of (r1-r0) ranges —
 /// the per-node exclusive-portion read. Synchronous. On pulse-major files
-/// this is a strided gather read. Transient failures and timeouts are
-/// retried per `retry` (whole-slab reissue: chunk buffers cannot be
-/// salvaged piecemeal once any chunk fails).
+/// this is a strided gather read. `retry` governs transient failures and
+/// per-attempt timeouts (the default fails fast; a retry reissues the
+/// whole slab: chunk buffers cannot be salvaged piecemeal once any chunk
+/// fails).
 DataCube read_cpi_slab(pfs::StripedFile& file, const RadarParams& params,
                        std::size_t r0, std::size_t r1,
                        FileLayout layout = FileLayout::kRangeMajor,

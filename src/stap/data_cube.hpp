@@ -110,11 +110,13 @@ class RowArray {
     return base()[(b * rows_ + row) * ranges_ + r];
   }
 
+  // Pointer arithmetic, not at(): an array with no storage (0 ranges) has
+  // a null base(), and binding a reference through it is undefined.
   std::span<cfloat> range_series(std::size_t b, std::size_t row) noexcept {
-    return {&at(b, row, 0), ranges_};
+    return {base() + (b * rows_ + row) * ranges_, ranges_};
   }
   std::span<const cfloat> range_series(std::size_t b, std::size_t row) const noexcept {
-    return {&at(b, row, 0), ranges_};
+    return {base() + (b * rows_ + row) * ranges_, ranges_};
   }
 
   std::span<cfloat> flat() noexcept { return {base(), samples()}; }

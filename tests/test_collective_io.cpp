@@ -4,6 +4,7 @@
 // the range-major direct path.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <set>
 
@@ -104,8 +105,9 @@ TEST_F(LayoutTest, PulseMajorWholeFileRoundTrip) {
   stap::SceneGenerator gen(params, stap::SceneConfig{}, 11);
   const stap::DataCube cube = gen.generate(0);
   stap::write_cpi(fs, "pm", cube, stap::FileLayout::kPulseMajor);
+  pfs::StripedFile f = fs.open("pm");
   const stap::DataCube back =
-      stap::read_cpi(fs, "pm", params, stap::FileLayout::kPulseMajor);
+      stap::read_cpi_slab(f, params, 0, params.ranges, stap::FileLayout::kPulseMajor);
   EXPECT_TRUE(std::equal(cube.flat().begin(), cube.flat().end(), back.flat().begin()));
 }
 
@@ -136,37 +138,71 @@ TEST_F(LayoutTest, BothLayoutsHaveSameFileSize) {
 
 // -------------------------------------------------------- collective read --
 
-class CollectiveReadTest : public ::testing::TestWithParam<int> {};
+class CollectiveReadTest : public ::testing::TestWithParam<int> {
+ protected:
+  // Every rank's collective slab must equal, byte for byte, the raw slab a
+  // gather read of the same window fills (start_read_cpi_slab, pulse-major)
+  // — the buffer DopplerFilter::process_into takes from either path. An
+  // empty window reads nothing either way.
+  static void expect_matches_gather_read(const stap::RadarParams& params,
+                                         int nranks, std::uint64_t seed) {
+    TempRoot tmp;
+    pfs::StripedFileSystem fs(tmp.path(), pfs::paragon_pfs(4));
+    stap::SceneGenerator gen(params, stap::SceneConfig{}, seed);
+    stap::write_cpi(fs, "pm", gen.generate(0), stap::FileLayout::kPulseMajor);
+
+    std::vector<int> failures(static_cast<std::size_t>(nranks), -1);
+    mp::World world(nranks);
+    world.run([&](mp::Comm& comm) {
+      pfs::StripedFile file = fs.open("pm");
+      const auto [r0, r1] = pipeline::doppler_range_window(
+          params.ranges, static_cast<std::size_t>(comm.size()),
+          static_cast<std::size_t>(comm.rank()));
+      const std::size_t n = stap::slab_elements(params, r0, r1);
+      std::vector<cfloat> mine(n), direct(n);
+      pipeline::collective_read_slab(comm, file, params, mine);
+      if (r0 < r1) {
+        stap::start_read_cpi_slab(file, params, r0, r1, direct,
+                                  stap::FileLayout::kPulseMajor)
+            .wait();
+      }
+      // memcmp, not ==: the bytes must match, and an empty window's
+      // vectors have null data(), which memcmp may not be passed.
+      failures[static_cast<std::size_t>(comm.rank())] =
+          n != 0 && std::memcmp(mine.data(), direct.data(), n * sizeof(cfloat)) != 0;
+    });
+    for (int r = 0; r < nranks; ++r) {
+      EXPECT_EQ(failures[static_cast<std::size_t>(r)], 0) << "rank " << r;
+    }
+  }
+};
 
 TEST_P(CollectiveReadTest, MatchesDirectStridedRead) {
-  const int nranks = GetParam();
+  expect_matches_gather_read(stap::RadarParams::test_small(), GetParam(), 31);
+}
+
+TEST_P(CollectiveReadTest, OddRangeCountMatchesGatherRead) {
+  // 100 gates: the last 32-gate block is 4 wide, so one window ends off a
+  // block boundary and rows are not a multiple of the block.
+  auto params = stap::RadarParams::test_small();
+  params.ranges = 100;
+  params.validate();
+  expect_matches_gather_read(params, GetParam(), 32);
+}
+
+TEST(CollectiveRead, RejectsWrongSlabSize) {
   const auto params = stap::RadarParams::test_small();
   TempRoot tmp;
-  pfs::StripedFileSystem fs(tmp.path(), pfs::paragon_pfs(4));
-  stap::SceneGenerator gen(params, stap::SceneConfig{}, 31);
-  const stap::DataCube cube = gen.generate(0);
-  stap::write_cpi(fs, "pm", cube, stap::FileLayout::kPulseMajor);
-
-  std::vector<int> failures(static_cast<std::size_t>(nranks), -1);
-  mp::World world(nranks);
+  pfs::StripedFileSystem fs(tmp.path(), pfs::paragon_pfs(2));
+  stap::SceneGenerator gen(params, stap::SceneConfig{}, 33);
+  stap::write_cpi(fs, "pm", gen.generate(0), stap::FileLayout::kPulseMajor);
+  mp::World world(1);
   world.run([&](mp::Comm& comm) {
     pfs::StripedFile file = fs.open("pm");
-    const stap::DataCube mine =
-        pipeline::collective_read_slab(comm, file, params);
-    const auto [r0, r1] = pipeline::doppler_range_window(
-        params.ranges, static_cast<std::size_t>(comm.size()),
-        static_cast<std::size_t>(comm.rank()));
-    EXPECT_EQ(mine.ranges(), r1 - r0);
-    int bad = 0;
-    for (std::size_t c = 0; c < params.channels; ++c)
-      for (std::size_t p = 0; p < params.pulses; ++p)
-        for (std::size_t r = r0; r < r1; ++r)
-          bad += mine.at(c, p, r - r0) != cube.at(c, p, r);
-    failures[static_cast<std::size_t>(comm.rank())] = bad;
+    std::vector<cfloat> short_slab(params.cube_samples() - 1);
+    EXPECT_THROW(pipeline::collective_read_slab(comm, file, params, short_slab),
+                 PreconditionError);
   });
-  for (int r = 0; r < nranks; ++r) {
-    EXPECT_EQ(failures[static_cast<std::size_t>(r)], 0) << "rank " << r;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, CollectiveReadTest, ::testing::Values(1, 2, 3, 4, 7));
@@ -215,6 +251,26 @@ TEST_F(PipelineLayoutTest, PulseMajorDirectAndCollectiveMatchRangeMajor) {
   EXPECT_EQ(keys(base.detections), keys(strided.detections));
   EXPECT_EQ(keys(base.detections), keys(twophase.detections));
   EXPECT_FALSE(base.detections.empty());
+}
+
+TEST_F(PipelineLayoutTest, ThreeDopplerNodeCollectiveMatchesRangeMajor) {
+  // test_small's 4 range blocks split 2/1/1: every Doppler node's window,
+  // and so every collective message, has its own width.
+  const auto p = stap::RadarParams::test_small();
+  const auto spec = pipeline::PipelineSpec::embedded_io(p, {3, 1, 1, 1, 1, 1, 1});
+
+  pipeline::ThreadRunner baseline(spec, options(tmp_a.path()));
+  const auto base = baseline.run();
+
+  auto opt_cio = options(tmp_b.path());
+  opt_cio.file_layout = stap::FileLayout::kPulseMajor;
+  opt_cio.collective_io = true;
+  pipeline::ThreadRunner collective(spec, opt_cio);
+  const auto twophase = collective.run();
+
+  EXPECT_EQ(keys(base.detections), keys(twophase.detections));
+  EXPECT_FALSE(base.detections.empty());
+  EXPECT_TRUE(twophase.dropped_cpis.empty());
 }
 
 TEST_F(PipelineLayoutTest, RejectsUnsupportedCombinations) {

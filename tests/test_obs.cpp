@@ -499,11 +499,12 @@ DepthProbe probe_queue_depth(std::size_t stripe_factor) {
     fs.write_file("depth", data);
     pfs::StripedFile file = fs.open("depth");
     for (int rep = 0; rep < 2; ++rep) file.read(0, data);
-    probe.p95 = fs.engine().queue_depth().quantile(0.95);
-    probe.max = fs.engine().queue_depth().max();
-    probe.samples = fs.engine().queue_depth().count();
-    EXPECT_GT(fs.engine().service_time().count(), 0u);
-    EXPECT_GT(fs.engine().submit_latency().count(), 0u);
+    const obs::IoStats io = fs.engine().stats();
+    probe.p95 = io.queue_depth.quantile(0.95);
+    probe.max = io.queue_depth.max();
+    probe.samples = io.queue_depth.count();
+    EXPECT_GT(io.service_time.count(), 0u);
+    EXPECT_GT(io.submit_latency.count(), 0u);
   }
   fsys::remove_all(root);
   return probe;

@@ -425,6 +425,48 @@ TEST(Pfs, EmptyReadIsNoop) {
   EXPECT_TRUE(req.done());
 }
 
+// read, iread and a one-segment gather are one logical request each: one
+// hit of the file's fault site and one submit-latency sample per request,
+// however many stripe units it spans; an empty read makes no request.
+TEST(Pfs, EveryReadEntryIsOneLogicalRequest) {
+  TempDir tmp;
+  StripedFileSystem pfs(tmp.path(), small_cfg(4, 64));
+  const auto data = pattern_bytes(1024, 21);
+  pfs.write_file("f", data);
+  StripedFile f = pfs.open("f");
+  auto plan = std::make_shared<fault::FaultPlan>(23);
+  fault::FaultScope scope(plan);
+  const std::string site = "pfs.file.read.f";
+  const std::uint64_t submits = pfs.engine().stats().submit_latency.count();
+  const auto expect_bytes = [&](const std::vector<std::byte>& buf) {
+    EXPECT_TRUE(std::equal(buf.begin(), buf.end(), data.begin() + 100));
+  };
+
+  std::vector<std::byte> buf(300);  // five stripe units
+  f.iread(100, buf).wait();
+  expect_bytes(buf);
+  EXPECT_EQ(plan->occurrences(site), 1u);
+  std::fill(buf.begin(), buf.end(), std::byte{0});
+  f.read(100, buf);
+  expect_bytes(buf);
+  EXPECT_EQ(plan->occurrences(site), 2u);
+  std::fill(buf.begin(), buf.end(), std::byte{0});
+  const StripedFile::IoSegment seg{100, buf};
+  f.iread_gather({&seg, 1}).wait();
+  expect_bytes(buf);
+  EXPECT_EQ(plan->occurrences(site), 3u);
+
+  std::vector<std::byte> empty;
+  f.read(5, empty);
+  EXPECT_TRUE(f.iread(5, empty).done());
+  EXPECT_EQ(plan->occurrences(site), 3u) << "an empty read makes no request";
+  EXPECT_EQ(pfs.engine().stats().submit_latency.count() - submits, 3u);
+
+  f.write(0, buf);
+  EXPECT_EQ(plan->occurrences("pfs.file.write.f"), 1u);
+  EXPECT_EQ(plan->occurrences(site), 3u);
+}
+
 TEST(Pfs, ConcurrentExclusiveReaders) {
   // Every node of the first pipeline task reads its exclusive file portion
   // concurrently — the paper's access pattern.

@@ -94,7 +94,7 @@ TEST(StragglerSched, GatherCoalescesToOneJobPerServer) {
   const auto data = pattern_bytes(256 * 64, 102);  // 64 chunks over 4 dirs
   pfs.write_file("f", data);
 
-  const std::uint64_t writes_sampled = pfs.engine().queue_depth().count();
+  const std::uint64_t writes_sampled = pfs.engine().stats().queue_depth.count();
   StripedFile f = pfs.open("f");
   std::vector<std::byte> buf(data.size());
   std::vector<StripedFile::IoSegment> segs;
@@ -106,7 +106,7 @@ TEST(StragglerSched, GatherCoalescesToOneJobPerServer) {
   req.wait();
   EXPECT_EQ(buf, data);
   // 64 chunks, 4 servers -> exactly 4 submits (one list job per server).
-  EXPECT_EQ(pfs.engine().queue_depth().count() - writes_sampled, 4u);
+  EXPECT_EQ(pfs.engine().stats().queue_depth.count() - writes_sampled, 4u);
 }
 
 // Per-chunk mode must preserve the old accounting: one job per chunk.
@@ -117,9 +117,9 @@ TEST(StragglerSched, SchedulerOffKeepsPerChunkJobs) {
   StripedFileSystem pfs(tmp.path(), cfg);
   const auto data = pattern_bytes(256 * 16, 103);
   pfs.write_file("f", data);
-  const std::uint64_t before = pfs.engine().queue_depth().count();
+  const std::uint64_t before = pfs.engine().stats().queue_depth.count();
   EXPECT_EQ(pfs.read_file("f"), data);
-  EXPECT_EQ(pfs.engine().queue_depth().count() - before, 16u);
+  EXPECT_EQ(pfs.engine().stats().queue_depth.count() - before, 16u);
 }
 
 // The PSTAP_STRAGGLER_SCHED environment variable overrides the config

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/buffer.hpp"
 #include "common/checkpoint.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
@@ -39,16 +40,24 @@ std::vector<std::byte> bytes_of(std::initializer_list<int> vals) {
   return out;
 }
 
+Buffer payload_of(std::initializer_list<int> vals) {
+  return Buffer::adopt(bytes_of(vals));
+}
+
+std::vector<std::byte> bytes_in(const Buffer& buf) {
+  return {buf.data(), buf.data() + buf.size()};
+}
+
 TEST(CheckpointRing, RecordReplayCompleteEvict) {
   ckpt::CheckpointRing ring(4);
   EXPECT_EQ(ring.watermark(), -1);
 
-  ring.record_message(0, /*stream=*/1, /*source=*/2, bytes_of({1, 2, 3}));
-  ring.record_message(1, 1, 2, bytes_of({4, 5}));
+  ring.record_message(0, /*stream=*/1, /*source=*/2, payload_of({1, 2, 3}));
+  ring.record_message(1, 1, 2, payload_of({4, 5}));
 
-  std::vector<std::byte> out;
+  Buffer out;
   EXPECT_TRUE(ring.replay_message(0, 1, 2, out));
-  EXPECT_EQ(out, bytes_of({1, 2, 3}));
+  EXPECT_EQ(bytes_in(out), bytes_of({1, 2, 3}));
   EXPECT_FALSE(ring.replay_message(0, 1, 3, out));  // wrong source
   EXPECT_FALSE(ring.replay_message(0, 2, 2, out));  // wrong stream
 
@@ -56,7 +65,7 @@ TEST(CheckpointRing, RecordReplayCompleteEvict) {
   EXPECT_EQ(ring.watermark(), 0);
   EXPECT_FALSE(ring.replay_message(0, 1, 2, out)) << "evicted by complete()";
   EXPECT_TRUE(ring.replay_message(1, 1, 2, out));
-  EXPECT_EQ(out, bytes_of({4, 5}));
+  EXPECT_EQ(bytes_in(out), bytes_of({4, 5}));
 
   EXPECT_EQ(ring.messages_recorded(), 2u);
   EXPECT_EQ(ring.messages_replayed(), 2u);
@@ -66,30 +75,21 @@ TEST(CheckpointRing, RecordReplayCompleteEvict) {
 
 TEST(CheckpointRing, FirstRecordWins) {
   ckpt::CheckpointRing ring(2);
-  ring.record_message(3, 7, 0, bytes_of({9}));
-  ring.record_message(3, 7, 0, bytes_of({8, 8}));  // replayed re-record
-  std::vector<std::byte> out;
+  ring.record_message(3, 7, 0, payload_of({9}));
+  ring.record_message(3, 7, 0, payload_of({8, 8}));  // replayed re-record
+  Buffer out;
   ASSERT_TRUE(ring.replay_message(3, 7, 0, out));
-  EXPECT_EQ(out, bytes_of({9}));
+  EXPECT_EQ(bytes_in(out), bytes_of({9}));
   EXPECT_EQ(ring.messages_recorded(), 1u);
 }
 
 TEST(CheckpointRing, DepthGuardFailsLoudly) {
   ckpt::CheckpointRing ring(2);
-  ring.record_message(0, 1, 0, bytes_of({1}));
-  ring.record_message(1, 1, 0, bytes_of({1}));
-  EXPECT_THROW(ring.record_message(2, 1, 0, bytes_of({1})), RuntimeError);
+  ring.record_message(0, 1, 0, payload_of({1}));
+  ring.record_message(1, 1, 0, payload_of({1}));
+  EXPECT_THROW(ring.record_message(2, 1, 0, payload_of({1})), RuntimeError);
   ring.complete(0);
-  ring.record_message(2, 1, 0, bytes_of({1}));  // room again after eviction
-}
-
-TEST(CheckpointRing, StateSnapshotKeepsLatest) {
-  ckpt::CheckpointRing ring(2);
-  EXPECT_EQ(ring.state_cpi(), -1);
-  ring.save_state(0, bytes_of({1}));
-  ring.save_state(1, bytes_of({2, 3}));
-  EXPECT_EQ(ring.state_cpi(), 1);
-  EXPECT_EQ(ring.state(), bytes_of({2, 3}));
+  ring.record_message(2, 1, 0, payload_of({1}));  // room again after eviction
 }
 
 // ----------------------------------------------- supervised pipeline runs --
