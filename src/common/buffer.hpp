@@ -14,8 +14,8 @@
 //   * allocated — cache-line-aligned storage of its own, freed on release
 //     (Buffer::allocate: the default storage of the STAP row arrays);
 //   * adopted   — wraps a std::vector<std::byte> the caller already built
-//     (the packed spans of mp::Comm::send and allreduce_sum; one Rep
-//     allocation per message).
+//     (the packed spans of allreduce_sum; one Rep allocation per
+//     message).
 //
 // A handle views a byte range of its storage: slice() hands out a
 // sub-range that shares the refcount, so one filled array can be shipped

@@ -2,14 +2,17 @@
 //
 // Mirrors the message-passing model the paper's STAP code used on the
 // Paragon (NX) and SP (MPL/MPI), cut to what the pipeline uses:
-// point-to-point sends and receives matched exactly on (source, tag), one
-// collective (allreduce_sum, the Doppler nodes' agreement on whether a
-// collectively read CPI was degraded) and explicit sub-communicators for
-// per-task node groups.
+// zero-copy point-to-point sends of Buffer handles (send_buffer,
+// send_stream) and receives matched exactly on (source, tag) (recv_buffer,
+// recv_into, probe), one collective (allreduce_sum, the Doppler nodes'
+// agreement on whether a collectively read CPI was degraded) and explicit
+// sub-communicators for per-task node groups. Typed spans travel as
+// Buffer::adopt(pack(span)) and come back with unpack/unpack_vector
+// (mp/message.hpp).
 //
-// Ranks are threads (see mp::World). Sends are buffered: the payload is
-// deposited in the destination mailbox immediately, so `send` never
-// deadlocks against an unposted receive — matching the M_ASYNC-style
+// Ranks are threads (see mp::World). Sends are buffered: the payload handle
+// is deposited in the destination mailbox immediately, so `send_buffer`
+// never deadlocks against an unposted receive — matching the M_ASYNC-style
 // semantics the paper relies on. The one exception is `send_stream`, the
 // pipeline's CPI stream send: it blocks while kStreamDepth envelopes of
 // its (source, tag) stream are still queued at the destination, so a fast
@@ -81,22 +84,6 @@ class Comm {
 
   /// Nonblocking probe: payload size of the first matching message, if any.
   std::optional<std::size_t> probe(int source, int tag);
-
-  // ----------------------------------------------------------- typed p2p --
-
-  /// Buffered send of a span: one pack into a fresh vector, adopted as the
-  /// payload (prefer send_buffer + a pool on hot paths).
-  template <typename T>
-  void send(int dest, int tag, std::span<const T> values) {
-    send_buffer(dest, tag, Buffer::adopt(pack(values)));
-  }
-
-  /// Receive into a newly allocated vector sized from the message.
-  template <typename T>
-  std::vector<T> recv_vector(int source, int tag) {
-    const Buffer buf = recv_buffer(source, tag);
-    return unpack_vector<T>(buf.bytes());
-  }
 
   // ------------------------------------------------------------ allreduce --
 

@@ -21,7 +21,7 @@ namespace pstap::mp {
 
 /// Refcounted payload handle (see common/buffer.hpp): pooled buffers give
 /// the zero-copy/zero-allocation fast path; adopted vectors carry the
-/// packed spans of Comm::send and allreduce_sum.
+/// packed spans of allreduce_sum.
 using Buffer = pstap::Buffer;
 using BufferPool = pstap::BufferPool;
 

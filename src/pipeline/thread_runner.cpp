@@ -5,6 +5,7 @@
 #include <chrono>
 #include <ctime>
 #include <deque>
+#include <functional>
 #include <optional>
 #include <string>
 #include <thread>
@@ -103,6 +104,14 @@ struct NodeCtx {
     return pool->acquire_elems<cfloat>(count);
   }
 
+  /// A pooled payload holding a copy of `values`, for a message whose
+  /// source storage is reused before the receiver reads it.
+  mp::Buffer payload_copy(std::span<const cfloat> values) const {
+    mp::Buffer payload = payload_for(values.size());
+    std::copy(values.begin(), values.end(), payload.as_span<cfloat>().begin());
+    return payload;
+  }
+
   /// A row array (stap::BinArray or stap::BeamArray) over a fresh pooled
   /// payload, uninitialized: the storage a node writes once per CPI and
   /// then ships as slices.
@@ -112,6 +121,7 @@ struct NodeCtx {
   }
 
   const stap::RadarParams& params() const { return spec.params; }
+  TaskKind kind() const { return spec.tasks[static_cast<std::size_t>(task)].kind; }
   int nodes_of(TaskKind kind) const {
     const int i = spec.find(kind);
     return i < 0 ? 0 : spec.tasks[static_cast<std::size_t>(i)].nodes;
@@ -127,123 +137,84 @@ struct NodeCtx {
   void mark_dropped(int cpi) const {
     results->dropped[static_cast<std::size_t>(world.rank())].push_back(cpi);
   }
-
-  /// First CPI this incarnation executes: a respawned rank resumes past
-  /// its checkpoint watermark; the original spawn starts at 0.
-  int resume_cpi() const { return ring != nullptr ? ring->watermark() + 1 : 0; }
-
-  /// Called at the end of every CPI loop iteration: advances the
-  /// checkpoint watermark and evicts the CPI's logged messages.
-  void complete_cpi(int cpi) const {
-    if (ring != nullptr) ring->complete(cpi);
-  }
 };
 
-/// Checkpoint-aware receive: a replayed CPI gets the payload its dead
-/// predecessor consumed (byte-identical re-execution); a fresh receive is
-/// logged under the *consumption* CPI so eviction can never outrun a
-/// future replay (the temporal weights edge consumes CPI k-1's message at
-/// CPI k — it is logged under k).
-mp::Buffer recv_logged(const NodeCtx& ctx, int log_cpi, int source, int tag) {
-  mp::Buffer payload;
-  if (ctx.ring != nullptr &&
-      ctx.ring->replay_message(log_cpi, tag, source, payload)) {
-    return payload;
-  }
-  payload = ctx.world.recv_buffer(source, tag);
-  // The ring shares the refcounted payload — logging copies a handle, not
-  // the bytes.
-  if (ctx.ring != nullptr) ctx.ring->record_message(log_cpi, tag, source, payload);
-  return payload;
-}
+/// One node's work in a CPI, as the paper models every task: receive,
+/// compute, send. A phase the node does not have stays empty and records
+/// no samples and no span. An idle node (more nodes than bins) runs no
+/// phase at all.
+struct CpiSteps {
+  bool idle = false;
+  std::function<void(int cpi)> recv{}, comp{}, send{};
+};
 
-/// Per-CPI phase timing accumulator. Each phase section runs under an
-/// obs::ScopedSpan, so one clock pair feeds the wall-clock sums, the phase
-/// histograms, and (when tracing) the emitted span — they cannot disagree.
-/// Spans are emitted for every CPI; the sums/histograms only count timed
-/// (post-warmup) ones. An outer "cpi" span wraps each CPI's phases.
-class PhaseClock {
- public:
-  PhaseClock(const RunOptions& opt, Phase& out, std::string fault_site, int rank,
-             Supervisor* sup = nullptr)
-      : opt_(opt),
-        out_(out),
-        fault_site_(std::move(fault_site)),
-        rank_(rank),
-        sup_(sup),
-        crash_site_("pipeline.rank." + std::to_string(rank)),
-        crash_site_send_(crash_site_ + ".send") {}
-
-  void start_cpi(int cpi) {
-    end_cpi_span();
-    if (sup_ != nullptr) {
-      sup_->beat(rank_);
-      // Crash sites live only here and at send start, so a dead rank's
-      // per-CPI sends are all-or-nothing — the invariant CPI replay
-      // depends on. Only evaluated under supervision: an unsupervised
-      // crash would wedge every peer.
-      fault::inject_crash(crash_site_, static_cast<std::uint64_t>(cpi));
+/// The per-CPI protocol, the same for every node. It runs from the first
+/// CPI this incarnation executes (a respawned rank resumes past its
+/// checkpoint watermark; the original spawn starts at 0) to the last. Each
+/// CPI it
+///   - beats and passes the `pipeline.rank.<R>` crash site and the stage
+///     delay site, on idle CPIs too, so an idle rank keeps beating;
+///   - runs the receive, compute and send steps in that order, with the
+///     `.send` crash site at send start;
+///   - completes the CPI: advances the checkpoint watermark and evicts the
+///     CPI's logged messages.
+/// Crash sites live only at CPI start and send start, so a dead rank's
+/// per-CPI sends are all-or-nothing — the invariant CPI replay depends on.
+/// They are evaluated only under supervision: an unsupervised crash would
+/// wedge every peer.
+///
+/// Each phase runs under an obs::ScopedSpan, so one clock pair feeds the
+/// wall-clock sum, the phase histogram and (when tracing) the emitted span
+/// — they cannot disagree. Spans are emitted for every CPI; sums and
+/// histograms count only timed (post-warmup) CPIs, and the rank's
+/// per-phase averages are written at the end. A "cpi" span brackets each
+/// CPI's phases.
+void run_cpis(const NodeCtx& ctx, const CpiSteps& steps) {
+  const int rank = ctx.world.rank();
+  const std::string stage_site = std::string("pipeline.stage.") + task_name(ctx.kind());
+  const std::string crash_site = "pipeline.rank." + std::to_string(rank);
+  const std::string send_site = crash_site + ".send";
+  Phase& out = ctx.results->avg_phase[static_cast<std::size_t>(rank)];
+  Seconds recv = 0, comp = 0, send = 0;
+  for (int cpi = ctx.ring != nullptr ? ctx.ring->watermark() + 1 : 0;
+       cpi < ctx.opt.cpis; ++cpi) {
+    if (ctx.sup != nullptr) {
+      ctx.sup->beat(rank);
+      fault::inject_crash(crash_site, static_cast<std::uint64_t>(cpi));
     }
     // Stage-boundary injection site: armed delays stall this node exactly
     // where a real hiccup (page fault, scheduler preemption) would land.
     // Delay-only — stage boundaries have no retry/degradation story.
-    fault::inject_delay_only(fault_site_);
-    timed_ = cpi >= opt_.warmup;
-    cpi_ = cpi;
-    if (obs::trace_enabled()) cpi_start_ns_ = obs::trace_now_ns();
-  }
-  void finish() {
-    end_cpi_span();
-    const int timed_cpis = std::max(1, opt_.cpis - opt_.warmup);
-    out_.recv = recv_ / timed_cpis;
-    out_.comp = comp_ / timed_cpis;
-    out_.send = send_ / timed_cpis;
-  }
-
-  // Scoped phase sections.
-  template <typename F>
-  void recv(F&& f) { timed_section("receive", recv_, out_.recv_hist, std::forward<F>(f)); }
-  template <typename F>
-  void comp(F&& f) { timed_section("compute", comp_, out_.comp_hist, std::forward<F>(f)); }
-  template <typename F>
-  void send(F&& f) {
-    if (sup_ != nullptr) {
-      fault::inject_crash(crash_site_send_, static_cast<std::uint64_t>(cpi_));
+    fault::inject_delay_only(stage_site);
+    const std::int64_t cpi_start_ns = obs::trace_enabled() ? obs::trace_now_ns() : -1;
+    const bool timed = cpi >= ctx.opt.warmup;
+    auto section = [&](const char* name, const std::function<void(int)>& step,
+                       Seconds& sum, obs::Histogram& hist) {
+      obs::ScopedSpan span("pipeline", name, rank, timed ? &sum : nullptr, cpi,
+                           timed ? &hist : nullptr);
+      step(cpi);
+    };
+    if (!steps.idle) {
+      if (steps.recv) section("receive", steps.recv, recv, out.recv_hist);
+      if (steps.comp) section("compute", steps.comp, comp, out.comp_hist);
+      if (steps.send) {
+        if (ctx.sup != nullptr) {
+          fault::inject_crash(send_site, static_cast<std::uint64_t>(cpi));
+        }
+        section("send", steps.send, send, out.send_hist);
+      }
     }
-    timed_section("send", send_, out_.send_hist, std::forward<F>(f));
-  }
-
- private:
-  template <typename F>
-  void timed_section(const char* name, Seconds& sink, obs::Histogram& hist, F&& f) {
-    obs::ScopedSpan span("pipeline", name, rank_, timed_ ? &sink : nullptr,
-                         cpi_, timed_ ? &hist : nullptr);
-    f();
-  }
-
-  /// Deferred emission of the enclosing per-CPI span: it closes when the
-  /// next CPI starts (or at finish()), so it brackets all three phases.
-  void end_cpi_span() {
-    if (cpi_start_ns_ < 0) return;
-    if (obs::trace_enabled()) {
-      obs::TraceRecorder::global().complete(
-          "pipeline", "cpi", rank_, cpi_start_ns_,
-          obs::trace_now_ns() - cpi_start_ns_, cpi_);
+    if (ctx.ring != nullptr) ctx.ring->complete(cpi);
+    if (cpi_start_ns >= 0 && obs::trace_enabled()) {
+      obs::TraceRecorder::global().complete("pipeline", "cpi", rank, cpi_start_ns,
+                                            obs::trace_now_ns() - cpi_start_ns, cpi);
     }
-    cpi_start_ns_ = -1;
   }
-
-  const RunOptions& opt_;
-  Phase& out_;
-  std::string fault_site_;
-  int rank_;
-  Supervisor* sup_ = nullptr;
-  std::string crash_site_, crash_site_send_;
-  bool timed_ = false;
-  int cpi_ = -1;
-  std::int64_t cpi_start_ns_ = -1;
-  Seconds recv_ = 0, comp_ = 0, send_ = 0;
-};
+  const int timed_cpis = std::max(1, ctx.opt.cpis - ctx.opt.warmup);
+  out.recv = recv / timed_cpis;
+  out.comp = comp / timed_cpis;
+  out.send = send / timed_cpis;
+}
 
 // ------------------------------------------------------------- I/O nodes --
 
@@ -266,7 +237,7 @@ std::vector<pfs::StripedFile> open_round_robin(const NodeCtx& ctx) {
 /// before the buffers they write into are freed.
 class SlabReader {
  public:
-  SlabReader(NodeCtx& ctx, std::size_t r_lo, std::size_t r_hi)
+  SlabReader(const NodeCtx& ctx, std::size_t r_lo, std::size_t r_hi)
       : ctx_(ctx), r_lo_(r_lo), r_hi_(r_hi), files_(open_round_robin(ctx)) {
     const auto& p = ctx.params();
     const std::size_t n = (r_hi - r_lo) * p.pulses * p.channels;
@@ -274,21 +245,20 @@ class SlabReader {
     bufs_[1].resize(n);
   }
 
-  /// Issue `cpi`'s read ahead of its wait(): only where the file system
-  /// reads asynchronously, so the read overlaps compute and send, and only
-  /// for a CPI the run consumes. Synchronous-only systems (PIOFS) pay the
-  /// full read inside wait() — the contrast the paper studies.
-  void prefetch(int cpi) {
-    if (ctx_.fs.config().supports_async && cpi < ctx_.opt.cpis) start(cpi);
-  }
-
-  /// The raw file-order slab of `cpi`, issuing the read first when nothing
-  /// was prefetched. Transient failures are retried per opt.io_retry by
-  /// reissuing the whole slab read (failed chunk buffers cannot be
-  /// salvaged piecemeal). When the error is permanent or attempts run out
-  /// the slab is zero-filled and *dropped set: graceful degradation, since
-  /// a throwing node would wedge every peer in World::run.
-  std::span<const cfloat> wait(int cpi, bool* dropped) {
+  /// The raw file-order slab of `cpi`, valid until the next wait(). The
+  /// read is issued here unless it already is. Transient failures are
+  /// retried per opt.io_retry by reissuing the whole slab read (failed
+  /// chunk buffers cannot be salvaged piecemeal). When the error is
+  /// permanent or attempts run out the slab is zero-filled and the CPI
+  /// marked dropped on this rank: graceful degradation, since a throwing
+  /// node would wedge every peer in World::run.
+  ///
+  /// Before returning it issues the next CPI's read into the other buffer,
+  /// only where the file system reads asynchronously, so the read overlaps
+  /// this CPI's compute and send, and only for a CPI the run consumes.
+  /// Synchronous-only systems (PIOFS) pay the full read inside wait() —
+  /// the contrast the paper studies.
+  std::span<const cfloat> wait(int cpi) {
     if (r_lo_ >= r_hi_) return {};
     const std::size_t slot = static_cast<std::size_t>(cpi & 1);
     if (issued_[slot] != cpi) start(cpi);
@@ -306,17 +276,17 @@ class SlabReader {
       });
     } catch (const IoError&) {
       std::fill(buf.begin(), buf.end(), cfloat{});
-      *dropped = true;
+      ctx_.mark_dropped(cpi);
     }
+    if (ctx_.fs.config().supports_async && cpi + 1 < ctx_.opt.cpis) start(cpi + 1);
     return buf;
   }
 
  private:
   /// Issue the read for `cpi` (async where supported). Submit-time faults
   /// (the logical pfs.file site, or a sync-mode chunk error) are captured
-  /// and surfaced by wait(), so prefetch call sites stay exception-free.
+  /// and surfaced by wait(), so the read-ahead stays exception-free.
   void start(int cpi) {
-    if (r_lo_ >= r_hi_) return;
     const std::size_t slot = static_cast<std::size_t>(cpi & 1);
     // Observable overlap: each double-buffered issue counts here, so runs
     // can verify the next-CPI read really is in flight during compute.
@@ -333,7 +303,7 @@ class SlabReader {
     }
   }
 
-  NodeCtx& ctx_;
+  const NodeCtx& ctx_;
   std::size_t r_lo_, r_hi_;
   std::vector<pfs::StripedFile> files_;
   std::array<std::vector<cfloat>, 2> bufs_;
@@ -342,7 +312,60 @@ class SlabReader {
   std::array<std::exception_ptr, 2> start_error_;
 };
 
-void run_read_node(NodeCtx& ctx, PhaseClock& clock) {
+/// A separate read rank as the source of one of a Doppler node's raw slab
+/// pieces, rows [lo, hi). Once the supervisor abandons the crashed rank,
+/// `reader` reads those rows in its place: the Doppler node promotes to
+/// embedded reads of the piece. It is made on first use, since most runs
+/// never need one.
+struct ReadSource {
+  int rank;
+  std::size_t lo, hi;
+  std::optional<SlabReader> reader;
+};
+
+/// The one checkpoint-aware receive. A replayed CPI gets the payload its
+/// dead predecessor consumed (byte-identical re-execution). A fresh
+/// receive is logged under the *consumption* CPI, so eviction can never
+/// outrun a future replay (the temporal weights edge consumes CPI k-1's
+/// message at CPI k — it is logged under k).
+///
+/// Under supervision a read rank (`failover`) is polled against the
+/// supervisor's failover flag instead of waited on. All of a dead rank's
+/// sends are visible before failed() turns true, so the probe-after-failed
+/// re-check cannot strand a delivered message (which FIFO would hand to
+/// the wrong CPI). With nothing left queued, the source's reader produces
+/// the payload, logged like a wire message: a replay of the CPI sees the
+/// same bytes whether they came off the wire or the disk.
+mp::Buffer recv_logged(const NodeCtx& ctx, int log_cpi, int source, int tag,
+                       ReadSource* failover = nullptr) {
+  mp::Buffer payload;
+  if (ctx.ring != nullptr &&
+      ctx.ring->replay_message(log_cpi, tag, source, payload)) {
+    return payload;
+  }
+  for (;;) {
+    if (ctx.sup == nullptr || failover == nullptr || ctx.world.probe(source, tag)) {
+      payload = ctx.world.recv_buffer(source, tag);
+      break;
+    }
+    if (ctx.sup->failed(source) && !ctx.world.probe(source, tag)) {
+      // Separate-I/O mode requires range-major files, so rows [lo, hi)
+      // are exactly the contiguous piece the dead rank would have sent.
+      if (!failover->reader) failover->reader.emplace(ctx, failover->lo, failover->hi);
+      payload = ctx.payload_copy(failover->reader->wait(log_cpi));
+      ctx.sup->note_promoted_read();
+      break;
+    }
+    if (ctx.sup->aborted()) throw mp::MailboxClosed("supervised run aborting");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // The ring shares the refcounted payload — logging copies a handle, not
+  // the bytes.
+  if (ctx.ring != nullptr) ctx.ring->record_message(log_cpi, tag, source, payload);
+  return payload;
+}
+
+void run_read_node(const NodeCtx& ctx) {
   const auto& p = ctx.params();
   const int reads = ctx.nodes_of(TaskKind::kParallelRead);
   const int dops = ctx.nodes_of(TaskKind::kDoppler);
@@ -352,42 +375,30 @@ void run_read_node(NodeCtx& ctx, PhaseClock& clock) {
   SlabReader reader(ctx, r_lo, r_hi);
   const std::size_t per_range = p.pulses * p.channels;
 
-  const int cpi0 = ctx.resume_cpi();
-  reader.prefetch(cpi0);
-  for (int cpi = cpi0; cpi < ctx.opt.cpis; ++cpi) {
-    clock.start_cpi(cpi);
-    std::span<const cfloat> raw;
-    clock.recv([&] {
-      bool dropped = false;
-      raw = reader.wait(cpi, &dropped);
-      if (dropped) ctx.mark_dropped(cpi);
-    });
-    reader.prefetch(cpi + 1);
-    clock.send([&] {
-      for (int d = 0; d < dops; ++d) {
-        const RangeWindow theirs = doppler_range_window(
-            p.ranges, static_cast<std::size_t>(dops), static_cast<std::size_t>(d));
-        const std::size_t lo = std::max(r_lo, theirs.lo);
-        const std::size_t hi = std::min(r_hi, theirs.hi);
-        if (lo >= hi) continue;
-        // File order is range-major, so the intersection is contiguous:
-        // one copy from the read buffer into a pooled payload, then a
-        // zero-copy send (the read buffer is re-filled next CPI, so the
-        // payload must own its bytes).
-        const auto piece = raw.subspan((lo - r_lo) * per_range, (hi - lo) * per_range);
-        mp::Buffer payload = ctx.payload_for(piece.size());
-        std::copy(piece.begin(), piece.end(), payload.as_span<cfloat>().begin());
-        ctx.world.send_stream(ctx.rank_of(TaskKind::kDoppler, d), kTagRaw,
-                              std::move(payload));
-      }
-    });
-    ctx.complete_cpi(cpi);
-  }
+  std::span<const cfloat> raw;
+  auto send = [&](int) {
+    for (int d = 0; d < dops; ++d) {
+      const RangeWindow theirs = doppler_range_window(
+          p.ranges, static_cast<std::size_t>(dops), static_cast<std::size_t>(d));
+      const std::size_t lo = std::max(r_lo, theirs.lo);
+      const std::size_t hi = std::min(r_hi, theirs.hi);
+      if (lo >= hi) continue;
+      // File order is range-major, so the intersection is contiguous: one
+      // copy from the read buffer into a pooled payload, then a zero-copy
+      // send (the read buffer is re-filled next CPI, so the payload must
+      // own its bytes).
+      ctx.world.send_stream(ctx.rank_of(TaskKind::kDoppler, d), kTagRaw,
+                            ctx.payload_copy(raw.subspan((lo - r_lo) * per_range,
+                                                         (hi - lo) * per_range)));
+    }
+  };
+
+  run_cpis(ctx, {.recv = [&](int cpi) { raw = reader.wait(cpi); }, .send = send});
 }
 
 // --------------------------------------------------------- Doppler nodes --
 
-void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
+void run_doppler_node(const NodeCtx& ctx) {
   const auto& p = ctx.params();
   const int dops = ctx.nodes_of(TaskKind::kDoppler);
   const auto [r_lo, r_hi] = doppler_range_window(
@@ -424,61 +435,20 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
   } else {
     raw_recv.resize((r_hi - r_lo) * p.pulses * p.channels);
   }
-  const int reads = embedded ? 0 : ctx.nodes_of(TaskKind::kParallelRead);
-  const BlockPartition part_read(p.ranges, std::max<std::size_t>(1, reads));
+  // Separate I/O: the read ranks whose slabs overlap this node's window,
+  // each with the rows it sends. A deque, so a failover reader, whose
+  // buffers in-flight reads write into, never moves.
+  std::deque<ReadSource> sources;
+  if (!embedded) {
+    const int reads = ctx.nodes_of(TaskKind::kParallelRead);
+    const BlockPartition part_read(p.ranges, static_cast<std::size_t>(reads));
+    for (int s = 0; s < reads; ++s) {
+      const std::size_t lo = std::max(r_lo, part_read.begin(static_cast<std::size_t>(s)));
+      const std::size_t hi = std::min(r_hi, part_read.end(static_cast<std::size_t>(s)));
+      if (lo < hi) sources.emplace_back(ctx.rank_of(TaskKind::kParallelRead, s), lo, hi);
+    }
+  }
   const std::size_t per_range = p.pulses * p.channels;
-
-  // I/O-task failover: once the supervisor abandons a crashed read rank,
-  // this node promotes to embedded reads of that rank's slab pieces, with
-  // one reader per dead source — made on first use, since most runs never
-  // need one.
-  std::vector<std::optional<SlabReader>> failover(static_cast<std::size_t>(reads));
-
-  // Receive one raw slab piece from read rank `s`, surviving its death:
-  // replay from the checkpoint first; otherwise poll the mailbox against
-  // the supervisor's failover flag. All of a dead rank's sends are visible
-  // before failed() turns true, so the probe-after-failed re-check cannot
-  // strand a delivered message (which FIFO would hand to the wrong CPI).
-  auto recv_piece = [&](int cpi, int s, std::size_t lo, std::size_t hi,
-                        std::span<cfloat> piece) {
-    const int src = ctx.rank_of(TaskKind::kParallelRead, s);
-    if (ctx.sup == nullptr) {
-      ctx.world.recv_into<cfloat>(src, kTagRaw, piece);
-      return;
-    }
-    mp::Buffer payload;
-    if (ctx.ring->replay_message(cpi, kTagRaw, src, payload)) {
-      mp::unpack<cfloat>(payload.bytes(), piece);
-      return;
-    }
-    for (;;) {
-      if (ctx.world.probe(src, kTagRaw)) {
-        payload = ctx.world.recv_buffer(src, kTagRaw);
-        mp::unpack<cfloat>(payload.bytes(), piece);
-        break;
-      }
-      if (ctx.sup->failed(src) && !ctx.world.probe(src, kTagRaw)) {
-        // Separate-I/O mode requires range-major files, so rows [lo, hi)
-        // are exactly the contiguous piece the dead rank would have sent.
-        auto& self = failover[static_cast<std::size_t>(s)];
-        if (!self) self.emplace(ctx, lo, hi);
-        bool dropped = false;
-        const auto raw = self->wait(cpi, &dropped);
-        if (dropped) ctx.mark_dropped(cpi);
-        ctx.sup->note_promoted_read();
-        std::copy(raw.begin(), raw.end(), piece.begin());
-        payload = ctx.payload_for(piece.size());
-        std::copy(raw.begin(), raw.end(), payload.as_span<cfloat>().begin());
-        break;
-      }
-      if (ctx.sup->aborted()) throw mp::MailboxClosed("supervised run aborting");
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    // Log under the consumption CPI either way: a replay of this CPI must
-    // see the same bytes whether they came off the wire or the disk. The
-    // ring shares the payload handle — no copy.
-    ctx.ring->record_message(cpi, kTagRaw, src, std::move(payload));
-  };
 
   // Every mode filters the raw file-order slab in place (`raw`: the
   // reader's buffer, or raw_recv, which the collective read and the read
@@ -490,84 +460,69 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
   const std::size_t width = r_hi - r_lo;
   const std::size_t n_easy = easy_ids.size() * p.easy_dof() * width;
   const std::size_t n_hard = hard_ids.size() * p.hard_dof() * width;
-  const int cpi0 = ctx.resume_cpi();
-  if (reader) reader->prefetch(cpi0);
-  for (int cpi = cpi0; cpi < ctx.opt.cpis; ++cpi) {
-    clock.start_cpi(cpi);
+
+  auto recv = [&](int cpi) {
     if (collective) {
-      clock.recv([&] {
-        auto& file =
-            collective_files[static_cast<std::size_t>(cpi) % collective_files.size()];
-        bool degraded = false;
-        collective_read_slab(*doppler_group, file, p, raw_recv, ctx.opt.io_retry,
-                             &degraded);
-        if (degraded) ctx.mark_dropped(cpi);
-      });
+      auto& file =
+          collective_files[static_cast<std::size_t>(cpi) % collective_files.size()];
+      bool degraded = false;
+      collective_read_slab(*doppler_group, file, p, raw_recv, ctx.opt.io_retry,
+                           &degraded);
+      if (degraded) ctx.mark_dropped(cpi);
     } else if (embedded) {
-      clock.recv([&] {
-        bool dropped = false;
-        raw = reader->wait(cpi, &dropped);
-        if (dropped) ctx.mark_dropped(cpi);
-      });
-      // Fills the other slot: `raw` is untouched until prefetch(cpi + 2).
-      reader->prefetch(cpi + 1);
+      raw = reader->wait(cpi);
     } else {
-      clock.recv([&] {
-        for (int s = 0; s < reads; ++s) {
-          const std::size_t lo =
-              std::max(r_lo, part_read.begin(static_cast<std::size_t>(s)));
-          const std::size_t hi =
-              std::min(r_hi, part_read.end(static_cast<std::size_t>(s)));
-          if (lo >= hi) continue;
-          auto piece = std::span<cfloat>(raw_recv)
-                           .subspan((lo - r_lo) * per_range, (hi - lo) * per_range);
-          recv_piece(cpi, s, lo, hi, piece);
-        }
-      });
-    }
-
-    clock.comp([&] {
-      const mp::Buffer storage = ctx.payload_for(n_easy + n_hard);
-      const std::size_t split = n_easy * sizeof(cfloat);
-      out.easy = stap::BinArray(easy_ids.size(), p.easy_dof(), width,
-                                storage.slice(0, split));
-      out.hard = stap::BinArray(hard_ids.size(), p.hard_dof(), width,
-                                storage.slice(split, storage.size() - split));
-      // Separate I/O runs on range-major files only and collective I/O on
-      // pulse-major ones, so file_layout describes every mode's slab.
-      filter.process_into(raw, width, ctx.opt.file_layout, out);
-    });
-
-    clock.send([&] {
-      // A receiver's bins [b_lo, b_hi) are one contiguous run of the
-      // [bin][dof][range] output, so each message is a slice of it: one
-      // ship path for any node count, and no byte copied. Every BF node
-      // gets every Doppler node's window, an empty one too. Weight nodes
-      // train on gates inside node 0's window (the runner checks it), so
-      // only node 0 ships to them.
-      auto ship = [&](const stap::BinArray& arr, const BlockPartition& part,
-                      TaskKind dest_kind, int dest_nodes, int tag) {
-        for (int n = 0; n < dest_nodes; ++n) {
-          const std::size_t b_lo = part.begin(static_cast<std::size_t>(n));
-          const std::size_t b_hi = part.end(static_cast<std::size_t>(n));
-          if (b_lo >= b_hi) continue;
-          ctx.world.send_stream(ctx.rank_of(dest_kind, n), tag, arr.slice(b_lo, b_hi));
-        }
-      };
-      ship(out.easy, part_be, TaskKind::kBeamformEasy, n_be, kTagSpecEasy);
-      ship(out.hard, part_bh, TaskKind::kBeamformHard, n_bh, kTagSpecHard);
-      if (ctx.local == 0) {
-        ship(out.easy, part_we, TaskKind::kWeightsEasy, n_we, kTagTrainEasy);
-        ship(out.hard, part_wh, TaskKind::kWeightsHard, n_wh, kTagTrainHard);
+      for (ReadSource& src : sources) {
+        const mp::Buffer piece = recv_logged(ctx, cpi, src.rank, kTagRaw, &src);
+        mp::unpack<cfloat>(piece.bytes(), std::span<cfloat>(raw_recv).subspan(
+                                              (src.lo - r_lo) * per_range,
+                                              (src.hi - src.lo) * per_range));
       }
-    });
-    ctx.complete_cpi(cpi);
-  }
+    }
+  };
+
+  auto comp = [&](int) {
+    const mp::Buffer storage = ctx.payload_for(n_easy + n_hard);
+    const std::size_t split = n_easy * sizeof(cfloat);
+    out.easy =
+        stap::BinArray(easy_ids.size(), p.easy_dof(), width, storage.slice(0, split));
+    out.hard = stap::BinArray(hard_ids.size(), p.hard_dof(), width,
+                              storage.slice(split, storage.size() - split));
+    // Separate I/O runs on range-major files only and collective I/O on
+    // pulse-major ones, so file_layout describes every mode's slab.
+    filter.process_into(raw, width, ctx.opt.file_layout, out);
+  };
+
+  // A receiver's bins [b_lo, b_hi) are one contiguous run of the
+  // [bin][dof][range] output, so each message is a slice of it: one ship
+  // path for any node count, and no byte copied. Every BF node gets every
+  // Doppler node's window, an empty one too. Weight nodes train on gates
+  // inside node 0's window (the runner checks it), so only node 0 ships to
+  // them.
+  auto ship = [&](const stap::BinArray& arr, const BlockPartition& part,
+                  TaskKind dest_kind, int dest_nodes, int tag) {
+    for (int n = 0; n < dest_nodes; ++n) {
+      const std::size_t b_lo = part.begin(static_cast<std::size_t>(n));
+      const std::size_t b_hi = part.end(static_cast<std::size_t>(n));
+      if (b_lo >= b_hi) continue;
+      ctx.world.send_stream(ctx.rank_of(dest_kind, n), tag, arr.slice(b_lo, b_hi));
+    }
+  };
+  auto send = [&](int) {
+    ship(out.easy, part_be, TaskKind::kBeamformEasy, n_be, kTagSpecEasy);
+    ship(out.hard, part_bh, TaskKind::kBeamformHard, n_bh, kTagSpecHard);
+    if (ctx.local == 0) {
+      ship(out.easy, part_we, TaskKind::kWeightsEasy, n_we, kTagTrainEasy);
+      ship(out.hard, part_wh, TaskKind::kWeightsHard, n_wh, kTagTrainHard);
+    }
+  };
+
+  run_cpis(ctx, {.recv = recv, .comp = comp, .send = send});
 }
 
 // ---------------------------------------------------------- weight nodes --
 
-void run_weights_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
+void run_weights_node(const NodeCtx& ctx, bool hard) {
   const auto& p = ctx.params();
   const auto ids = hard ? p.hard_bins() : p.easy_bins();
   const std::size_t dof = hard ? p.hard_dof() : p.easy_dof();
@@ -592,45 +547,33 @@ void run_weights_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
   // it), so its slice is adopted as the training array; compute reads its
   // training prefix, as in StapChain.
   stap::BinArray training;
+  stap::WeightSet ws;
 
-  for (int cpi = ctx.resume_cpi(); cpi < ctx.opt.cpis; ++cpi) {
-    clock.start_cpi(cpi);
-    if (my_ids.empty()) {  // more nodes than bins: idle node
-      ctx.complete_cpi(cpi);
-      continue;
+  auto recv = [&](int cpi) {
+    training = stap::BinArray(
+        my_ids.size(), dof, window0,
+        recv_logged(ctx, cpi, ctx.rank_of(TaskKind::kDoppler, 0), train_tag));
+  };
+
+  auto send = [&](int) {
+    // Forward each bin's weights to the BF node owning it (temporal edge:
+    // consumed at cpi+1). The weights are stored [bin][beam][dof], so a
+    // destination's bins are one contiguous run: one copy into a pooled
+    // payload per destination.
+    const std::size_t per_bin = p.beams * dof;
+    for (int n = 0; n < n_bf; ++n) {
+      const std::size_t lo = std::max(b_lo, bf_part.begin(static_cast<std::size_t>(n)));
+      const std::size_t hi = std::min(b_hi, bf_part.end(static_cast<std::size_t>(n)));
+      if (lo >= hi) continue;
+      const auto run = ws.flat().subspan((lo - b_lo) * per_bin, (hi - lo) * per_bin);
+      ctx.world.send_stream(ctx.rank_of(bf_kind, n), weight_tag, ctx.payload_copy(run));
     }
-    clock.recv([&] {
-      training = stap::BinArray(
-          my_ids.size(), dof, window0,
-          recv_logged(ctx, cpi, ctx.rank_of(TaskKind::kDoppler, 0), train_tag));
-    });
+  };
 
-    stap::WeightSet ws;
-    clock.comp([&] { ws = wc.compute(training); });
-
-    clock.send([&] {
-      // Forward each bin's weights to the BF node owning it (temporal edge:
-      // consumed at cpi+1). Group messages per destination, packed straight
-      // into pooled payloads.
-      for (int n = 0; n < n_bf; ++n) {
-        const std::size_t lo = std::max(b_lo, bf_part.begin(static_cast<std::size_t>(n)));
-        const std::size_t hi = std::min(b_hi, bf_part.end(static_cast<std::size_t>(n)));
-        if (lo >= hi) continue;
-        mp::Buffer payload = ctx.payload_for((hi - lo) * p.beams * dof);
-        const auto buf = payload.as_span<cfloat>();
-        std::size_t idx = 0;
-        for (std::size_t b = lo; b < hi; ++b) {
-          for (std::size_t beam = 0; beam < p.beams; ++beam) {
-            const auto w = ws.at(b - b_lo, beam);
-            std::copy(w.begin(), w.end(), buf.begin() + idx);
-            idx += dof;
-          }
-        }
-        ctx.world.send_stream(ctx.rank_of(bf_kind, n), weight_tag, std::move(payload));
-      }
-    });
-    ctx.complete_cpi(cpi);
-  }
+  run_cpis(ctx, {.idle = my_ids.empty(),
+                 .recv = recv,
+                 .comp = [&](int) { ws = wc.compute(training); },
+                 .send = send});
 }
 
 // ------------------------------------------------------- beamform nodes --
@@ -639,8 +582,9 @@ void run_weights_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
 /// bins[b] — to the `dest_kind` node owning that bin under a block
 /// partition of the full bin space. `bins` ascends, so each node's bins
 /// are one contiguous run of rows: its message is a slice of `rows`, no
-/// byte copied. The caller must not write `rows` again.
-void ship_rows(const NodeCtx& ctx, const stap::BeamArray& rows,
+/// byte copied. The caller hands its handle over, so the pool recycles the
+/// storage once every receiver is done with it.
+void ship_rows(const NodeCtx& ctx, stap::BeamArray rows,
                const std::vector<std::size_t>& bins, TaskKind dest_kind, int tag) {
   const BlockPartition part(ctx.params().doppler_bins(),
                             static_cast<std::size_t>(ctx.nodes_of(dest_kind)));
@@ -654,7 +598,7 @@ void ship_rows(const NodeCtx& ctx, const stap::BeamArray& rows,
   }
 }
 
-void run_beamform_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
+void run_beamform_node(const NodeCtx& ctx, bool hard) {
   const auto& p = ctx.params();
   const auto ids = hard ? p.hard_bins() : p.easy_bins();
   const std::size_t dof = hard ? p.hard_dof() : p.easy_dof();
@@ -690,56 +634,47 @@ void run_beamform_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
     windows.push_back(doppler_range_window(p.ranges, dops, d));
   }
   std::vector<stap::BinArray> spectra(dops);
+  stap::BeamArray out;
 
-  for (int cpi = ctx.resume_cpi(); cpi < ctx.opt.cpis; ++cpi) {
-    clock.start_cpi(cpi);
-    if (my_ids.empty()) {
-      ctx.complete_cpi(cpi);
-      continue;
+  auto recv = [&](int cpi) {
+    // Spectra of the current CPI from every Doppler node.
+    for (std::size_t d = 0; d < dops; ++d) {
+      spectra[d] = stap::BinArray(
+          my_ids.size(), dof, windows[d].size(),
+          recv_logged(ctx, cpi, ctx.rank_of(TaskKind::kDoppler, static_cast<int>(d)),
+                      spec_tag));
     }
-    clock.recv([&] {
-      // Spectra of the current CPI from every Doppler node.
-      for (std::size_t d = 0; d < dops; ++d) {
-        spectra[d] = stap::BinArray(
-            my_ids.size(), dof, windows[d].size(),
-            recv_logged(ctx, cpi, ctx.rank_of(TaskKind::kDoppler, static_cast<int>(d)),
-                        spec_tag));
-      }
-      // Weights computed from the previous CPI (none at cpi 0). The
-      // temporal edge: the message was *sent* at cpi-1 but is logged under
-      // this consumption cpi, so eviction cannot outrun a replay.
-      if (cpi >= 1) {
-        for (int n = 0; n < n_wc; ++n) {
-          const std::size_t lo =
-              std::max(b_lo, wc_part.begin(static_cast<std::size_t>(n)));
-          const std::size_t hi = std::min(b_hi, wc_part.end(static_cast<std::size_t>(n)));
-          if (lo >= hi) continue;
-          const mp::Buffer payload =
-              recv_logged(ctx, cpi, ctx.rank_of(wc_kind, n), weight_tag);
-          const auto msg = payload.as_span<const cfloat>();
-          PSTAP_CHECK(msg.size() == (hi - lo) * p.beams * dof,
-                      "weight message size mismatch");
-          std::size_t idx = 0;
-          for (std::size_t b = lo; b < hi; ++b) {
-            for (std::size_t beam = 0; beam < p.beams; ++beam) {
-              auto w = current.at(b - b_lo, beam);
-              for (std::size_t x = 0; x < dof; ++x) w[x] = msg[idx++];
-            }
-          }
-        }
-      }
-    });
+    // Weights computed from the previous CPI (none at cpi 0). The temporal
+    // edge: the message was *sent* at cpi-1 but is logged under this
+    // consumption cpi, so eviction cannot outrun a replay. A WC node's
+    // share of this node's bins is one contiguous run of `current`.
+    if (cpi < 1) return;
+    const std::size_t per_bin = p.beams * dof;
+    for (int n = 0; n < n_wc; ++n) {
+      const std::size_t lo = std::max(b_lo, wc_part.begin(static_cast<std::size_t>(n)));
+      const std::size_t hi = std::min(b_hi, wc_part.end(static_cast<std::size_t>(n)));
+      if (lo >= hi) continue;
+      const mp::Buffer payload =
+          recv_logged(ctx, cpi, ctx.rank_of(wc_kind, n), weight_tag);
+      const auto msg = payload.as_span<const cfloat>();
+      PSTAP_CHECK(msg.size() == (hi - lo) * per_bin, "weight message size mismatch");
+      std::copy(msg.begin(), msg.end(), current.flat().begin() + (lo - b_lo) * per_bin);
+    }
+  };
 
-    auto out = ctx.pooled<stap::BeamArray>(my_ids.size(), p.beams, p.ranges);
-    clock.comp([&] {
-      for (std::size_t d = 0; d < dops; ++d) {
-        bf.apply_into(spectra[d], current, out, windows[d].lo);
-      }
-    });
+  auto comp = [&](int) {
+    out = ctx.pooled<stap::BeamArray>(my_ids.size(), p.beams, p.ranges);
+    for (std::size_t d = 0; d < dops; ++d) {
+      bf.apply_into(spectra[d], current, out, windows[d].lo);
+    }
+  };
 
-    clock.send([&] { ship_rows(ctx, out, my_ids, pc_kind, beam_tag); });
-    ctx.complete_cpi(cpi);
-  }
+  run_cpis(ctx, {.idle = my_ids.empty(),
+                 .recv = recv,
+                 .comp = comp,
+                 .send = [&](int) {
+                   ship_rows(ctx, std::move(out), my_ids, pc_kind, beam_tag);
+                 }});
 }
 
 // --------------------------------------------- PC / CFAR / combined nodes --
@@ -819,25 +754,21 @@ RowRoute make_row_route(const NodeCtx& ctx, const RowPlan& plan,
 }
 
 /// Receive this node's rows along a precomputed route; each message is read
-/// in place from the shared payload (no intermediate vector).
-void receive_rows(NodeCtx& ctx, int cpi, stap::BeamArray& rows,
+/// in place from the shared payload (no intermediate vector), one
+/// (beams x ranges) block per bin slot.
+void receive_rows(const NodeCtx& ctx, int cpi, stap::BeamArray& rows,
                   const RowRoute& route) {
-  const auto& p = ctx.params();
+  const std::size_t block = rows.beams() * rows.ranges();
   for (std::size_t s = 0; s < route.slots_per_sender.size(); ++s) {
     const auto& slots = route.slots_per_sender[s];
     if (slots.empty()) continue;
     const mp::Buffer payload = recv_logged(
         ctx, cpi, ctx.rank_of(route.sender_kind, static_cast<int>(s)), route.tag);
     const auto msg = payload.as_span<const cfloat>();
-    PSTAP_CHECK(msg.size() == slots.size() * p.beams * p.ranges,
-                "row message size mismatch");
-    std::size_t idx = 0;
-    for (const std::size_t slot : slots) {
-      for (std::size_t beam = 0; beam < p.beams; ++beam) {
-        auto row = rows.range_series(slot, beam);
-        std::copy(msg.begin() + idx, msg.begin() + idx + p.ranges, row.begin());
-        idx += p.ranges;
-      }
+    PSTAP_CHECK(msg.size() == slots.size() * block, "row message size mismatch");
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const auto src = msg.subspan(i * block, block);
+      std::copy(src.begin(), src.end(), rows.flat().begin() + slots[i] * block);
     }
   }
 }
@@ -845,7 +776,7 @@ void receive_rows(NodeCtx& ctx, int cpi, stap::BeamArray& rows,
 /// The tail row stage: pulse compression (kPulseCompression) shipping its
 /// rows to CFAR, CFAR detection (kCfar), or both in one task
 /// (kPulseCompressionCfar, the paper's task combination).
-void run_row_node(NodeCtx& ctx, PhaseClock& clock, TaskKind kind) {
+void run_row_node(const NodeCtx& ctx, TaskKind kind) {
   const auto& p = ctx.params();
   const BlockPartition mine(p.doppler_bins(),
                             static_cast<std::size_t>(ctx.nodes_of(kind)));
@@ -862,36 +793,39 @@ void run_row_node(NodeCtx& ctx, PhaseClock& clock, TaskKind kind) {
   }
   if (kind != TaskKind::kPulseCompression) cfar.emplace(p);
   auto& sink = ctx.results->detections[static_cast<std::size_t>(ctx.world.rank())];
+  stap::BeamArray rows;
 
-  for (int cpi = ctx.resume_cpi(); cpi < ctx.opt.cpis; ++cpi) {
-    clock.start_cpi(cpi);
-    if (plan.bins.empty()) {
-      ctx.complete_cpi(cpi);
-      continue;
-    }
+  auto recv = [&](int cpi) {
     // Fresh pooled rows every CPI: a PC node ships slices of them to CFAR.
     // The receive writes every row, so the storage needs no zero-fill.
-    auto rows = ctx.pooled<stap::BeamArray>(plan.bins.size(), p.beams, p.ranges);
-    clock.recv([&] {
-      for (const RowRoute& route : routes) receive_rows(ctx, cpi, rows, route);
+    rows = ctx.pooled<stap::BeamArray>(plan.bins.size(), p.beams, p.ranges);
+    for (const RowRoute& route : routes) receive_rows(ctx, cpi, rows, route);
+  };
+
+  auto comp = [&](int cpi) {
+    if (pc) pc->compress(rows);
+    if (!cfar) return;
+    auto dets = cfar->detect(rows, plan.bins);
+    for (auto& d : dets) d.cpi = static_cast<std::uint64_t>(cpi);
+    // Replay idempotence: a predecessor that died between comp and the
+    // send-start crash site already appended this CPI's detections.
+    std::erase_if(sink, [&](const stap::Detection& d) {
+      return d.cpi == static_cast<std::uint64_t>(cpi);
     });
-    clock.comp([&] {
-      if (pc) pc->compress(rows);
-      if (!cfar) return;
-      auto dets = cfar->detect(rows, plan.bins);
-      for (auto& d : dets) d.cpi = static_cast<std::uint64_t>(cpi);
-      // Replay idempotence: a predecessor that died between comp and the
-      // send-start crash site already appended this CPI's detections.
-      std::erase_if(sink, [&](const stap::Detection& d) {
-        return d.cpi == static_cast<std::uint64_t>(cpi);
-      });
-      sink.insert(sink.end(), dets.begin(), dets.end());
-    });
-    clock.send([&] {
-      if (!cfar) ship_rows(ctx, rows, plan.bins, TaskKind::kCfar, kTagPcOut);
-    });
-    ctx.complete_cpi(cpi);
-  }
+    sink.insert(sink.end(), dets.begin(), dets.end());
+  };
+
+  // The send releases this CPI's rows either way, so the pool can recycle
+  // them as soon as their last reader is done.
+  auto send = [&](int) {
+    if (cfar) {
+      rows = {};
+    } else {
+      ship_rows(ctx, std::move(rows), plan.bins, TaskKind::kCfar, kTagPcOut);
+    }
+  };
+
+  run_cpis(ctx, {.idle = plan.bins.empty(), .recv = recv, .comp = comp, .send = send});
 }
 
 }  // namespace
@@ -1018,23 +952,17 @@ RunResult ThreadRunner::run() {
       ctx.sup = &*supervisor;
       ctx.ring = &supervisor->ring(comm.rank());
     }
-    const TaskKind kind = spec_.tasks[static_cast<std::size_t>(task)].kind;
-    PhaseClock clock(options_,
-                     results.avg_phase[static_cast<std::size_t>(comm.rank())],
-                     std::string("pipeline.stage.") + task_name(kind), comm.rank(),
-                     ctx.sup);
-    switch (kind) {
-      case TaskKind::kParallelRead: run_read_node(ctx, clock); break;
-      case TaskKind::kDoppler: run_doppler_node(ctx, clock); break;
-      case TaskKind::kWeightsEasy: run_weights_node(ctx, clock, false); break;
-      case TaskKind::kWeightsHard: run_weights_node(ctx, clock, true); break;
-      case TaskKind::kBeamformEasy: run_beamform_node(ctx, clock, false); break;
-      case TaskKind::kBeamformHard: run_beamform_node(ctx, clock, true); break;
+    switch (const TaskKind kind = ctx.kind()) {
+      case TaskKind::kParallelRead: run_read_node(ctx); break;
+      case TaskKind::kDoppler: run_doppler_node(ctx); break;
+      case TaskKind::kWeightsEasy: run_weights_node(ctx, false); break;
+      case TaskKind::kWeightsHard: run_weights_node(ctx, true); break;
+      case TaskKind::kBeamformEasy: run_beamform_node(ctx, false); break;
+      case TaskKind::kBeamformHard: run_beamform_node(ctx, true); break;
       case TaskKind::kPulseCompression:
       case TaskKind::kCfar:
-      case TaskKind::kPulseCompressionCfar: run_row_node(ctx, clock, kind); break;
+      case TaskKind::kPulseCompressionCfar: run_row_node(ctx, kind); break;
     }
-    clock.finish();
   };
 
   if (supervisor) {

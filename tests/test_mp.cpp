@@ -25,10 +25,22 @@
 namespace pstap::mp {
 namespace {
 
-// One-value send and receive over the span API.
+// Typed sends and receives over the Buffer API: a span packed into an
+// adopted vector, and a message unpacked into a freshly sized vector.
+template <typename T>
+void send_span(Comm& comm, int dest, int tag, std::span<const T> values) {
+  comm.send_buffer(dest, tag, Buffer::adopt(pack(values)));
+}
+
+template <typename T>
+std::vector<T> recv_vector(Comm& comm, int source, int tag) {
+  return unpack_vector<T>(comm.recv_buffer(source, tag).bytes());
+}
+
+// One-value send and receive.
 template <typename T>
 void send_one(Comm& comm, int dest, int tag, T value) {
-  comm.send<T>(dest, tag, std::span<const T>(&value, 1));
+  send_span<T>(comm, dest, tag, std::span<const T>(&value, 1));
 }
 
 template <typename T>
@@ -78,9 +90,9 @@ TEST(Mp, VectorPayloadRoundTrip) {
     if (comm.rank() == 0) {
       std::vector<float> data(1000);
       std::iota(data.begin(), data.end(), 0.0f);
-      comm.send<float>(1, 0, data);
+      send_span<float>(comm, 1, 0, data);
     } else {
-      const auto got = comm.recv_vector<float>(0, 0);
+      const auto got = recv_vector<float>(comm, 0, 0);
       ASSERT_EQ(got.size(), 1000u);
       EXPECT_FLOAT_EQ(got[999], 999.0f);
     }
@@ -116,9 +128,9 @@ TEST(Mp, EmptyMessageIsDeliverable) {
   World world(2);
   world.run([](Comm& comm) {
     if (comm.rank() == 0) {
-      comm.send<int>(1, 0, std::span<const int>{});
+      send_span<int>(comm, 1, 0, std::span<const int>{});
     } else {
-      const auto got = comm.recv_vector<int>(0, 0);
+      const auto got = recv_vector<int>(comm, 0, 0);
       EXPECT_TRUE(got.empty());
     }
   });
@@ -151,7 +163,7 @@ TEST(Mp, RecvSizeMismatchThrows) {
   world.run([](Comm& comm) {
     if (comm.rank() == 0) {
       std::vector<int> three(3);
-      comm.send<int>(1, 0, three);
+      send_span<int>(comm, 1, 0, three);
     } else {
       std::vector<int> two(2);
       EXPECT_THROW(comm.recv_into<int>(0, 0, two), PreconditionError);
@@ -182,7 +194,7 @@ TEST(Mp, RankExceptionWakesPeerBlockedInRecv) {
         comm.recv_into<int>(1, 0, {&got, 1});
         PSTAP_FAIL("rank 0 blew up");
       }
-      comm.send<int>(0, 0, {&one, 1});
+      send_span<int>(comm, 0, 0, {&one, 1});
       comm.recv_into<int>(0, 1, {&got, 1});  // never sent
     });
   } catch (const MailboxClosed&) {
@@ -198,7 +210,7 @@ TEST(Mp, RankExceptionWakesPeerBlockedInRecv) {
   world.run([](Comm& comm) {
     int v = comm.rank() == 0 ? 5 : 0;
     if (comm.rank() == 0) {
-      comm.send<int>(1, 3, {&v, 1});
+      send_span<int>(comm, 1, 3, {&v, 1});
     } else {
       comm.recv_into<int>(0, 3, {&v, 1});
       EXPECT_EQ(v, 5);
@@ -213,7 +225,7 @@ TEST(Mp, ProbeSeesPendingMessage) {
   world.run([](Comm& comm) {
     if (comm.rank() == 0) {
       std::vector<char> payload(123);
-      comm.send<char>(1, 6, payload);
+      send_span<char>(comm, 1, 6, payload);
       send_one(comm, 1, 7, 1);  // queued after the payload
     } else {
       EXPECT_EQ(recv_one<int>(comm, 0, 7), 1);
@@ -221,7 +233,7 @@ TEST(Mp, ProbeSeesPendingMessage) {
       ASSERT_TRUE(n.has_value());
       EXPECT_EQ(*n, 123u);
       // Probe does not consume.
-      EXPECT_EQ(comm.recv_vector<char>(0, 6).size(), 123u);
+      EXPECT_EQ(recv_vector<char>(comm, 0, 6).size(), 123u);
     }
   });
 }
@@ -456,11 +468,11 @@ TEST(Mp, PairwiseExchangeMatchesPipelinePattern) {
     if (comm.rank() < half) {
       for (int d = 0; d < half; ++d) {
         std::vector<int> slice{comm.rank(), d};
-        comm.send<int>(half + d, comm.rank(), slice);
+        send_span<int>(comm, half + d, comm.rank(), slice);
       }
     } else {
       for (int s = 0; s < half; ++s) {
-        const auto slice = comm.recv_vector<int>(s, s);
+        const auto slice = recv_vector<int>(comm, s, s);
         ASSERT_EQ(slice.size(), 2u);
         EXPECT_EQ(slice[0], s);
         EXPECT_EQ(slice[1], comm.rank() - half);
@@ -504,12 +516,14 @@ TEST(Mp, RandomizedMessageSizesFuzz) {
     };
     // Phase 2: send mine.
     for (const Msg& m : all) {
-      if (m.src == comm.rank()) comm.send<std::uint8_t>(m.dest, m.tag, payload_of(m));
+      if (m.src == comm.rank()) {
+        send_span<std::uint8_t>(comm, m.dest, m.tag, payload_of(m));
+      }
     }
     // Phase 3: receive everything destined to me, in per-(src,tag) order.
     for (const Msg& m : all) {
       if (m.dest != comm.rank()) continue;
-      const auto got = comm.recv_vector<std::uint8_t>(m.src, m.tag);
+      const auto got = recv_vector<std::uint8_t>(comm, m.src, m.tag);
       const auto expect = payload_of(m);
       ASSERT_EQ(got, expect) << "src " << m.src << " tag " << m.tag;
     }
@@ -565,9 +579,9 @@ TEST(Mp, LargePayloadSurvives) {
     if (comm.rank() == 0) {
       std::vector<float> big(n);
       for (std::size_t i = 0; i < n; ++i) big[i] = static_cast<float>(i % 997);
-      comm.send<float>(1, 0, big);
+      send_span<float>(comm, 1, 0, big);
     } else {
-      const auto got = comm.recv_vector<float>(0, 0);
+      const auto got = recv_vector<float>(comm, 0, 0);
       ASSERT_EQ(got.size(), n);
       EXPECT_FLOAT_EQ(got[12345], static_cast<float>(12345 % 997));
       EXPECT_FLOAT_EQ(got[n - 1], static_cast<float>((n - 1) % 997));

@@ -608,6 +608,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::vector<int>{5, 1, 1, 1, 1, 1, 1},
                       std::vector<int>{1, 2, 2, 1, 1, 1, 1},   // wide weights
                       std::vector<int>{1, 1, 1, 3, 3, 1, 1},   // wide beamforming
+                      // 6 hard weight and 6 hard BF nodes over 5 hard bins:
+                      // one idle node in each task.
+                      std::vector<int>{1, 1, 6, 1, 6, 1, 1},
                       std::vector<int>{1, 1, 1, 1, 1, 3, 3},   // wide tail
                       std::vector<int>{2, 2, 2, 2, 2, 2, 2},   // uniform 2x
                       std::vector<int>{1, 1, 1, 2, 2, 3},      // combined, wide tail

@@ -281,6 +281,38 @@ TEST_F(SupervisorPipelineTest, DetectionSinkSendCrashReplaysWithoutDuplicates) {
   }
 }
 
+// Idle nodes under supervision. Six hard weight and six hard BF nodes share
+// five hard bins, so the last node of each task (ranks 7 and 14) has no
+// work. A busy hard BF rank (rank 9) dies at CPI 1's send and replays from
+// the ring. Every rank of both tasks, the idle ones included, starts every
+// CPI — the heartbeat and the stage delay site run together at CPI start,
+// and the plan counts the site's occurrences — and the monitor declares
+// only the crashed rank dead. The respawn restarts CPI 1, one start more.
+TEST_F(SupervisorPipelineTest, IdleRanksKeepBeatingThroughABusyRanksCrash) {
+  const auto p = stap::RadarParams::test_small();
+  ASSERT_EQ(p.hard_bins().size(), 5u);
+  const auto spec = pipeline::PipelineSpec::embedded_io(p, {1, 1, 6, 1, 6, 1, 1});
+
+  pipeline::ThreadRunner baseline(spec, options("ibase"));
+  const auto clean = baseline.run();
+
+  auto opt = supervised("icrash");
+  opt.fault_plan = std::make_shared<fault::FaultPlan>(71);
+  opt.fault_plan->arm_crash("pipeline.rank.9.send", /*at_index=*/1);
+  pipeline::ThreadRunner runner(spec, opt);
+  const auto result = runner.run();
+
+  expect_same_detections(result, clean);
+  EXPECT_TRUE(result.dropped_cpis.empty());
+  const auto& rec = result.metrics.recovery;
+  EXPECT_EQ(rec.injected_crashes, 1u);
+  EXPECT_EQ(rec.crashes_detected, 1u) << "an idle rank was declared dead";
+  EXPECT_EQ(rec.ranks_respawned, 1u);
+  EXPECT_GT(rec.replayed_messages, 0u);
+  EXPECT_EQ(opt.fault_plan->occurrences("pipeline.stage.hard weight"), 6u * 4u);
+  EXPECT_EQ(opt.fault_plan->occurrences("pipeline.stage.hard BF"), 6u * 4u + 1u);
+}
+
 // Bounded streams under a downstream crash. The CFAR rank (rank 6 of the
 // embedded layout) is slowed at every CPI boundary, so pulse compression
 // runs mp::kStreamDepth CPIs ahead and blocks on its full stream. CFAR then

@@ -177,9 +177,9 @@ TEST(Transport, BufferRoundtripMatchesPackUnpack) {
   BufferPool pool;
   const auto values = test_payload(256, 3.0f);
 
-  // Reference path: pack into a vector, send, recv_vector.
-  comm.send(0, 1, std::span<const cfloat>(values));
-  const auto via_pack = comm.recv_vector<cfloat>(0, 1);
+  // Reference path: pack into an adopted vector, send, unpack into a vector.
+  comm.send_buffer(0, 1, mp::Buffer::adopt(mp::pack(std::span<const cfloat>(values))));
+  const auto via_pack = mp::unpack_vector<cfloat>(comm.recv_buffer(0, 1).bytes());
 
   // Zero-copy path: pooled payload, send_buffer, recv_buffer, typed view.
   mp::Buffer payload = pool.acquire_elems<cfloat>(values.size());
