@@ -62,7 +62,8 @@ void BM_FftBatchPow2(benchmark::State& state) {
   std::vector<cfloat> data(n * count);
   for (auto& v : data) v = rng.complex_normal();
   for (auto _ : state) {
-    plan.transform_batch(data, count, fft::Direction::kForward, scratch);
+    plan.transform_strided_batch(data.data(), count, n, 1, fft::Direction::kForward,
+                                 scratch);
     benchmark::DoNotOptimize(data.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -83,7 +84,8 @@ void BM_FftBatchNonPow2(benchmark::State& state) {
   std::vector<cfloat> data(n * count);
   for (auto& v : data) v = rng.complex_normal();
   for (auto _ : state) {
-    plan.transform_batch(data, count, fft::Direction::kForward, scratch);
+    plan.transform_strided_batch(data.data(), count, n, 1, fft::Direction::kForward,
+                                 scratch);
     benchmark::DoNotOptimize(data.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -426,8 +428,8 @@ void BM_WorldScaling(benchmark::State& state) {
     world.run([&](mp::Comm& comm) {
       const auto r = static_cast<std::size_t>(comm.rank());
       for (std::size_t b = 0; b < per_rank; ++b) {
-        plans[r].transform_batch(data[r], kCount, fft::Direction::kForward,
-                                 scratch[r]);
+        plans[r].transform_strided_batch(data[r].data(), kCount, kN, 1,
+                                         fft::Direction::kForward, scratch[r]);
         benchmark::DoNotOptimize(data[r].data());
       }
     });

@@ -238,52 +238,11 @@ template <class... Vs>
 namespace scalar_impl {
 
 PSTAP_NO_CONTRACT
-void butterfly(float* ar, float* ai, float* br, float* bi, float wr, float wi,
-               std::size_t n) {
-  for (std::size_t l = 0; l < n; ++l) {
-    const float tr = wr * br[l] - wi * bi[l];
-    const float ti = wr * bi[l] + wi * br[l];
-    br[l] = ar[l] - tr;
-    bi[l] = ai[l] - ti;
-    ar[l] += tr;
-    ai[l] += ti;
-  }
-}
-
-PSTAP_NO_CONTRACT
 void cscale(float* re, float* im, float wr, float wi, std::size_t n) {
   for (std::size_t l = 0; l < n; ++l) {
     const float tr = re[l] * wr - im[l] * wi;
     im[l] = re[l] * wi + im[l] * wr;
     re[l] = tr;
-  }
-}
-
-__attribute__((noinline)) PSTAP_NO_CONTRACT
-void butterfly_rows(float* ar, float* ai, float* br, float* bi, const float* w,
-                    std::size_t rows, std::size_t lanes) {
-  for (std::size_t j = 0; j < rows; ++j) {
-    butterfly(ar + j * lanes, ai + j * lanes, br + j * lanes, bi + j * lanes,
-              w[2 * j], w[2 * j + 1], lanes);
-  }
-}
-
-__attribute__((noinline)) PSTAP_NO_CONTRACT
-void butterfly2_rows(float* re, float* im, const float* w1, const float* w2,
-                     std::size_t h, std::size_t lanes) {
-  for (std::size_t j = 0; j < h; ++j) {
-    float* r0 = re + j * lanes;
-    float* i0 = im + j * lanes;
-    float* r1 = r0 + h * lanes;
-    float* i1 = i0 + h * lanes;
-    float* r2 = r1 + h * lanes;
-    float* i2 = i1 + h * lanes;
-    float* r3 = r2 + h * lanes;
-    float* i3 = i2 + h * lanes;
-    butterfly(r0, i0, r1, i1, w1[2 * j], w1[2 * j + 1], lanes);
-    butterfly(r2, i2, r3, i3, w1[2 * j], w1[2 * j + 1], lanes);
-    butterfly(r0, i0, r2, i2, w2[2 * j], w2[2 * j + 1], lanes);
-    butterfly(r1, i1, r3, i3, w2[2 * (j + h)], w2[2 * (j + h) + 1], lanes);
   }
 }
 
@@ -442,8 +401,6 @@ std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t len) {
 }
 
 constexpr Ops kOps = {
-    .butterfly_rows = butterfly_rows,
-    .butterfly2_rows = butterfly2_rows,
     .cscale_rows = cscale_rows,
     .radix_rows = radix_rows,
     .scale = scale,
@@ -465,52 +422,6 @@ constexpr Ops kOps = {
 // --------------------------------------------------------------- sse2 ----
 // 4-wide __m128 kernels; x86-64 baseline ISA, no target attribute needed.
 namespace sse2_impl {
-
-void butterfly(float* ar, float* ai, float* br, float* bi, float wr, float wi,
-               std::size_t n) {
-  const __m128 vwr = _mm_set1_ps(wr);
-  const __m128 vwi = _mm_set1_ps(wi);
-  std::size_t l = 0;
-  for (; l + 4 <= n; l += 4) {
-    const __m128 vbr = _mm_loadu_ps(br + l);
-    const __m128 vbi = _mm_loadu_ps(bi + l);
-    const __m128 var = _mm_loadu_ps(ar + l);
-    const __m128 vai = _mm_loadu_ps(ai + l);
-    const __m128 tr = _mm_sub_ps(_mm_mul_ps(vwr, vbr), _mm_mul_ps(vwi, vbi));
-    const __m128 ti = _mm_add_ps(_mm_mul_ps(vwr, vbi), _mm_mul_ps(vwi, vbr));
-    _mm_storeu_ps(br + l, _mm_sub_ps(var, tr));
-    _mm_storeu_ps(bi + l, _mm_sub_ps(vai, ti));
-    _mm_storeu_ps(ar + l, _mm_add_ps(var, tr));
-    _mm_storeu_ps(ai + l, _mm_add_ps(vai, ti));
-  }
-  if (l < n) scalar_impl::butterfly(ar + l, ai + l, br + l, bi + l, wr, wi, n - l);
-}
-
-void butterfly_rows(float* ar, float* ai, float* br, float* bi, const float* w,
-                    std::size_t rows, std::size_t lanes) {
-  for (std::size_t j = 0; j < rows; ++j) {
-    butterfly(ar + j * lanes, ai + j * lanes, br + j * lanes, bi + j * lanes,
-              w[2 * j], w[2 * j + 1], lanes);
-  }
-}
-
-void butterfly2_rows(float* re, float* im, const float* w1, const float* w2,
-                     std::size_t h, std::size_t lanes) {
-  for (std::size_t j = 0; j < h; ++j) {
-    float* r0 = re + j * lanes;
-    float* i0 = im + j * lanes;
-    float* r1 = r0 + h * lanes;
-    float* i1 = i0 + h * lanes;
-    float* r2 = r1 + h * lanes;
-    float* i2 = i1 + h * lanes;
-    float* r3 = r2 + h * lanes;
-    float* i3 = i2 + h * lanes;
-    butterfly(r0, i0, r1, i1, w1[2 * j], w1[2 * j + 1], lanes);
-    butterfly(r2, i2, r3, i3, w1[2 * j], w1[2 * j + 1], lanes);
-    butterfly(r0, i0, r2, i2, w2[2 * j], w2[2 * j + 1], lanes);
-    butterfly(r1, i1, r3, i3, w2[2 * (j + h)], w2[2 * (j + h) + 1], lanes);
-  }
-}
 
 void cscale(float* re, float* im, float wr, float wi, std::size_t n) {
   const __m128 vwr = _mm_set1_ps(wr);
@@ -743,8 +654,6 @@ void zherk_cf_lower(double* r, std::size_t ldr, const float* s, std::size_t lds,
 }
 
 constexpr Ops kOps = {
-    .butterfly_rows = butterfly_rows,
-    .butterfly2_rows = butterfly2_rows,
     .cscale_rows = cscale_rows,
     .radix_rows = radix_rows,
     .scale = scale,
@@ -771,148 +680,11 @@ namespace avx2_impl {
 
 #define PSTAP_AVX2 __attribute__((target("avx2,fma")))
 
-PSTAP_AVX2 void butterfly(float* ar, float* ai, float* br, float* bi, float wr,
-                          float wi, std::size_t n) {
-  const __m256 vwr = _mm256_set1_ps(wr);
-  const __m256 vwi = _mm256_set1_ps(wi);
-  std::size_t l = 0;
-  for (; l + 8 <= n; l += 8) {
-    const __m256 vbr = _mm256_loadu_ps(br + l);
-    const __m256 vbi = _mm256_loadu_ps(bi + l);
-    const __m256 var = _mm256_loadu_ps(ar + l);
-    const __m256 vai = _mm256_loadu_ps(ai + l);
-    const __m256 tr = _mm256_fmsub_ps(vwr, vbr, _mm256_mul_ps(vwi, vbi));
-    const __m256 ti = _mm256_fmadd_ps(vwr, vbi, _mm256_mul_ps(vwi, vbr));
-    _mm256_storeu_ps(br + l, _mm256_sub_ps(var, tr));
-    _mm256_storeu_ps(bi + l, _mm256_sub_ps(vai, ti));
-    _mm256_storeu_ps(ar + l, _mm256_add_ps(var, tr));
-    _mm256_storeu_ps(ai + l, _mm256_add_ps(vai, ti));
-  }
-  if (l < n) sse2_impl::butterfly(ar + l, ai + l, br + l, bi + l, wr, wi, n - l);
-}
-
-// The four row kernels below hand rows narrower than one ymm register to
-// the scalar rows kernel at entry, before any __m256 state exists. Going
+// The two row kernels below, cscale_rows and radix_rows, hand rows narrower
+// than one ymm register to the scalar rows kernel at entry, before any __m256 state exists. Going
 // through the per-row SSE2 tails instead would pay an AVX-to-SSE transition
 // on every row (a batch-of-one FFT is all such rows), and the scalar
 // kernels are FMA-free and out of line, so those rows keep the scalar bits.
-
-// Row-batched butterflies with the steady-state lane width (kBatchLanes ==
-// 16 → two 8-wide chunks per plane) fully unrolled: one dispatch per stage
-// block, registers live across the whole row.
-PSTAP_AVX2 void butterfly_rows(float* ar, float* ai, float* br, float* bi,
-                               const float* w, std::size_t rows,
-                               std::size_t lanes) {
-  if (lanes < 8) {
-    scalar_impl::butterfly_rows(ar, ai, br, bi, w, rows, lanes);
-    return;
-  }
-  if (lanes == 16) {
-    for (std::size_t j = 0; j < rows; ++j) {
-      const __m256 vwr = _mm256_set1_ps(w[2 * j]);
-      const __m256 vwi = _mm256_set1_ps(w[2 * j + 1]);
-      float* arj = ar + j * 16;
-      float* aij = ai + j * 16;
-      float* brj = br + j * 16;
-      float* bij = bi + j * 16;
-      for (int half = 0; half < 2; ++half) {
-        const std::size_t o = static_cast<std::size_t>(half) * 8;
-        const __m256 vbr = _mm256_loadu_ps(brj + o);
-        const __m256 vbi = _mm256_loadu_ps(bij + o);
-        const __m256 var = _mm256_loadu_ps(arj + o);
-        const __m256 vai = _mm256_loadu_ps(aij + o);
-        const __m256 tr = _mm256_fmsub_ps(vwr, vbr, _mm256_mul_ps(vwi, vbi));
-        const __m256 ti = _mm256_fmadd_ps(vwr, vbi, _mm256_mul_ps(vwi, vbr));
-        _mm256_storeu_ps(brj + o, _mm256_sub_ps(var, tr));
-        _mm256_storeu_ps(bij + o, _mm256_sub_ps(vai, ti));
-        _mm256_storeu_ps(arj + o, _mm256_add_ps(var, tr));
-        _mm256_storeu_ps(aij + o, _mm256_add_ps(vai, ti));
-      }
-    }
-    return;
-  }
-  for (std::size_t j = 0; j < rows; ++j) {
-    butterfly(ar + j * lanes, ai + j * lanes, br + j * lanes, bi + j * lanes,
-              w[2 * j], w[2 * j + 1], lanes);
-  }
-}
-
-// Fused stage pair: the four rows of each group live in registers across
-// both butterfly levels, so plane traffic is half of two butterfly_rows
-// passes. Expression trees match butterfly exactly — results are
-// bit-identical to running the two stages separately on this backend.
-PSTAP_AVX2 void butterfly2_rows(float* re, float* im, const float* w1,
-                                const float* w2, std::size_t h,
-                                std::size_t lanes) {
-  if (lanes < 8) {
-    scalar_impl::butterfly2_rows(re, im, w1, w2, h, lanes);
-    return;
-  }
-  for (std::size_t j = 0; j < h; ++j) {
-    const __m256 w1r = _mm256_set1_ps(w1[2 * j]);
-    const __m256 w1i = _mm256_set1_ps(w1[2 * j + 1]);
-    const __m256 w2r = _mm256_set1_ps(w2[2 * j]);
-    const __m256 w2i = _mm256_set1_ps(w2[2 * j + 1]);
-    const __m256 w3r = _mm256_set1_ps(w2[2 * (j + h)]);
-    const __m256 w3i = _mm256_set1_ps(w2[2 * (j + h) + 1]);
-    float* r0 = re + j * lanes;
-    float* i0 = im + j * lanes;
-    float* r1 = r0 + h * lanes;
-    float* i1 = i0 + h * lanes;
-    float* r2 = r1 + h * lanes;
-    float* i2 = i1 + h * lanes;
-    float* r3 = r2 + h * lanes;
-    float* i3 = i2 + h * lanes;
-    std::size_t l = 0;
-    for (; l + 8 <= lanes; l += 8) {
-      const __m256 ar = _mm256_loadu_ps(r0 + l);
-      const __m256 ai = _mm256_loadu_ps(i0 + l);
-      const __m256 br = _mm256_loadu_ps(r1 + l);
-      const __m256 bi = _mm256_loadu_ps(i1 + l);
-      const __m256 cr = _mm256_loadu_ps(r2 + l);
-      const __m256 ci = _mm256_loadu_ps(i2 + l);
-      const __m256 dr = _mm256_loadu_ps(r3 + l);
-      const __m256 di = _mm256_loadu_ps(i3 + l);
-      // Stage h: (a, b) and (c, d) with w1.
-      const __m256 t0r = _mm256_fmsub_ps(w1r, br, _mm256_mul_ps(w1i, bi));
-      const __m256 t0i = _mm256_fmadd_ps(w1r, bi, _mm256_mul_ps(w1i, br));
-      const __m256 nar = _mm256_add_ps(ar, t0r);
-      const __m256 nai = _mm256_add_ps(ai, t0i);
-      const __m256 nbr = _mm256_sub_ps(ar, t0r);
-      const __m256 nbi = _mm256_sub_ps(ai, t0i);
-      const __m256 t1r = _mm256_fmsub_ps(w1r, dr, _mm256_mul_ps(w1i, di));
-      const __m256 t1i = _mm256_fmadd_ps(w1r, di, _mm256_mul_ps(w1i, dr));
-      const __m256 ncr = _mm256_add_ps(cr, t1r);
-      const __m256 nci = _mm256_add_ps(ci, t1i);
-      const __m256 ndr = _mm256_sub_ps(cr, t1r);
-      const __m256 ndi = _mm256_sub_ps(ci, t1i);
-      // Stage 2h: (a, c) with w2, (b, d) with w3 = w2 row j + h.
-      const __m256 u0r = _mm256_fmsub_ps(w2r, ncr, _mm256_mul_ps(w2i, nci));
-      const __m256 u0i = _mm256_fmadd_ps(w2r, nci, _mm256_mul_ps(w2i, ncr));
-      _mm256_storeu_ps(r0 + l, _mm256_add_ps(nar, u0r));
-      _mm256_storeu_ps(i0 + l, _mm256_add_ps(nai, u0i));
-      _mm256_storeu_ps(r2 + l, _mm256_sub_ps(nar, u0r));
-      _mm256_storeu_ps(i2 + l, _mm256_sub_ps(nai, u0i));
-      const __m256 u1r = _mm256_fmsub_ps(w3r, ndr, _mm256_mul_ps(w3i, ndi));
-      const __m256 u1i = _mm256_fmadd_ps(w3r, ndi, _mm256_mul_ps(w3i, ndr));
-      _mm256_storeu_ps(r1 + l, _mm256_add_ps(nbr, u1r));
-      _mm256_storeu_ps(i1 + l, _mm256_add_ps(nbi, u1i));
-      _mm256_storeu_ps(r3 + l, _mm256_sub_ps(nbr, u1r));
-      _mm256_storeu_ps(i3 + l, _mm256_sub_ps(nbi, u1i));
-    }
-    if (l < lanes) {
-      const std::size_t rem = lanes - l;
-      sse2_impl::butterfly(r0 + l, i0 + l, r1 + l, i1 + l, w1[2 * j],
-                           w1[2 * j + 1], rem);
-      sse2_impl::butterfly(r2 + l, i2 + l, r3 + l, i3 + l, w1[2 * j],
-                           w1[2 * j + 1], rem);
-      sse2_impl::butterfly(r0 + l, i0 + l, r2 + l, i2 + l, w2[2 * j],
-                           w2[2 * j + 1], rem);
-      sse2_impl::butterfly(r1 + l, i1 + l, r3 + l, i3 + l, w2[2 * (j + h)],
-                           w2[2 * (j + h) + 1], rem);
-    }
-  }
-}
 
 PSTAP_AVX2 void cscale(float* re, float* im, float wr, float wi, std::size_t n) {
   const __m256 vwr = _mm256_set1_ps(wr);
@@ -1347,8 +1119,6 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c(std::uint32_t crc,
 }
 
 constexpr Ops kOps = {
-    .butterfly_rows = butterfly_rows,
-    .butterfly2_rows = butterfly2_rows,
     .cscale_rows = cscale_rows,
     .radix_rows = radix_rows,
     .scale = scale,

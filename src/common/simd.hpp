@@ -1,6 +1,6 @@
 // Runtime-dispatched SIMD backend for the STAP hot loops.
 //
-// The compute kernels (FFT butterflies, window/stagger gathers, matched
+// The compute kernels (FFT radix stages, window/stagger gathers, matched
 // filtering, beamform inner products, CFAR power) all reduce to a small set
 // of float-array primitives; the pfs integrity check adds one byte-stream
 // primitive, CRC32C. This header exposes those primitives behind a table of
@@ -20,28 +20,27 @@
 // "simd.backend" (0 = scalar, 1 = sse2, 2 = avx2) so benches and CI can
 // assert the dispatch actually engaged.
 //
-// Every field has a production caller: the FFT (`butterfly_rows`,
-// `butterfly2_rows` and `scale` for powers of two, `radix_rows` and
-// `cscale_rows` for every other length, `cscale_rows` again for the
-// matched-filter multiply, `gather_planes` and `scatter_planes` around
-// every batched transform), the Doppler filter (`deinterleave_scale`,
-// `interleave`), CFAR (`norm_interleaved`), the weight and beamform GEMMs
+// Every field has a production caller: the FFT (`radix_rows` for every
+// stage, `cscale_rows` for the twiddles of a prime sub-plan stage, the
+// Rader kernel spectrum and the matched-filter multiply, `scale` for the
+// inverse's 1/n, `gather_planes` and `scatter_planes` around every batched
+// transform), the Doppler filter (`deinterleave_scale`, `interleave`),
+// CFAR (`norm_interleaved`), the weight and beamform GEMMs
 // (`cgemm_planar`, `zherk_cf_lower`), the scene generator's clutter
 // synthesis (`cgemm_planar_exact`) and the pfs checksum (`crc32c`, through
 // common/crc32c.hpp).
 //
 // Numerical contract: every backend computes the same per-element
 // expression trees as the scalar reference. The AVX2 tier contracts
-// mul+add pairs into FMAs inside `butterfly_rows`, `butterfly2_rows`,
-// `cscale_rows`, `radix_rows`, `cgemm_planar` and `zherk_cf_lower`, so
-// those results may differ from scalar in the last bits (tests compare
-// within tolerance). AVX2 hands rows narrower than 8 lanes to the scalar row
-// kernels, which keeps those rows (every row of a single-series FFT)
-// bit-exact with scalar; SSE2 never contracts, so its four complex row
-// kernels are bit-exact with scalar at every width. `norm_interleaved`,
-// `scale`, `deinterleave_scale`, `interleave`, `gather_planes`,
-// `scatter_planes` and `cgemm_planar_exact` are
-// FMA-free and bit-exact with the scalar path on every backend — CFAR
+// mul+add pairs into FMAs inside `cscale_rows`, `radix_rows`,
+// `cgemm_planar` and `zherk_cf_lower`, so those results may differ from
+// scalar in the last bits (tests compare within tolerance). AVX2 hands rows
+// narrower than 8 lanes to the scalar row kernels, which keeps those rows
+// (every row of a single-series FFT) bit-exact with scalar; SSE2 never
+// contracts, so its two complex row kernels are bit-exact with scalar at
+// every width. `norm_interleaved`, `scale`, `deinterleave_scale`,
+// `interleave`, `gather_planes`, `scatter_planes` and `cgemm_planar_exact`
+// are FMA-free and bit-exact with the scalar path on every backend — CFAR
 // threshold comparisons see identical powers and synthesized scenes have
 // identical bytes no matter which backend ran. `interleave` stays bit-exact
 // when its vector backends stream their stores (non-temporal, past the
@@ -92,23 +91,6 @@ bool init_thread() noexcept;
 /// unaligned (the kernels use unaligned loads); 64-byte-aligned inputs —
 /// see AlignedVector in common/aligned_buffer.hpp — avoid split-line loads.
 struct Ops {
-  /// Row-batched radix-2 butterflies over split re/im planes: rows j in
-  /// [0, rows) of `lanes` lanes each, a-row j at ar/ai + j*lanes, b-row j at
-  /// br/bi + j*lanes, twiddle w_j = w[2j] + i*w[2j+1] broadcast:
-  /// t = w_j * b; b = a - t; a = a + t. One dispatch per whole stage block
-  /// instead of per twiddle — the FFT's dominant call.
-  void (*butterfly_rows)(float* ar, float* ai, float* br, float* bi,
-                         const float* w, std::size_t rows, std::size_t lanes);
-  /// Two fused radix-2 stages (h then 2h) over one DIT block of 4h rows
-  /// rooted at re/im (row j is lanes floats at offset j*lanes). For each
-  /// j in [0, h): butterfly (j, j+h) and (j+2h, j+3h) with the stage-h
-  /// twiddle w1[2j], w1[2j+1], then (j, j+2h) with w2[2j], w2[2j+1] and
-  /// (j+h, j+3h) with w2[2(j+h)], w2[2(j+h)+1]. Rows are loaded and stored
-  /// ONCE for both stages — half the plane traffic of two butterfly_rows
-  /// passes. Same per-element expression trees as butterfly_rows, so
-  /// results match two separate stage passes bit-for-bit per backend.
-  void (*butterfly2_rows)(float* re, float* im, const float* w1,
-                          const float* w2, std::size_t h, std::size_t lanes);
   /// Row-batched in-place complex scale of split planes: row j (lanes wide,
   /// at offset j*lanes) scaled by the interleaved pair w[2j] + i*w[2j+1].
   /// Used for the fused matched-filter spectral multiply, the Rader kernel

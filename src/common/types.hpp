@@ -41,9 +41,6 @@ constexpr T round_up(T a, T b) {
   return ceil_div(a, b) * b;
 }
 
-/// True if `v` is a power of two (v > 0).
-constexpr bool is_pow2(std::size_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
 /// Smallest power of two >= v (v >= 1).
 constexpr std::size_t next_pow2(std::size_t v) {
   std::size_t p = 1;

@@ -14,37 +14,6 @@ namespace pstap::fft {
 
 namespace {
 
-// Twiddle layout: for each stage with half-block size h (1, 2, 4, ... n/2),
-// h twiddles exp(sign * i * pi * j / h), j in [0, h). Total n-1 entries.
-std::vector<cfloat> make_twiddles(std::size_t n, double sign) {
-  std::vector<cfloat> tw;
-  if (n < 2) return tw;
-  tw.reserve(n - 1);
-  for (std::size_t h = 1; h < n; h <<= 1) {
-    for (std::size_t j = 0; j < h; ++j) {
-      const double ang = sign * std::numbers::pi * static_cast<double>(j) /
-                         static_cast<double>(h);
-      tw.emplace_back(static_cast<float>(std::cos(ang)),
-                      static_cast<float>(std::sin(ang)));
-    }
-  }
-  return tw;
-}
-
-std::vector<std::uint32_t> make_bitrev(std::size_t n) {
-  std::vector<std::uint32_t> rev(n, 0);
-  std::size_t bits = 0;
-  while ((std::size_t{1} << bits) < n) ++bits;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t r = 0;
-    for (std::size_t b = 0; b < bits; ++b) {
-      if ((i >> b) & 1u) r |= std::size_t{1} << (bits - 1 - b);
-    }
-    rev[i] = static_cast<std::uint32_t>(r);
-  }
-  return rev;
-}
-
 constexpr std::size_t kMaxRadix = 7;  // largest radix with a radix_rows body
 
 std::vector<std::size_t> prime_factors(std::size_t n) {
@@ -115,14 +84,8 @@ void copy_row(float* dr, float* di, const float* sr, const float* si,
 
 }  // namespace
 
-FftPlan::FftPlan(std::size_t n) : n_(n), pow2_(is_pow2(n)) {
+FftPlan::FftPlan(std::size_t n) : n_(n) {
   PSTAP_REQUIRE(n >= 1, "FFT length must be >= 1");
-  if (pow2_) {
-    bitrev_ = make_bitrev(n_);
-    twiddle_fwd_ = make_twiddles(n_, -1.0);
-    twiddle_inv_ = make_twiddles(n_, +1.0);
-    return;
-  }
   const std::vector<std::size_t> radices = stage_radices(n_);
   if (radices.size() == 1 && n_ > kMaxRadix) {
     // Rader: for a generator g, X[g^-p] = x[0] + sum_q x[g^q] w^(g^(q-p)),
@@ -138,7 +101,7 @@ FftPlan::FftPlan(std::size_t n) : n_(n), pow2_(is_pow2(n)) {
     rader_in_.resize(N);
     rader_out_.resize(N);
     for (std::size_t i = 0; i < N; ++i) {
-      const std::size_t p = conv_->order_.empty() ? i : conv_->order_[i];
+      const std::size_t p = conv_->order_[i];
       rader_in_[i] = static_cast<std::uint32_t>(pow_mod(g, p, n_));
       rader_out_[i] = static_cast<std::uint32_t>(pow_mod(g_inv, p, n_));
     }
@@ -198,58 +161,6 @@ void FftPlan::transform(std::span<cfloat> data, Direction dir) const {
   transform_strided_batch(data.data(), 1, n_, 1, dir, scratch);
 }
 
-// Lane-parallel radix-2 butterflies over SoA planes. The lane index is the
-// contiguous innermost dimension, so each butterfly row is one call into
-// the runtime-dispatched SIMD backend with the twiddle broadcast (see
-// common/simd.hpp; the table is hoisted so dispatch is one indirect call
-// per row, not per element).
-void FftPlan::soa_pow2(float* re, float* im, std::size_t lanes, Direction dir) const {
-  const std::size_t n = n_;
-  const std::size_t L = lanes;
-  const simd::Ops& vec = simd::ops();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) {
-      float* ri = re + i * L;
-      float* rj = re + j * L;
-      float* ii = im + i * L;
-      float* ij = im + j * L;
-      for (std::size_t l = 0; l < L; ++l) std::swap(ri[l], rj[l]);
-      for (std::size_t l = 0; l < L; ++l) std::swap(ii[l], ij[l]);
-    }
-  }
-  const std::vector<cfloat>& tw =
-      dir == Direction::kForward ? twiddle_fwd_ : twiddle_inv_;
-  // Stage twiddles for half-block size h start at offset h - 1 (the stages
-  // before it hold 1 + 2 + ... + h/2 = h - 1 entries), and cfloat is
-  // layout-compatible with float[2] — each stage's twiddle run is already
-  // the interleaved (wr, wi) array the row-batched kernels want. Stages are
-  // consumed in fused pairs (h, 2h): one butterfly2_rows dispatch per group
-  // of 4h rows, loading and storing each row once for both levels. An odd
-  // log2(n) leaves one final single stage.
-  std::size_t h = 1;
-  for (; 2 * h < n; h <<= 2) {
-    const float* w1 = reinterpret_cast<const float*>(tw.data() + (h - 1));
-    const float* w2 = reinterpret_cast<const float*>(tw.data() + (2 * h - 1));
-    for (std::size_t block = 0; block < n; block += 4 * h) {
-      vec.butterfly2_rows(re + block * L, im + block * L, w1, w2, h, L);
-    }
-  }
-  if (h < n) {
-    const float* w = reinterpret_cast<const float*>(tw.data() + (h - 1));
-    for (std::size_t block = 0; block < n; block += 2 * h) {
-      vec.butterfly_rows(re + block * L, im + block * L, re + (block + h) * L,
-                         im + (block + h) * L, w, h, L);
-    }
-  }
-  if (dir == Direction::kInverse) {
-    const float inv = 1.0f / static_cast<float>(n);
-    const std::size_t total = n * L;
-    vec.scale(re, inv, total);
-    vec.scale(im, inv, total);
-  }
-}
-
 // A small radix is one radix_rows dispatch for the whole stage. A prime
 // radix above 7 runs its own plan on each row set: gathered into the work
 // rows, twiddled there, transformed and scattered back.
@@ -287,19 +198,11 @@ void FftPlan::run_stage(const Stage& s, float* re, float* im, std::size_t lanes,
 
 void FftPlan::dit(float* re, float* im, std::size_t lanes, float* wr,
                   float* wi) const {
-  if (pow2_) {
-    soa_pow2(re, im, lanes, Direction::kForward);
-    return;
-  }
   for (const Stage& s : stages_) run_stage(s, re, im, lanes, wr, wi, false);
 }
 
 void FftPlan::dif(float* re, float* im, std::size_t lanes, float* wr,
                   float* wi) const {
-  if (pow2_) {
-    soa_pow2(re, im, lanes, Direction::kForward);
-    return;
-  }
   for (auto s = stages_.rbegin(); s != stages_.rend(); ++s) {
     run_stage(*s, re, im, lanes, wr, wi, true);
   }
@@ -340,9 +243,7 @@ void FftPlan::rader(float* re, float* im, std::size_t lanes, float* wr,
 
 void FftPlan::dft(float* re, float* im, std::size_t lanes, float* wr,
                   float* wi) const {
-  if (pow2_) {
-    soa_pow2(re, im, lanes, Direction::kForward);
-  } else if (conv_) {
+  if (conv_) {
     rader(re, im, lanes, wr, wi);
   } else {
     // Rows into DIT input order through the work rows, then the stages.
@@ -362,10 +263,6 @@ void FftPlan::transform_soa(std::span<float> re, std::span<float> im,
   PSTAP_REQUIRE(re.size() == n_ * lanes && im.size() == n_ * lanes,
                 "SoA plane size does not match plan length * lanes");
   if (n_ == 1 || lanes == 0) return;
-  if (pow2_) {
-    soa_pow2(re.data(), im.data(), lanes, dir);
-    return;
-  }
   // The inverse is the forward engine on swapped planes, scaled by 1/n.
   const bool fwd = dir == Direction::kForward;
   float* r = fwd ? re.data() : im.data();
@@ -383,18 +280,6 @@ void FftPlan::transform_soa(std::span<float> re, std::span<float> im,
 void FftPlan::reserve_soa(BatchScratch& scratch, std::size_t lanes) const {
   scratch.work_re_.reserve(work_rows_ * lanes);
   scratch.work_im_.reserve(work_rows_ * lanes);
-}
-
-void FftPlan::transform_batch(std::span<cfloat> data, std::size_t count,
-                              Direction dir, BatchScratch& scratch) const {
-  PSTAP_REQUIRE(data.size() == count * n_, "batch buffer size mismatch");
-  transform_strided_batch(data.data(), count, n_, 1, dir, scratch);
-}
-
-void FftPlan::transform_batch(std::span<cfloat> data, std::size_t count,
-                              Direction dir) const {
-  BatchScratch scratch;
-  transform_batch(data, count, dir, scratch);
 }
 
 void FftPlan::transform_strided_batch(cfloat* base, std::size_t count,
@@ -429,20 +314,52 @@ void FftPlan::convolve_batch(std::span<cfloat> data, std::size_t count,
   scratch.im_.resize(n_ * lanes);
   PSTAP_REQUIRE(is_aligned(scratch.re_.data()) && is_aligned(scratch.im_.data()),
                 "SoA scratch planes lost their SIMD alignment");
+  // A mixed-radix plan skips both digit-reversal permutations: DIF leaves
+  // the spectrum rows in order_, the multiply runs there against the
+  // spectrum permuted into order_ with 1/n folded in, and DIT on swapped
+  // planes (the unscaled inverse) takes order_ back to natural order. The
+  // stages' work rows keep the aligned start of work_re_ and the permuted
+  // spectrum's 2n floats follow them. Rader lengths run the transform_soa
+  // pair.
+  const bool in_order = !conv_;
+  const float* w = reinterpret_cast<const float*>(spectrum.data());
+  float* wr = nullptr;
+  float* wi = nullptr;
+  if (in_order) {
+    const std::size_t work = (work_rows_ - n_) * lanes;
+    scratch.work_re_.resize(work + 2 * n_);
+    scratch.work_im_.resize(work);
+    wr = scratch.work_re_.data();
+    wi = scratch.work_im_.data();
+    float* s = wr + work;
+    const float inv = 1.0f / static_cast<float>(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      s[2 * i] = spectrum[order_[i]].real() * inv;
+      s[2 * i + 1] = spectrum[order_[i]].imag() * inv;
+    }
+    w = s;
+  }
   const simd::Ops& ops = simd::ops();
   for (std::size_t b0 = 0; b0 < count; b0 += kBatchLanes) {
     const std::size_t L = std::min(kBatchLanes, count - b0);
     float* f = reinterpret_cast<float*>(data.data() + b0 * n_);
     float* re = scratch.re_.data();
     float* im = scratch.im_.data();
+    const std::span<float> re_rows(re, n_ * L), im_rows(im, n_ * L);
     ops.gather_planes(re, im, f, n_, n_, 1, L);
-    transform_soa(std::span<float>(re, n_ * L), std::span<float>(im, n_ * L), L,
-                  Direction::kForward, scratch);
+    if (in_order) {
+      dif(re, im, L, wr, wi);
+    } else {
+      transform_soa(re_rows, im_rows, L, Direction::kForward, scratch);
+    }
     // Fused matched-filter multiply: one row-batched SIMD complex scale over
     // the whole spectrum (cfloat doubles as the interleaved w array).
-    ops.cscale_rows(re, im, reinterpret_cast<const float*>(spectrum.data()), n_, L);
-    transform_soa(std::span<float>(re, n_ * L), std::span<float>(im, n_ * L), L,
-                  Direction::kInverse, scratch);
+    ops.cscale_rows(re, im, w, n_, L);
+    if (in_order) {
+      dit(im, re, L, wi, wr);
+    } else {
+      transform_soa(re_rows, im_rows, L, Direction::kInverse, scratch);
+    }
     ops.scatter_planes(f, re, im, n_, n_, 1, L);
   }
 }

@@ -2,23 +2,25 @@
 //
 // Provides a planned, reusable transform with one engine per kind of
 // length:
-//   * powers of two: iterative radix-2 Cooley–Tukey with precomputed
-//     twiddle tables and bit-reversal permutation;
-//   * other composite lengths: an in-place mixed-radix pass over radices
-//     2, 3, 4, 5 and 7 (one simd::Ops::radix_rows dispatch per stage), in
-//     decimation-in-time order behind a digit-reversal row permutation;
-//     a prime factor above 7 is one stage run through that prime's plan;
+//   * composite lengths and primes up to 7, powers of two included: an
+//     in-place mixed-radix pass over radices 2, 3, 4, 5 and 7 (pairs of 2s
+//     run as radix 4; one simd::Ops::radix_rows dispatch per stage), in
+//     decimation-in-time order behind a digit-reversal row permutation, or
+//     in decimation-in-frequency order ahead of it; a prime factor above 7
+//     is one stage run through that prime's plan;
 //   * primes above 7: Rader's algorithm, a cyclic convolution of length
-//     n - 1 through a mixed-radix (or radix-2) sub-plan. Its kernel
-//     spectrum is computed in double at plan time with 1/(n-1) folded in;
-//     the input and output permutations are fused with the sub-plan's
-//     digit reversal (forward in DIT order, inverse in DIF order).
-// Inverse transforms of non-power-of-two lengths run the forward engine on
-// swapped re/im planes (IDFT(x) = swap(DFT(swap(x))) / n).
+//     n - 1 through a mixed-radix sub-plan. Its kernel spectrum is computed
+//     in double at plan time with 1/(n-1) folded in; the input and output
+//     permutations are fused with the sub-plan's digit reversal (forward in
+//     DIT order, inverse in DIF order).
+// Inverse transforms run the forward engine on swapped re/im planes
+// (IDFT(x) = swap(DFT(swap(x))) / n). The matched-filter convolution skips
+// the digit reversal the same way Rader does: DIF forward, the spectral
+// multiply in digit-reversed order, DIT inverse.
 //
 // Batched entry points process many independent series per call by
 // transposing lane blocks into structure-of-arrays (SoA) planes: element k
-// of lane l lives at plane[k * lanes + l], so every butterfly's inner loop
+// of lane l lives at plane[k * lanes + l], so every radix stage's inner loop
 // runs contiguously across lanes with a scalar twiddle broadcast — the
 // shape the compiler auto-vectorizes. This replaces per-series dispatch
 // (and per-element strided gathers) with one transpose per block.
@@ -56,10 +58,10 @@ class BatchScratch {
 
  private:
   friend class FftPlan;
-  // 64-byte-aligned planes: the SIMD butterflies and twiddle kernels run
+  // 64-byte-aligned planes: the SIMD radix and twiddle kernels run
   // straight over these, so rows never straddle cache lines gratuitously.
   AlignedVector<float> re_, im_;            // primary SoA planes (n × lanes)
-  AlignedVector<float> work_re_, work_im_;  // non-pow2 work rows (× lanes)
+  AlignedVector<float> work_re_, work_im_;  // work rows (× lanes)
 };
 
 /// A planned complex-to-complex FFT of fixed length.
@@ -82,16 +84,6 @@ class FftPlan {
   /// Thread-safe on a shared plan.
   void transform(std::span<cfloat> data, Direction dir) const;
 
-  /// Transform `count` series laid out back to back in `data`
-  /// (count * size() elements), lane-blocked through SoA planes.
-  /// Thread-safe on a shared plan with per-caller scratch.
-  void transform_batch(std::span<cfloat> data, std::size_t count, Direction dir,
-                       BatchScratch& scratch) const;
-
-  /// Convenience overload using a transient scratch (one allocation set per
-  /// call, amortized over the batch). Thread-safe.
-  void transform_batch(std::span<cfloat> data, std::size_t count, Direction dir) const;
-
   /// Batched strided transform: series b's element k lives at
   /// base[b * dist + k * stride]. Gathers lane blocks into SoA planes
   /// (one pass), transforms, scatters back. `dist` is the series-to-series
@@ -103,8 +95,8 @@ class FftPlan {
   /// Fused matched-filter convolution of `count` back-to-back series:
   /// data_b = IFFT(FFT(data_b) * spectrum), with the spectral multiply done
   /// in SoA form between the two transforms (no extra pass over memory).
-  /// `spectrum` must hold size() elements. Thread-safe with per-caller
-  /// scratch.
+  /// `spectrum` must hold size() elements. Allocation-free after the first
+  /// call at a given width. Thread-safe with per-caller scratch.
   void convolve_batch(std::span<cfloat> data, std::size_t count,
                       std::span<const cfloat> spectrum, BatchScratch& scratch) const;
 
@@ -112,8 +104,8 @@ class FftPlan {
   /// at re/im[k * lanes + l]; planes hold size() * lanes floats. This is
   /// the batched kernel itself — callers that already gather into SoA form
   /// (e.g. the Doppler filter) use it directly and skip the AoS transpose.
-  /// Thread-safe with per-caller scratch (work rows for non-pow2 lengths,
-  /// grown once and then reused allocation-free).
+  /// Thread-safe with per-caller scratch (work rows, grown once and then
+  /// reused allocation-free).
   void transform_soa(std::span<float> re, std::span<float> im, std::size_t lanes,
                      Direction dir, BatchScratch& scratch) const;
 
@@ -131,15 +123,12 @@ class FftPlan {
     std::unique_ptr<FftPlan> sub;  // prime radix above 7 only
   };
 
-  void soa_pow2(float* re, float* im, std::size_t lanes, Direction dir) const;
-
   // Forward, unscaled transforms in place on `lanes`-wide rows. `wr`/`wi`
   // point at work_rows_ * lanes floats of scratch per plane.
   // dft: natural order in and out.
   void dft(float* re, float* im, std::size_t lanes, float* wr, float* wi) const;
   // dit: rows in order_ in, natural order out. dif: natural order in, rows
-  // in order_ out. (A power-of-two plan runs soa_pow2 for both, in natural
-  // order.)
+  // in order_ out.
   void dit(float* re, float* im, std::size_t lanes, float* wr, float* wi) const;
   void dif(float* re, float* im, std::size_t lanes, float* wr, float* wi) const;
   void run_stage(const Stage& s, float* re, float* im, std::size_t lanes,
@@ -147,14 +136,8 @@ class FftPlan {
   void rader(float* re, float* im, std::size_t lanes, float* wr, float* wi) const;
 
   std::size_t n_;
-  bool pow2_;
 
-  // Radix-2 machinery (pow2_ == true).
-  std::vector<std::uint32_t> bitrev_;
-  std::vector<cfloat> twiddle_fwd_;  // per-stage packed twiddles
-  std::vector<cfloat> twiddle_inv_;
-
-  // Mixed-radix machinery (composite n, not a power of two).
+  // Mixed-radix machinery (every n but a prime above 7).
   std::vector<Stage> stages_;        // decimation-in-time order
   std::vector<cfloat> stage_tw_;     // per stage: span x (radix - 1) twiddles
   std::vector<std::uint32_t> order_; // DIT input row order = DIF output order

@@ -164,18 +164,18 @@ struct CpiSteps {
 /// wedge every peer.
 ///
 /// Each phase runs under an obs::ScopedSpan, so one clock pair feeds the
-/// wall-clock sum, the phase histogram and (when tracing) the emitted span
-/// — they cannot disagree. Spans are emitted for every CPI; sums and
-/// histograms count only timed (post-warmup) CPIs, and the rank's
-/// per-phase averages are written at the end. A "cpi" span brackets each
-/// CPI's phases.
+/// phase histogram and (when tracing) the emitted span — they cannot
+/// disagree. Spans are emitted for every CPI; histograms count only timed
+/// (post-warmup) CPIs. The rank's per-phase averages are written at the end
+/// from the histogram sums, which a respawned rank shares with its earlier
+/// lives, so they cover every timed CPI. A "cpi" span brackets each CPI's
+/// phases.
 void run_cpis(const NodeCtx& ctx, const CpiSteps& steps) {
   const int rank = ctx.world.rank();
   const std::string stage_site = std::string("pipeline.stage.") + task_name(ctx.kind());
   const std::string crash_site = "pipeline.rank." + std::to_string(rank);
   const std::string send_site = crash_site + ".send";
   Phase& out = ctx.results->avg_phase[static_cast<std::size_t>(rank)];
-  Seconds recv = 0, comp = 0, send = 0;
   for (int cpi = ctx.ring != nullptr ? ctx.ring->watermark() + 1 : 0;
        cpi < ctx.opt.cpis; ++cpi) {
     if (ctx.sup != nullptr) {
@@ -189,19 +189,19 @@ void run_cpis(const NodeCtx& ctx, const CpiSteps& steps) {
     const std::int64_t cpi_start_ns = obs::trace_enabled() ? obs::trace_now_ns() : -1;
     const bool timed = cpi >= ctx.opt.warmup;
     auto section = [&](const char* name, const std::function<void(int)>& step,
-                       Seconds& sum, obs::Histogram& hist) {
-      obs::ScopedSpan span("pipeline", name, rank, timed ? &sum : nullptr, cpi,
+                       obs::Histogram& hist) {
+      obs::ScopedSpan span("pipeline", name, rank, nullptr, cpi,
                            timed ? &hist : nullptr);
       step(cpi);
     };
     if (!steps.idle) {
-      if (steps.recv) section("receive", steps.recv, recv, out.recv_hist);
-      if (steps.comp) section("compute", steps.comp, comp, out.comp_hist);
+      if (steps.recv) section("receive", steps.recv, out.recv_hist);
+      if (steps.comp) section("compute", steps.comp, out.comp_hist);
       if (steps.send) {
         if (ctx.sup != nullptr) {
           fault::inject_crash(send_site, static_cast<std::uint64_t>(cpi));
         }
-        section("send", steps.send, send, out.send_hist);
+        section("send", steps.send, out.send_hist);
       }
     }
     if (ctx.ring != nullptr) ctx.ring->complete(cpi);
@@ -211,9 +211,9 @@ void run_cpis(const NodeCtx& ctx, const CpiSteps& steps) {
     }
   }
   const int timed_cpis = std::max(1, ctx.opt.cpis - ctx.opt.warmup);
-  out.recv = recv / timed_cpis;
-  out.comp = comp / timed_cpis;
-  out.send = send / timed_cpis;
+  out.recv = out.recv_hist.sum() / timed_cpis;
+  out.comp = out.comp_hist.sum() / timed_cpis;
+  out.send = out.send_hist.sum() / timed_cpis;
 }
 
 // ------------------------------------------------------------- I/O nodes --

@@ -7,7 +7,7 @@
 //
 // The transform is batched: blocks of adjacent range gates are gathered
 // (with the window fused in) into SoA planes — both staggers as lanes of
-// one plane — and run through FftPlan::transform_soa, so the butterflies
+// one plane — and run through FftPlan::transform_soa, so the radix stages
 // vectorize across range gates instead of dispatching one strided FFT per
 // (channel, range).
 //
@@ -97,7 +97,7 @@ class DopplerFilter {
   /// lane R + l stagger 1). The Doppler FFTs are short (m = pulses - 1), so
   /// the block is kept wide: the planes stay small (m * 2R floats) while
   /// every SIMD call runs long enough to amortize its dispatch; 2R = 64
-  /// lanes is 8 AVX2 iterations per butterfly row. The Doppler task's
+  /// lanes is 8 AVX2 iterations per radix row. The Doppler task's
   /// range windows are whole runs of these blocks (pipeline/partition.hpp).
   static constexpr std::size_t kRangesPerBlock = 32;
 
@@ -105,7 +105,7 @@ class DopplerFilter {
   struct BlockRows;
 
   // One chunk's transform workspace (grown once, then reused). Aligned so
-  // the SIMD butterflies never split cache lines.
+  // the SIMD radix stages never split cache lines.
   struct Workspace {
     AlignedVector<float> re, im;  // SoA planes, M x 64 lanes
     fft::BatchScratch scratch;

@@ -26,9 +26,9 @@ void PulseCompressor::compress(BeamArray& beams) const {
                 "beam array range extent must equal the range window");
   // The (bin, beam) range series are laid out back to back, so the whole
   // array is one batched matched-filter convolution with the spectral
-  // multiply fused between the SoA transforms. The butterflies and the
-  // fused multiply-accumulate both run on the runtime-dispatched SIMD
-  // backend (common/simd.hpp) inside convolve_batch.
+  // multiply fused between the SoA transforms. The radix stages and the
+  // spectral multiply both run on the runtime-dispatched SIMD backend
+  // (common/simd.hpp) inside convolve_batch.
   plan_.convolve_batch(beams.flat(), beams.bins() * beams.beams(),
                        code_spectrum_, scratch_);
 }

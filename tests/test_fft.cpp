@@ -227,18 +227,22 @@ std::vector<cdouble> soa_dft(const AlignedVector<float>& re,
   return out;
 }
 
-// Forward and inverse transform_soa against the double DFT, at 1 and 64
-// lanes, on every backend: max |error| <= 1e-6 * max |X|. Lengths cover
-// pure small radices, composites with a prime factor above 7 (130, 254,
-// and 143 with two), Rader primes over mixed-radix (13, 23, 47, 127, 131)
-// and radix-2 (17, 257) convolutions, and the paper's 127 Doppler bins.
+// Forward and inverse transform_soa against the double DFT, at 1, 16
+// (kBatchLanes, pulse compression's width) and 64 lanes, on every backend:
+// max |error| <= 1e-6 * max |X|. Lengths cover powers of two (radix-4
+// stages, with one radix-2 stage at 2, 8, 32), pure small radices,
+// composites with a prime factor above 7 (130, 254, and 143 with two),
+// Rader primes over mixed-radix (13, 23, 47, 127, 131) and power-of-two
+// (17, 257) convolutions, and the paper's 127 Doppler bins.
 TEST(FftOracle, MatchesDoubleDftOnEveryBackend) {
   SimdBackendGuard guard;
   for (const std::size_t n :
-       {3u, 5u, 7u, 9u, 10u, 12u, 13u, 15u, 17u, 23u, 30u, 47u, 100u, 126u, 127u,
-        130u, 131u, 143u, 254u, 257u, 384u, 1000u}) {
+       {2u, 4u, 8u, 16u, 32u, 64u, 1024u, 3u, 5u, 7u, 9u, 10u, 12u, 13u, 15u,
+        17u, 23u, 30u, 47u, 100u, 126u, 127u, 130u, 131u, 143u, 254u, 257u,
+        384u, 1000u}) {
     const FftPlan plan(n);
-    for (const std::size_t lanes : {std::size_t{1}, std::size_t{64}}) {
+    for (const std::size_t lanes :
+         {std::size_t{1}, FftPlan::kBatchLanes, std::size_t{64}}) {
       Rng rng(1000 * n + lanes);
       AlignedVector<float> re(n * lanes), im(n * lanes);
       for (std::size_t i = 0; i < n * lanes; ++i) {
@@ -308,7 +312,8 @@ TEST(Fft, BatchTransformsEachSegment) {
   auto data = random_signal(n * count, 41);
   auto copy = data;
   FftPlan plan(n);
-  plan.transform_batch(data, count, Direction::kForward);
+  BatchScratch scratch;
+  plan.transform_strided_batch(data.data(), count, n, 1, Direction::kForward, scratch);
   for (std::size_t b = 0; b < count; ++b) {
     std::vector<cfloat> seg(copy.begin() + b * n, copy.begin() + (b + 1) * n);
     plan.transform(seg, Direction::kForward);
@@ -324,7 +329,7 @@ TEST(Fft, BatchMatchesSingleForRaderLength) {
   const auto copy = data;
   FftPlan plan(n);
   BatchScratch scratch;
-  plan.transform_batch(data, count, Direction::kForward, scratch);
+  plan.transform_strided_batch(data.data(), count, n, 1, Direction::kForward, scratch);
   for (std::size_t b = 0; b < count; ++b) {
     std::vector<cfloat> seg(copy.begin() + b * n, copy.begin() + (b + 1) * n);
     plan.transform(seg, Direction::kForward);
@@ -342,8 +347,8 @@ TEST(Fft, BatchInverseUndoesBatchForward) {
     const auto original = data;
     FftPlan plan(n);
     BatchScratch scratch;
-    plan.transform_batch(data, count, Direction::kForward, scratch);
-    plan.transform_batch(data, count, Direction::kInverse, scratch);
+    plan.transform_strided_batch(data.data(), count, n, 1, Direction::kForward, scratch);
+    plan.transform_strided_batch(data.data(), count, n, 1, Direction::kInverse, scratch);
     EXPECT_LT(max_abs_diff(data, original), 1e-4) << "length " << n;
   }
 }
@@ -368,22 +373,47 @@ TEST(Fft, StridedBatchMatchesGatheredTransforms) {
   }
 }
 
+// convolve_batch against the circular convolution with h = IDFT(spectrum)
+// in double, on both branches: the in-order mixed-radix pass (n = 1 with
+// no stage, powers of two, composites, and 2 and 7 as one radix stage) and
+// the transform_soa pair (the Rader prime 127). 19 series are one full
+// lane block and a partial one.
 TEST(Fft, ConvolveBatchMatchesTransformMultiplyInverse) {
-  const std::size_t n = 32, count = 19;
-  auto spectrum = random_signal(n, 61);
-  auto data = random_signal(n * count, 67);
-  const auto copy = data;
-  FftPlan plan(n);
-  BatchScratch scratch;
-  plan.convolve_batch(data, count, spectrum, scratch);
-  for (std::size_t b = 0; b < count; ++b) {
-    std::vector<cfloat> seg(copy.begin() + b * n, copy.begin() + (b + 1) * n);
-    plan.transform(seg, Direction::kForward);
-    for (std::size_t i = 0; i < n; ++i) seg[i] *= spectrum[i];
-    plan.transform(seg, Direction::kInverse);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(std::abs(data[b * n + i] - seg[i]), 0.0, 1e-4)
-          << "series " << b << " element " << i;
+  const std::size_t count = 19;
+  for (const std::size_t n :
+       {1u, 2u, 32u, 1024u, 12u, 100u, 384u, 7u, 127u}) {
+    const auto spectrum = random_signal(n, 61 + n);
+    auto data = random_signal(n * count, 67 + n);
+    const auto copy = data;
+    const FftPlan plan(n);
+    BatchScratch scratch;
+    plan.convolve_batch(data, count, spectrum, scratch);
+    std::vector<cdouble> h(n);
+    for (std::size_t m = 0; m < n; ++m) {
+      for (std::size_t k = 0; k < n; ++k) {
+        const double ang = 2.0 * std::numbers::pi * double(k * m % n) / double(n);
+        h[m] += cdouble(spectrum[k].real(), spectrum[k].imag()) *
+                cdouble(std::cos(ang), std::sin(ang));
+      }
+      h[m] /= double(n);
+    }
+    for (std::size_t b = 0; b < count; ++b) {
+      std::vector<cdouble> want(n);
+      double peak = 0.0;
+      for (std::size_t t = 0; t < n; ++t) {
+        for (std::size_t m = 0; m < n; ++m) {
+          const cfloat x = copy[b * n + (t + n - m) % n];
+          want[t] += cdouble(x.real(), x.imag()) * h[m];
+        }
+        peak = std::max(peak, std::abs(want[t]));
+      }
+      double err = 0.0;
+      for (std::size_t t = 0; t < n; ++t) {
+        const cfloat y = data[b * n + t];
+        err = std::max(err, std::abs(cdouble(y.real(), y.imag()) - want[t]));
+      }
+      EXPECT_LE(err, 1e-5 * peak) << "n=" << n << " series " << b
+                                  << " rel=" << err / peak;
     }
   }
 }
@@ -421,8 +451,10 @@ TEST(Fft, RejectsMismatchedBuffer) {
 
 TEST(Fft, RejectsBadBatchSize) {
   FftPlan plan(8);
+  BatchScratch scratch;
   std::vector<cfloat> data(20);
-  EXPECT_THROW(plan.transform_batch(data, 2, Direction::kForward), PreconditionError);
+  const std::vector<cfloat> spectrum(8);
+  EXPECT_THROW(plan.convolve_batch(data, 2, spectrum, scratch), PreconditionError);
 }
 
 TEST(Fft, RejectsMismatchedSpectra) {

@@ -130,90 +130,6 @@ void expect_rows_match(const std::vector<float>& ref, const std::vector<float>& 
   }
 }
 
-TEST(SimdPrimitives, ButterflyMatchesScalar) {
-  const simd::Ops& ref = simd::ops(Backend::kScalar);
-  for (Backend b : supported_backends()) {
-    const simd::Ops& vec = simd::ops(b);
-    for (std::size_t lanes : kSizes) {
-      const std::size_t rows = 3;
-      auto ar0 = random_floats(rows * lanes, 1), ai0 = random_floats(rows * lanes, 2);
-      auto br0 = random_floats(rows * lanes, 3), bi0 = random_floats(rows * lanes, 4);
-      auto w = random_floats(2 * rows, 5);
-      auto ar1 = ar0, ai1 = ai0, br1 = br0, bi1 = bi0;
-      ref.butterfly_rows(ar0.data(), ai0.data(), br0.data(), bi0.data(), w.data(),
-                         rows, lanes);
-      vec.butterfly_rows(ar1.data(), ai1.data(), br1.data(), bi1.data(), w.data(),
-                         rows, lanes);
-      expect_rows_match(ar0, ar1, b, lanes);
-      expect_rows_match(ai0, ai1, b, lanes);
-      expect_rows_match(br0, br1, b, lanes);
-      expect_rows_match(bi0, bi1, b, lanes);
-    }
-  }
-}
-
-TEST(SimdPrimitives, ButterflyRowsMatchesPerRowButterfly) {
-  for (Backend b : supported_backends()) {
-    const simd::Ops& vec = simd::ops(b);
-    for (std::size_t lanes : {std::size_t{3}, std::size_t{8}, std::size_t{16},
-                              std::size_t{21}, std::size_t{64}}) {
-      const std::size_t rows = 5;
-      auto ar0 = random_floats(rows * lanes, 11);
-      auto ai0 = random_floats(rows * lanes, 12);
-      auto br0 = random_floats(rows * lanes, 13);
-      auto bi0 = random_floats(rows * lanes, 14);
-      auto w = random_floats(2 * rows, 15);
-      auto ar1 = ar0, ai1 = ai0, br1 = br0, bi1 = bi0;
-      for (std::size_t j = 0; j < rows; ++j) {
-        vec.butterfly_rows(ar0.data() + j * lanes, ai0.data() + j * lanes,
-                           br0.data() + j * lanes, bi0.data() + j * lanes,
-                           w.data() + 2 * j, 1, lanes);
-      }
-      vec.butterfly_rows(ar1.data(), ai1.data(), br1.data(), bi1.data(),
-                         w.data(), rows, lanes);
-      // Same backend, same expression trees: bit-identical.
-      EXPECT_EQ(ar0, ar1) << simd::backend_name(b) << " lanes=" << lanes;
-      EXPECT_EQ(ai0, ai1);
-      EXPECT_EQ(br0, br1);
-      EXPECT_EQ(bi0, bi1);
-    }
-  }
-}
-
-TEST(SimdPrimitives, Butterfly2RowsMatchesTwoStagePasses) {
-  for (Backend b : supported_backends()) {
-    const simd::Ops& vec = simd::ops(b);
-    for (std::size_t lanes : {std::size_t{1}, std::size_t{3}, std::size_t{4},
-                              std::size_t{8}, std::size_t{16}, std::size_t{19},
-                              std::size_t{64}}) {
-      for (std::size_t h : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-        const std::size_t rows = 4 * h;
-        auto re0 = random_floats(rows * lanes, 21);
-        auto im0 = random_floats(rows * lanes, 22);
-        auto w1 = random_floats(2 * h, 23);
-        auto w2 = random_floats(2 * 2 * h, 24);
-        auto re1 = re0, im1 = im0;
-        // Reference: stage h then stage 2h as separate butterfly_rows
-        // passes over the same block of 4h rows.
-        for (std::size_t block = 0; block < rows; block += 2 * h) {
-          vec.butterfly_rows(re0.data() + block * lanes,
-                             im0.data() + block * lanes,
-                             re0.data() + (block + h) * lanes,
-                             im0.data() + (block + h) * lanes, w1.data(), h,
-                             lanes);
-        }
-        vec.butterfly_rows(re0.data(), im0.data(), re0.data() + 2 * h * lanes,
-                           im0.data() + 2 * h * lanes, w2.data(), 2 * h, lanes);
-        vec.butterfly2_rows(re1.data(), im1.data(), w1.data(), w2.data(), h,
-                            lanes);
-        EXPECT_EQ(re0, re1) << simd::backend_name(b) << " lanes=" << lanes
-                            << " h=" << h;
-        EXPECT_EQ(im0, im1);
-      }
-    }
-  }
-}
-
 TEST(SimdPrimitives, CscaleFamilyMatchesScalar) {
   const simd::Ops& ref = simd::ops(Backend::kScalar);
   for (Backend b : supported_backends()) {
@@ -472,7 +388,7 @@ double rel_error(std::span<const cfloat> got, const std::vector<cdouble>& ref) {
 
 TEST(SimdKernels, BatchFftMatchesReferenceAcrossBackends) {
   BackendGuard guard;
-  // Pow2, Rader (127 prime), mixed radix (96 even composite), and sizes
+  // Powers of two, Rader (127 prime), mixed radix (96 even composite), and sizes
   // around the lane width; batch counts hitting full and partial lane blocks.
   for (std::size_t n : {std::size_t{8}, std::size_t{64}, std::size_t{127},
                         std::size_t{96}}) {
@@ -488,7 +404,8 @@ TEST(SimdKernels, BatchFftMatchesReferenceAcrossBackends) {
         fft::FftPlan plan(n);
         std::vector<cfloat> got = input;
         fft::BatchScratch scratch;
-        plan.transform_batch(got, count, fft::Direction::kForward, scratch);
+        plan.transform_strided_batch(got.data(), count, n, 1,
+                                     fft::Direction::kForward, scratch);
         for (std::size_t c = 0; c < count; ++c) {
           const auto ref = naive_dft(in.subspan(c * n, n), fft::Direction::kForward);
           EXPECT_LT(rel_error(std::span<const cfloat>(got).subspan(c * n, n), ref),
@@ -497,7 +414,8 @@ TEST(SimdKernels, BatchFftMatchesReferenceAcrossBackends) {
               << " series=" << c;
         }
         // Round-trip through the inverse lands back on the input.
-        plan.transform_batch(got, count, fft::Direction::kInverse, scratch);
+        plan.transform_strided_batch(got.data(), count, n, 1,
+                                     fft::Direction::kInverse, scratch);
         for (std::size_t i = 0; i < got.size(); ++i) {
           EXPECT_NEAR(got[i].real(), input[i].real(), 2e-3f);
           EXPECT_NEAR(got[i].imag(), input[i].imag(), 2e-3f);
@@ -546,8 +464,8 @@ TEST(SimdKernels, ScratchPlanesAreSimdAligned) {
   for (std::size_t n : {std::size_t{8}, std::size_t{64}, std::size_t{127}}) {
     fft::FftPlan plan(n);
     std::vector<cfloat> data(n * 3);
-    EXPECT_NO_THROW(
-        plan.transform_batch(data, 3, fft::Direction::kForward, scratch));
+    EXPECT_NO_THROW(plan.transform_strided_batch(data.data(), 3, n, 1,
+                                                 fft::Direction::kForward, scratch));
   }
 }
 

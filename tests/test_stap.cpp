@@ -723,7 +723,7 @@ TEST(Doppler, WritesEveryElementOfHandedInStorage) {
   // The pipeline hands the filter fresh pooled storage every CPI without
   // zero-filling it. Into NaN-poisoned storage, both entries must produce
   // exactly what they produce into fresh zero-filled arrays, on every
-  // backend, for radix-2, mixed-radix and Rader bin counts and a ragged
+  // backend, for power-of-two, mixed-radix and Rader bin counts and a ragged
   // gate count (45: one full 32-gate block and a 13-gate tail).
   SimdBackendGuard guard;
   BufferPool pool;

@@ -209,6 +209,34 @@ TEST_F(SupervisorPipelineTest, CrashedComputeRankIsRespawnedAndReplays) {
   EXPECT_LE(rec.max_detection_delay, 1.0);
 }
 
+// A respawned rank's phase averages cover its earlier life too. Rank 3
+// (easy BF) runs timed CPI 1, dies at the start of CPI 2 and its
+// replacement runs CPIs 2 and 3. With one node per task every scalar
+// phase time is that node's average, so it must be its histogram's sum
+// over all timed CPIs, not the partial sum of the replacement's life.
+TEST_F(SupervisorPipelineTest, RespawnedRankAveragesCoverEveryTimedCpi) {
+  const auto p = stap::RadarParams::test_small();
+  const auto spec = pipeline::PipelineSpec::embedded_io(p, {1, 1, 1, 1, 1, 1, 1});
+
+  auto opt = supervised("avg");
+  opt.fault_plan = std::make_shared<fault::FaultPlan>(47);
+  opt.fault_plan->arm_crash("pipeline.rank.3", /*at_index=*/2);
+  pipeline::ThreadRunner runner(spec, opt);
+  const auto result = runner.run();
+
+  ASSERT_EQ(result.metrics.recovery.ranks_respawned, 1u);
+  ASSERT_EQ(result.timed_cpis, 3);
+  const double timed = result.timed_cpis;
+  ASSERT_EQ(result.metrics.tasks.size(), spec.tasks.size());
+  for (const auto& t : result.metrics.tasks) {
+    SCOPED_TRACE(pipeline::task_name(t.kind));
+    EXPECT_DOUBLE_EQ(t.receive * timed, t.receive_hist.sum());
+    EXPECT_DOUBLE_EQ(t.compute * timed, t.compute_hist.sum());
+    EXPECT_DOUBLE_EQ(t.send * timed, t.send_hist.sum());
+    EXPECT_EQ(t.compute_hist.count(), 3u);
+  }
+}
+
 // Same rank, but the crash fires at the send-phase start: the rank has
 // consumed (and logged) all of CPI 1's inputs and sent nothing. Replay
 // must rebuild the CPI entirely from the ring and send exactly once. The
